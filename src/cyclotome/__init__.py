@@ -9,6 +9,7 @@ forms apply.
 
 from .charsums import (
     CharSystem,
+    InvariantError,
     NonIntegerResultError,
     NotSemiprimitiveError,
     XiMu,

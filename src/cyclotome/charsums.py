@@ -33,6 +33,10 @@ class NonIntegerResultError(ArithmeticError):
     """A sum that must be a rational integer came out irrational or indivisible."""
 
 
+class InvariantError(ArithmeticError):
+    """An internal invariant failed: a bug in the tables or the routes, not bad input."""
+
+
 class NotSemiprimitiveError(ValueError):
     """Closed form requested without the semiprimitive hypotheses."""
 
@@ -173,10 +177,10 @@ def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> XiMu:
         xi_ratio_coset=ratio % n,
     )
     # reduced forms; failure would mean the character conventions drifted
-    assert out.ximu1_coset == (g + k1 - k3) % n
-    assert out.ximu2_coset == (2 * g + k2 - k3) % n
-    assert out.xi_ratio_coset == (-(g + k2 - k1)) % n
-    assert (out.ximu1_coset - out.ximu2_coset - out.xi_ratio_coset) % n == 0
+    reduced = ((g + k1 - k3) % n, (2 * g + k2 - k3) % n, (-(g + k2 - k1)) % n)
+    got = (out.ximu1_coset, out.ximu2_coset, out.xi_ratio_coset)
+    if got != reduced or (got[0] - got[1] - got[2]) % n:
+        raise InvariantError(f"coset data {out} disagrees with the reduction {reduced}")
     return out
 
 
@@ -228,9 +232,7 @@ def jacobi_offdiagonal_value(case: "TheoremCase") -> int:
     """Common value of J(chi**i, chi**j) for i + j != N under the case hypotheses."""
     if case is None:
         raise NotSemiprimitiveError("no applicable case")
-    if case.case_major == 1:
-        return case.sqrt_r
-    return -case.sqrt_r if case.gamma % 2 == 0 else case.sqrt_r
+    return -case.sign * case.sqrt_r
 
 
 def f_closed(params: "CodeParams", case: "TheoremCase", c: tuple[int, int, int]) -> int:
@@ -256,19 +258,18 @@ def gaussian_period_closed(case: "TheoremCase", i: int) -> int:
     """Semiprimitive closed form of the period at coset i.
 
     One distinguished coset (0, or N/2 when the all-odd case makes N even)
-    carries the large value; the other N-1 cosets share the small one.
+    carries the large value; the other N-1 cosets share the small one.  The
+    values follow from the case sign alone; the sign does not fix which
+    coset is distinguished.
     """
     if case is None:
         raise NotSemiprimitiveError("no applicable case")
-    n, sr = case.N, case.sqrt_r
-    if case.case_major == 1:
-        special, generic = (n - 1) * sr - 1, -sr - 1
-        special_coset = n // 2
+    n, sr, sign = case.N, case.sqrt_r, case.sign
+    special_coset = n // 2 if case.case_major == 1 else 0
+    if i % n == special_coset:
+        num = -sign * (n - 1) * sr - 1
     else:
-        sign = -1 if case.gamma % 2 else 1
-        special, generic = -sign * (n - 1) * sr - 1, sign * sr - 1
-        special_coset = 0
-    num = special if i % n == special_coset else generic
+        num = sign * sr - 1
     if num % n:
         raise NotSemiprimitiveError(f"period value {num}/{n} is not integral")
     return num // n

@@ -3,25 +3,28 @@
 Reports are emitted as JSON (default), CSV, or a human-readable table.
 Frequencies are serialized as decimal strings so exact values survive
 consumers that parse numbers into 64-bit floats.  Exit codes are stable
-for scripting: 0 success, 1 verification mismatch, 2 invalid parameters,
-3 work budget exceeded.
+for scripting: 0 success, 1 verification mismatch or internal failure (a
+broken invariant or an inexact sum), 2 invalid parameters, 3 work budget
+exceeded.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
 
 import click
 
-from .charsums import CharSystem, NotSemiprimitiveError, f_charsum, f_closed, f_enumerate, gaussian_period_closed
+from .charsums import CharSystem, f_charsum, f_closed, f_enumerate, gaussian_period_closed
 from .code import (
     BadParametersError,
     BudgetExceededError,
@@ -31,14 +34,7 @@ from .code import (
     build_code,
     semi_analytic_distribution,
 )
-from .fields import (
-    BadModulusError,
-    BadPolynomialError,
-    FieldTooLargeError,
-    NonPrimeError,
-    build_tower,
-    is_prime,
-)
+from .fields import BadPolynomialError, build_tower, is_prime
 from .theorem import NotApplicable, TheoremCase, classify, table_distribution
 
 EXIT_OK = 0
@@ -48,16 +44,6 @@ EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 500_000_000
 DEFAULT_SWEEP_BUDGET = 10_000_000
-
-_PARAM_ERRORS = (
-    BadParametersError,
-    NonPrimeError,
-    BadPolynomialError,
-    FieldTooLargeError,
-    BadModulusError,
-    NotSemiprimitiveError,
-    ValueError,
-)
 
 
 @dataclass
@@ -120,11 +106,33 @@ def _build(p: int, s: int, m: int, h: int, e: int, poly: "str | None") -> CodePa
     return build_code(tower, h, e)
 
 
-def _first_diff(a: WeightDistribution, b: WeightDistribution) -> "list | None":
-    for w in sorted(set(a.counts) | set(b.counts)):
-        if a.counts.get(w) != b.counts.get(w):
-            return [w, str(a.counts.get(w, 0)), str(b.counts.get(w, 0))]
+def _first_diff_check(dists: "dict[str, WeightDistribution]", pairs) -> "dict | None":
+    """The first route pair whose distributions differ, at their lowest differing weight.
+
+    None when every pair agrees.
+    """
+    for a, b in pairs:
+        ca, cb = dists[a].counts, dists[b].counts
+        for w in sorted(set(ca) | set(cb)):
+            if ca.get(w) != cb.get(w):
+                return {"methods": [a, b], "weight_freqs": [w, str(ca.get(w, 0)), str(cb.get(w, 0))]}
     return None
+
+
+@contextmanager
+def _exit_on_error():
+    """Report a failure as one ``error:`` line and exit with its documented code."""
+    try:
+        yield
+    except BudgetExceededError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_BUDGET)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_BAD_PARAMS)
+    except ArithmeticError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_MISMATCH)
 
 
 def _compute_methods(
@@ -151,14 +159,10 @@ def _compute_methods(
             dists["table"] = table_distribution(case, params)
     if len(dists) > 1:
         names = sorted(dists)
-        agree = all(dists[a] == dists[b] for a, b in zip(names, names[1:]))
-        checks["methods_agree"] = agree
-        if not agree:
-            for a, b in zip(names, names[1:]):
-                diff = _first_diff(dists[a], dists[b])
-                if diff:
-                    checks["first_diff"] = {"methods": [a, b], "weight_freqs": diff}
-                    break
+        first = _first_diff_check(dists, zip(names, names[1:]))
+        checks["methods_agree"] = first is None
+        if first:
+            checks["first_diff"] = first
     return checks, dists
 
 
@@ -174,13 +178,10 @@ def _verification_checks(params: CodeParams, case: TheoremCase, budget: int) -> 
         "semi": semi_analytic_distribution(params, case, system),
         "table": table_distribution(case, params),
     }
-    checks["three_way_equal"] = dists["brute"] == dists["semi"] == dists["table"]
-    if not checks["three_way_equal"]:
-        for a, b in (("brute", "semi"), ("brute", "table")):
-            diff = _first_diff(dists[a], dists[b])
-            if diff:
-                checks["first_diff"] = {"methods": [a, b], "weight_freqs": diff}
-                break
+    first = _first_diff_check(dists, (("brute", "semi"), ("brute", "table")))
+    checks["three_way_equal"] = first is None
+    if first:
+        checks["first_diff"] = first
 
     f_total = 0
     f_ok = True
@@ -291,16 +292,10 @@ def main() -> None:
 def compute(p, s, m, h, e, poly, budget, fmt, method) -> None:
     """Compute one weight distribution (optionally by every method)."""
     t0 = time.monotonic()
-    try:
+    with _exit_on_error():
         params = _build(p, s, m, h, e, poly)
         case = classify(params)
         checks, dists = _compute_methods(params, case, method, budget)
-    except BudgetExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except _PARAM_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_PARAMS)
     agreed = checks.get("methods_agree", True)
     dist = None
     if dists and agreed:
@@ -323,19 +318,13 @@ def compute(p, s, m, h, e, poly, budget, fmt, method) -> None:
 def verify(p, s, m, h, e, poly, budget, fmt) -> None:
     """Run every method plus the class-count and character-sum cross-checks."""
     t0 = time.monotonic()
-    try:
+    with _exit_on_error():
         params = _build(p, s, m, h, e, poly)
         case = classify(params)
         if isinstance(case, NotApplicable):
             raise BadParametersError(f"verify needs applicable parameters: {case.reason}")
         checks = _verification_checks(params, case, budget)
         dist = table_distribution(case, params)
-    except BudgetExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except _PARAM_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_PARAMS)
     passed = all(v is not False for v in checks.values())
     report = RunReport(
         params=params.describe(),
@@ -380,7 +369,7 @@ def _sweep_item(job: tuple) -> dict:
     row = {"p": p, "s": s, "m": m, "h": h, "e": e}
     try:
         params = build_code(_cached_tower(p, s, m), h, e)
-    except _PARAM_ERRORS as exc:  # pragma: no cover - candidates are pre-filtered
+    except ValueError as exc:  # pragma: no cover - candidates are pre-filtered
         row.update(status="error", reason=str(exc))
         return row
     row.update(q=params.tower.q, r=params.tower.r, n=params.n, N=params.N)
@@ -402,6 +391,18 @@ def _sweep_item(job: tuple) -> dict:
 _SWEEP_COLUMNS = ["p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds"]
 
 
+def _thread_count(value: "str | None", jobs: int) -> int:
+    """Sweep worker count for a CYCLOTOME_THREADS value and a number of jobs.
+
+    Unset, empty or below 1 gives 1; above min(cpu count, jobs) is clamped to it.
+    """
+    try:
+        wanted = int(value or "1")
+    except ValueError:
+        raise ValueError(f"CYCLOTOME_THREADS must be an integer, got {value!r}") from None
+    return max(1, min(wanted, os.cpu_count() or 1, jobs))
+
+
 @main.command()
 @click.option("--max-r", type=int, required=True, help="Upper bound on the big field size r.")
 @click.option("--e", "e", type=int, default=3, show_default=True)
@@ -417,16 +418,17 @@ def sweep(max_r, e, budget, fmt) -> None:
         click.echo("error: --max-r must be at least 2", err=True)
         sys.exit(EXIT_BAD_PARAMS)
     jobs = [(p, s, m, h, e, budget) for (p, s, m, h) in sorted(_sweep_candidates(max_r, e))]
-    threads = max(1, int(os.environ.get("CYCLOTOME_THREADS", "1") or "1"))
-    if threads > 1 and len(jobs) > 1:
+    with _exit_on_error():
+        threads = _thread_count(os.environ.get("CYCLOTOME_THREADS"), len(jobs))
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_item, jobs))
     else:
         rows = [_sweep_item(job) for job in jobs]
     if fmt == "csv":
-        click.echo(",".join(_SWEEP_COLUMNS))
-        for row in rows:
-            click.echo(",".join(str(row.get(col, "")) for col in _SWEEP_COLUMNS))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(_SWEEP_COLUMNS)
+        writer.writerows([row.get(col, "") for col in _SWEEP_COLUMNS] for row in rows)
     elif fmt == "pretty":
         for row in rows:
             click.echo(

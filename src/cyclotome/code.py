@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .charsums import CharSystem, NonIntegerResultError, f_closed
+from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_closed
 from .cycint import CycInt
 from .fields import ZERO, FieldElement, FieldTower
 
@@ -90,8 +90,10 @@ def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
     )
     # g must have order n and g*beta order n as well; both follow from the
     # divisibilities, so a failure here means the table build went wrong
-    assert (r - 1) // math.gcd(r - 1, params.g_log) == n
-    assert (params.g_log + params.beta_log) * n % (r - 1) == 0
+    if (r - 1) // math.gcd(r - 1, params.g_log) != n:
+        raise InvariantError(f"g = alpha**{params.g_log} does not have order n = {n}")
+    if (params.g_log + params.beta_log) * n % (r - 1):
+        raise InvariantError(f"(g*beta)**n != 1 for n = {n}")
     return params
 
 
@@ -120,17 +122,17 @@ class WeightDistribution:
         return sum(w * f for w, f in self.counts.items())
 
     def validate(self, params: CodeParams) -> None:
-        """Raise ValueError on any violated structural invariant."""
+        """Raise InvariantError on any violated structural invariant."""
         r2 = params.tower.r ** 2
         if self.total() != r2:
-            raise ValueError(f"frequencies sum to {self.total()}, expected {r2}")
+            raise InvariantError(f"frequencies sum to {self.total()}, expected {r2}")
         if self.counts.get(0) != 1:
-            raise ValueError("weight 0 must occur exactly once")
+            raise InvariantError("weight 0 must occur exactly once")
         bad = [w for w in self.counts if w < 0 or w > params.n]
         if bad:
-            raise ValueError(f"weights out of range [0, {params.n}]: {bad}")
+            raise InvariantError(f"weights out of range [0, {params.n}]: {bad}")
         if any(f < 0 for f in self.counts.values()):
-            raise ValueError("negative frequency")
+            raise InvariantError("negative frequency")
 
     def __repr__(self) -> str:
         return f"WeightDistribution({dict(self.items())})"

@@ -2,16 +2,21 @@
 
 The closed forms cover e = 3 parameter sets in the semiprimitive regime:
 some power p**j is congruent to -1 mod N (j minimal) and s*m = 2*j*gamma.
-Four tables apply, selected by two independent bits:
+Two independent bits select the sub-case:
 
-* major case 1 when gamma, p and (p**j + 1)/N are all odd, else 2
-  (this decides the sign pattern of the sqrt(r) terms);
+* major case 1 when gamma, p and (p**j + 1)/N are all odd, else 2;
 * minor case 1 when N divides (q-1)/h (g is an N-th power), else 2.
 
-Each table is encoded symbolically in (r, sqrt(r), N, h, q) exactly as
-printed, one (weight, frequency) formula pair per row, rather than as
-numbers; instantiation asserts integrality of every entry, drops empty
-rows, and merges rows whose weights collide.
+The major bit decides only one sign sg: the off-diagonal Jacobi sums are
+all -sg*sqrt(r), with sg = -1 in major case 1 and (-1)**gamma in major
+case 2.  With r = sqrt(r)**2, the printed major-1 tables are the major-2
+tables at sg = -1, row for row, so one table per minor case is kept and
+``_sign`` is the single place the sign is decided.
+
+Each table is encoded symbolically in (r, sqrt(r), N, h, q, sg), one
+(weight, frequency) formula pair per row, rather than as numbers;
+instantiation checks integrality of every entry, drops empty rows, and
+merges rows whose weights collide.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ class TheoremCase:
     @property
     def label(self) -> str:
         return f"{self.case_major}.{self.case_minor}"
+
+    @property
+    def sign(self) -> int:
+        """Sign sg of the sqrt(r) terms; the off-diagonal Jacobi sums are -sg*sqrt(r)."""
+        return _sign(self.case_major, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -82,133 +92,76 @@ def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
 
 
 # ---------------------------------------------------------------------------
-# symbolic tables; each row maps (r, sr, N, h, q, sg) -> (weight, frequency)
-# where sr = sqrt(r) and sg = (-1)**gamma (only the major-2 tables read sg)
+# symbolic tables, one per minor case; each row maps (r, sr, N, h, q, sg) ->
+# (weight, frequency) where sr = sqrt(r) and sg is the sign from ``_sign``
 
 Row = Callable[[int, int, int, int, int, int], tuple[Fraction, Fraction]]
 
-
-def _fr(num, den) -> Fraction:
-    return Fraction(num, den)
-
-
-_TABLE_1_1: list[Row] = [
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r - sr * (N - 1)), q),
-        _fr((r - 1) * (r + sr * (N * N - 3 * N + 2) - 3 * N + 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r + sr), q),
-        _fr((r - 1) * (N - 1) * (r * (N - 1) ** 2 - sr * (N - 2) - (N - 1) * (2 * N + 1)), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r - sr * (N - 3)), 3 * q),
-        _fr(3 * (sr + 1) * (r - 1) * (N - 1) * (sr * (N - 1) - 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r - sr * (2 * N - 3)), 3 * q),
-        _fr(3 * (sr + 1) * (r - 1) * (N - 1) * (sr - N + 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(2 * h * (r - sr * (N - 1)), 3 * q),
-        _fr(3 * (r - 1), N),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(2 * h * (r + sr), 3 * q),
-        _fr(3 * (r - 1) * (N - 1), N),
-    ),
-]
-
-_TABLE_1_2: list[Row] = [
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r - sr * (N - 1)), q),
-        _fr((r - 1) * (sr + 1) ** 2, N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r + sr), q),
-        _fr((r - 1) * (r * (N - 1) ** 3 - 2 * sr - (N - 1) * (2 * N * N - 4 * N - 1)), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r - sr * (N - 3)), 3 * q),
-        _fr(3 * (r - 1) * (r * (N - 1) ** 2 + 2 * sr - 2 * N * N + 2 * N + 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r - sr * (2 * N - 3)), 3 * q),
-        _fr(3 * (sr + 1) * (r - 1) * (sr * (N - 1) - N - 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (2 * r - sr * (N - 2)), 3 * q),
-        _fr(6 * (r - 1), N),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(2 * h * (r + sr), 3 * q),
-        _fr(3 * (r - 1) * (N - 2), N),
-    ),
-]
-
-_TABLE_2_1: list[Row] = [
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r + sg * sr * (N - 1)), q),
-        _fr((r - 1) * (r - sg * sr * (N * N - 3 * N + 2) - 3 * N + 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r - sg * sr), q),
-        _fr(
-            (r - 1) * (N - 1) * (r * (N - 1) ** 2 + sg * sr * (N - 2) - (N - 1) * (2 * N + 1)),
-            N**3,
+_TABLES: dict[int, list[Row]] = {
+    1: [
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (r + sg * sr * (N - 1)), q),
+            Fraction((r - 1) * (r - sg * sr * (N * N - 3 * N + 2) - 3 * N + 1), N**3),
         ),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r + sg * sr * (N - 3)), 3 * q),
-        _fr(3 * (r - 1) * (N - 1) * (r * (N - 1) - sg * sr * (N - 2) - 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
-        _fr(3 * (r - 1) * (N - 1) * (r + sg * sr * (N - 2) - N + 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(2 * h * (r + sg * sr * (N - 1)), 3 * q),
-        _fr(3 * (r - 1), N),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(2 * h * (r - sg * sr), 3 * q),
-        _fr(3 * (r - 1) * (N - 1), N),
-    ),
-]
-
-_TABLE_2_2: list[Row] = [
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r + sg * sr * (N - 1)), q),
-        _fr((r - 1) * (r - 2 * sg * sr + 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (r - sg * sr), q),
-        _fr((r - 1) * (r * (N - 1) ** 3 + 2 * sg * sr - (N - 1) * (2 * N * N - 4 * N - 1)), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r + sg * sr * (N - 3)), 3 * q),
-        _fr(3 * (r - 1) * (r * (N - 1) ** 2 - 2 * sg * sr - 2 * N * N + 2 * N + 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
-        _fr(3 * (r - 1) * (r * (N - 1) + 2 * sg * sr - N - 1), N**3),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(h * (2 * r + sg * sr * (N - 2)), 3 * q),
-        _fr(6 * (r - 1), N),
-    ),
-    lambda r, sr, N, h, q, sg: (
-        _fr(2 * h * (r - sg * sr), 3 * q),
-        _fr(3 * (r - 1) * (N - 2), N),
-    ),
-]
-
-_TABLES: dict[tuple[int, int], list[Row]] = {
-    (1, 1): _TABLE_1_1,
-    (1, 2): _TABLE_1_2,
-    (2, 1): _TABLE_2_1,
-    (2, 2): _TABLE_2_2,
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (r - sg * sr), q),
+            Fraction(
+                (r - 1) * (N - 1) * (r * (N - 1) ** 2 + sg * sr * (N - 2) - (N - 1) * (2 * N + 1)),
+                N**3,
+            ),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (3 * r + sg * sr * (N - 3)), 3 * q),
+            Fraction(3 * (r - 1) * (N - 1) * (r * (N - 1) - sg * sr * (N - 2) - 1), N**3),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
+            Fraction(3 * (r - 1) * (N - 1) * (r + sg * sr * (N - 2) - N + 1), N**3),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(2 * h * (r + sg * sr * (N - 1)), 3 * q),
+            Fraction(3 * (r - 1), N),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(2 * h * (r - sg * sr), 3 * q),
+            Fraction(3 * (r - 1) * (N - 1), N),
+        ),
+    ],
+    2: [
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (r + sg * sr * (N - 1)), q),
+            Fraction((r - 1) * (r - 2 * sg * sr + 1), N**3),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (r - sg * sr), q),
+            Fraction(
+                (r - 1) * (r * (N - 1) ** 3 + 2 * sg * sr - (N - 1) * (2 * N * N - 4 * N - 1)),
+                N**3,
+            ),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (3 * r + sg * sr * (N - 3)), 3 * q),
+            Fraction(3 * (r - 1) * (r * (N - 1) ** 2 - 2 * sg * sr - 2 * N * N + 2 * N + 1), N**3),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
+            Fraction(3 * (r - 1) * (r * (N - 1) + 2 * sg * sr - N - 1), N**3),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(h * (2 * r + sg * sr * (N - 2)), 3 * q),
+            Fraction(6 * (r - 1), N),
+        ),
+        lambda r, sr, N, h, q, sg: (
+            Fraction(2 * h * (r - sg * sr), 3 * q),
+            Fraction(3 * (r - 1) * (N - 2), N),
+        ),
+    ],
 }
+
+
+def _sign(major: int, gamma: "int | None") -> int:
+    """Sign sg of the sqrt(r) terms: -1 in major case 1, (-1)**gamma in major case 2."""
+    return -1 if major == 1 else (-1) ** gamma
 
 
 def instantiate_table(
@@ -224,13 +177,13 @@ def instantiate_table(
     if tw.degree % 2:
         raise NotApplicableError("sqrt(r) is not an integer: s*m is odd")
     sr = tw.p ** (tw.degree // 2)
-    if (major, minor) not in _TABLES:
+    if major not in (1, 2) or minor not in _TABLES:
         raise NotApplicableError(f"no table for case ({major}, {minor})")
     if major == 2 and gamma is None:
         raise NotApplicableError("major case 2 needs gamma for the sign")
-    sg = 1 if gamma is None or gamma % 2 == 0 else -1
+    sg = _sign(major, gamma)
     hist: dict[int, int] = {0: 1}
-    for row in _TABLES[(major, minor)]:
+    for row in _TABLES[minor]:
         weight, freq = row(tw.r, sr, params.N, params.h, tw.q, sg)
         if freq.denominator != 1 or freq < 0:
             raise NonIntegerFrequencyError(

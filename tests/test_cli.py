@@ -1,10 +1,15 @@
+import csv
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
+import cyclotome.code as code
 import cyclotome.theorem as theorem
-from cyclotome.cli import RunReport, main
+from cyclotome.charsums import CharSystem
+from cyclotome.cli import RunReport, _thread_count, main
+from cyclotome.cycint import CycInt
 
 EXPECTED1 = [[0, "1"], [12, "72"], [16, "72"], [18, "264"], [20, "864"], [22, "864"], [24, "264"]]
 
@@ -96,7 +101,7 @@ def test_verify_rejects_not_applicable(runner):
 
 
 def test_verify_detects_injected_table_corruption(runner, monkeypatch):
-    rows = list(theorem._TABLES[(2, 1)])
+    rows = list(theorem._TABLES[1])
     original = rows[4]
 
     def off_by_one(r, sr, N, h, q, sg):
@@ -104,12 +109,30 @@ def test_verify_detects_injected_table_corruption(runner, monkeypatch):
         return weight + 1, freq
 
     rows[4] = off_by_one
-    monkeypatch.setitem(theorem._TABLES, (2, 1), rows)
+    monkeypatch.setitem(theorem._TABLES, 1, rows)
     result, report = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
     assert result.exit_code == 1
     assert report["verdict"] == "FAIL"
     assert report["checks"]["three_way_equal"] is False
     assert report["checks"]["first_diff"]["weight_freqs"] is not None
+
+
+def test_broken_invariant_exits_1(runner, monkeypatch):
+    # a semi route whose class counts vanish: its histogram fails validate
+    monkeypatch.setattr(code, "f_closed", lambda params, case, c: 0)
+    result = runner.invoke(
+        main, ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--method", "semi"]
+    )
+    assert result.exit_code == 1
+    assert result.output == "error: frequencies sum to 145, expected 2401\n"
+
+
+def test_inexact_sum_exits_1(runner, monkeypatch):
+    # an irrational Gaussian period: NonIntegerResultError, not a traceback
+    monkeypatch.setattr(CharSystem, "gaussian_period", lambda self, u: CycInt.root_of_unity(self.p, 1))
+    result = runner.invoke(main, ["verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3"])
+    assert result.exit_code == 1
+    assert result.output == "error: period at coset 0 is irrational\n"
 
 
 def test_verify_pretty_format(runner):
@@ -197,6 +220,11 @@ def test_sweep_includes_larger_sets(runner):
     assert "skipped_budget" in body
     # not-applicable rows carry the failed condition
     assert "N = 1 < 2" in body
+    # reasons with commas are quoted: every row parses to the 13 columns
+    rows = list(csv.reader(lines))
+    assert {len(row) for row in rows} == {13}
+    by_params = {tuple(row[:4]): row for row in rows[1:]}
+    assert by_params[("7", "1", "3", "3")][11] == "no j with p**j = -1 mod N (p = 7, N = 3)"
 
 
 def test_sweep_parallel_matches_serial(runner):
@@ -209,6 +237,26 @@ def test_sweep_parallel_matches_serial(runner):
         for line in out.strip().splitlines()
     ]
     assert strip(serial.output) == strip(parallel.output)
+
+
+def test_thread_count_parsing_and_clamp(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for value in (None, "", "0", "-3", "1"):
+        assert _thread_count(value, 50) == 1
+    assert _thread_count("4", 50) == 4
+    assert _thread_count("100000", 50) == 8
+    assert _thread_count("100000", 3) == 3
+    assert _thread_count("2", 1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _thread_count("100000", 50) == 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        _thread_count("abc", 50)
+
+
+def test_sweep_rejects_non_integer_threads(runner):
+    result = runner.invoke(main, ["sweep", "--max-r", "10"], env={"CYCLOTOME_THREADS": "abc"})
+    assert result.exit_code == 2
+    assert result.output == "error: CYCLOTOME_THREADS must be an integer, got 'abc'\n"
 
 
 def test_sweep_rejects_bad_bound(runner):

@@ -6,7 +6,7 @@ import pytest
 from conftest import DIST1, DIST2
 from naive_oracle import naive_weight_distribution
 
-from cyclotome.charsums import CharSystem, NotSemiprimitiveError
+from cyclotome.charsums import CharSystem, InvariantError, NotSemiprimitiveError
 from cyclotome.code import (
     BadParametersError,
     BudgetExceededError,
@@ -104,11 +104,11 @@ def test_distribution_invariants(set1, set2):
 
 def test_distribution_validate_rejects_bad_data(set1):
     bad = WeightDistribution({0: 1, 5: 3})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         bad.validate(set1.params)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         WeightDistribution({12: 2401}).validate(set1.params)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         WeightDistribution({0: 1, 999: 2400}).validate(set1.params)
 
 

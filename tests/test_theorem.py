@@ -2,6 +2,7 @@ import pytest
 
 from conftest import DIST1, DIST2
 
+from cyclotome.charsums import CharSystem, gaussian_period_closed, jacobi_offdiagonal_value
 from cyclotome.cli import _sweep_candidates
 from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
 from cyclotome.fields import build_tower
@@ -66,6 +67,16 @@ def test_three_routes_agree_on_major_case_1(set3):
     assert table == semi == brute
 
 
+@pytest.mark.parametrize(
+    "major, gamma, sign", [(1, 1, -1), (1, 2, -1), (2, 1, -1), (2, 2, 1)]
+)
+def test_case_sign(major, gamma, sign):
+    # major 1 is always negative; major 2 follows the parity of gamma
+    case = TheoremCase(j=1, gamma=gamma, case_major=major, case_minor=1, sqrt_r=7, N=2)
+    assert case.sign == sign
+    assert jacobi_offdiagonal_value(case) == -sign * 7
+
+
 def test_case_mismatch_is_rejected(set1, set2):
     with pytest.raises(NotApplicableError):
         table_distribution(set2.case, set1.params)
@@ -107,7 +118,7 @@ def test_semi_equals_table_across_small_sweep():
     import math
 
     checked = 0
-    labels = set()
+    cases = set()
     for p, s, m, h in _sweep_candidates(2500, 3):
         if math.gcd(m, 3 * (p**s - 1) // h) < 2:
             continue  # N = 1, never applicable; skip the tower build
@@ -115,14 +126,20 @@ def test_semi_equals_table_across_small_sweep():
         case = classify(params)
         if isinstance(case, NotApplicable):
             continue
+        system = CharSystem(params.tower, params.N)
         table = table_distribution(case, params)
-        semi = semi_analytic_distribution(params, case)
+        semi = semi_analytic_distribution(params, case, system)
         assert table == semi, (p, s, m, h)
         table.validate(params)
-        labels.add(case.label)
+        # enumerated periods against the closed form the case sign selects
+        assert all(
+            system.gaussian_period(u) == gaussian_period_closed(case, u) for u in range(params.N)
+        ), (p, s, m, h)
+        cases.add((case.label, case.sign))
         checked += 1
     assert checked >= 6
-    assert {"1.1", "2.1", "2.2"} <= labels
+    # 1.1, 2.1 with gamma odd and even, and 2.2
+    assert {("1.1", -1), ("2.1", -1), ("2.1", 1), ("2.2", -1)} <= cases
 
 
 def test_table_equals_semi_at_r4096():
