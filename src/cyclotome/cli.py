@@ -379,11 +379,15 @@ def _sweep_item(job: tuple) -> dict:
     elif params.tower.r ** 2 * params.n > budget:
         row.update(case=case.label, status="skipped_budget", reason="")
     else:
-        checks = _verification_checks(params, case, budget)
-        ok = all(v is not False for v in checks.values())
-        row.update(case=case.label, status="PASS" if ok else "FAIL", reason="")
-        if not ok:
-            row["failed_checks"] = sorted(k for k, v in checks.items() if v is False)
+        row.update(case=case.label, status="PASS", reason="")
+        try:
+            checks = _verification_checks(params, case, budget)
+        except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
+            row.update(status="FAIL", reason=f"{type(exc).__name__}: {exc}")
+            checks = {}
+        failed = sorted(k for k, v in checks.items() if v is False)
+        if failed:
+            row.update(status="FAIL", failed_checks=failed)
     row["seconds"] = round(time.monotonic() - t0, 6)
     return row
 

@@ -275,31 +275,21 @@ def semi_analytic_distribution(
         eta.append(v)
     hq = Fraction(params.h * n1, tw.q)
     coef = Fraction(params.h * n_ord, 3 * tw.q)
-
-    def as_weight(lam: Fraction) -> int:
-        w = hq - lam
-        if w.denominator != 1:
-            raise NonIntegerResultError(f"weight {w} is not an integer")
-        return int(w)
-
     hist = Counter()
     hist[0] = 1
     for c in product(range(n_ord), repeat=3):
         freq = f_closed(params, case, c)
         if freq:
-            lam = coef * sum(eta[(-ci) % n_ord] for ci in c)
-            hist[as_weight(lam)] += freq
+            w = hq - coef * sum(eta[(-ci) % n_ord] for ci in c)
+            if w.denominator != 1:
+                raise NonIntegerResultError(f"weight {w} is not an integer")
+            hist[int(w)] += freq
     # degenerate families a = -beta**t b, b != 0, one weight per coset of b
     for t in range(1, 4):
         for k in range(n_ord):
-            lam = Fraction(system.eta_zero)
-            for i in range(1, 4):
-                if i == t:
-                    continue
-                diff = tw.sub(i * params.beta_log % n1, t * params.beta_log % n1)
-                arg = (k + i * params.g_log + diff) % n1
-                lam += eta[arg % n_ord]
-            hist[as_weight(coef * lam)] += n1 // n_ord
+            b = tw.element(k)
+            a = -(params.beta**t * b)
+            hist[codeword_weight_from_lambda(params, system, a, b)] += n1 // n_ord
     dist = WeightDistribution(hist)
     dist.validate(params)
     return dist

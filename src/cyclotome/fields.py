@@ -11,7 +11,9 @@ addition mod r-1 and addition uses a precomputed Zech logarithm table
 The intermediate field GF(q) is the subfield fixed by the map
 ``x -> x**q``; its nonzero elements are exactly the indices divisible by
 (r-1)/(q-1).  Both trace maps (down to GF(q) and down to GF(p)) are
-precomputed lazily as index tables.
+index tables too.  Every table, and the default defining polynomial, is
+built on first use, so multiplication, powers, cosets and everything that
+reads only (p, s, m, q, r) never build one.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int,
     """The index-th monic primitive polynomial of the given degree over GF(p).
 
     Candidates are scanned in lexicographic order of the coefficient vector
-    (c_0, ..., c_{degree-1}); index 0 is the deterministic default used by
+    (c_0, ..., c_{degree-1}); index 0 is the deterministic default of
     ``build_tower``.  Returned constant-first, including the leading 1.
     """
     if not is_prime(p):
@@ -230,58 +232,74 @@ class FieldElement:
 class FieldTower:
     """GF(p) < GF(q) < GF(r) with exp/log/Zech tables over a fixed generator.
 
-    Logically immutable: every operation is a pure read, so a tower may be
-    shared freely between threads or processes.  The two trace tables are
-    materialized lazily on first use; a race there at worst recomputes the
-    identical array, never exposes a partial one.
+    Construction stores integers only (and a caller-supplied defining
+    polynomial).  The default polynomial search, the exp/log arrays, the
+    Zech table and the two trace tables are cached properties, each
+    computed on first use.  Logically immutable: every operation is a pure
+    read, so a tower may be shared freely between threads or processes; a
+    race on a first use at worst recomputes the identical value, never
+    exposes a partial one.
     """
 
-    def __init__(self, p: int, s: int, m: int, poly: tuple[int, ...]):
+    def __init__(self, p: int, s: int, m: int, poly: "tuple[int, ...] | None" = None):
         self.p = p
         self.s = s
         self.m = m
         self.q = p**s
         self.r = self.q**m
         self.degree = s * m
-        self.defining_polynomial = poly
         self._n1 = self.r - 1  # multiplicative group order
-        self._build_tables()
+        self.neg_shift = 0 if p == 2 else self._n1 // 2
+        # canonical label: GF(q)* sits at index multiples of this
+        self.subfield_step = self._n1 // (self.q - 1)
+        if poly is not None:
+            self.defining_polynomial = poly
 
-    # -- construction ------------------------------------------------------
+    # -- tables, each built on first use -------------------------------------
 
-    def _build_tables(self) -> None:
-        p, d, r = self.p, self.degree, self.r
+    @cached_property
+    def defining_polynomial(self) -> tuple[int, ...]:
+        """The lexicographically first monic primitive polynomial of degree s*m."""
+        return find_primitive_polynomial(self.p, self.degree)
+
+    @cached_property
+    def _pow_packed(self) -> array:
+        """k -> coefficient vector of alpha**k, packed as a base-p integer."""
+        p, d = self.p, self.degree
         f_low = self.defining_polynomial[:d]
-        pow_packed = array("q", bytes(8 * (r - 1)))
-        log_packed = array("q", bytes(8 * r))
-        vec = [0] * d
-        vec[0] = 1
+        pow_packed = array("q", bytes(8 * self._n1))
+        vec = [1] + [0] * (d - 1)
         weights = [p**i for i in range(d)]
-        for k in range(r - 1):
-            packed = sum(c * w for c, w in zip(vec, weights))
-            pow_packed[k] = packed
-            log_packed[packed] = k
+        for k in range(self._n1):
+            pow_packed[k] = sum(c * w for c, w in zip(vec, weights))
             lead = vec[d - 1]
             vec[1:] = vec[: d - 1]
             vec[0] = 0
             if lead:
                 for i in range(d):
                     vec[i] = (vec[i] - lead * f_low[i]) % p
-        if pow_packed[0] != 1:
+        if vec != [1] + [0] * (d - 1):
             raise NoPrimitivePolynomialError("generator power table corrupt")
-        zech = array("q", bytes(8 * (r - 1)))
-        for k in range(r - 1):
-            packed = pow_packed[k]
+        return pow_packed
+
+    @cached_property
+    def _log_packed(self) -> array:
+        """Packed coefficient vector -> dlog (inverse of ``_pow_packed``)."""
+        log_packed = array("q", bytes(8 * self.r))
+        for k, packed in enumerate(self._pow_packed):
+            log_packed[packed] = k
+        return log_packed
+
+    @cached_property
+    def zech(self) -> array:
+        """k -> dlog(1 + alpha**k), ZERO where alpha**k = -1."""
+        p, log_packed = self.p, self._log_packed
+        zech = array("q", bytes(8 * self._n1))
+        for k, packed in enumerate(self._pow_packed):
             c0 = packed % p
             bumped = packed - c0 + (c0 + 1) % p
             zech[k] = log_packed[bumped] if bumped else ZERO
-        self._pow_packed = pow_packed
-        self._log_packed = log_packed
-        self.zech = zech
-        self.neg_shift = 0 if p == 2 else (r - 1) // 2
-        # canonical labels: GF(q)* and GF(p)* sit at index multiples of these
-        self.subfield_step = (r - 1) // (self.q - 1)
-        self.prime_step = (r - 1) // (p - 1)
+        return zech
 
     # -- raw index arithmetic (ZERO = -1 marks the zero element) ------------
 
@@ -360,9 +378,6 @@ class FieldTower:
         for k in range(self._n1):
             yield FieldElement(self, k)
 
-    def dlog(self, x: FieldElement) -> int:
-        return x.dlog()
-
     def coset_index_of(self, index: int, n: int) -> int:
         """dlog mod n; 0 exactly when the element is an n-th power."""
         if index == ZERO:
@@ -370,9 +385,6 @@ class FieldTower:
         if self._n1 % n:
             raise BadModulusError(f"N = {n} does not divide r-1 = {self._n1}")
         return index % n
-
-    def coset_index(self, x: FieldElement, n: int) -> int:
-        return self.coset_index_of(x.index, n)
 
     # -- traces --------------------------------------------------------------
 
@@ -417,12 +429,6 @@ class FieldTower:
             return 0
         return self.trace_p_table[x.index]
 
-    def trace_to_q_index(self, index: int) -> int:
-        return ZERO if index == ZERO else self.trace_q_table[index]
-
-    def trace_to_p_index(self, index: int) -> int:
-        return 0 if index == ZERO else self.trace_p_table[index]
-
     def in_subfield_q(self, x: FieldElement) -> bool:
         return x.index == ZERO or x.index % self.subfield_step == 0
 
@@ -441,8 +447,9 @@ def build_tower(
 
     The defining polynomial defaults to the lexicographically first monic
     primitive polynomial of degree s*m over GF(p), so towers (and hence
-    all derived tables) are reproducible.  A caller-supplied ``poly``
-    (constant-first coefficients, monic, length s*m + 1) must be primitive.
+    all derived tables) are reproducible; it is searched for on first use.
+    A caller-supplied ``poly`` (constant-first coefficients, monic, length
+    s*m + 1) is checked here and must be primitive.
     """
     if not is_prime(p):
         raise NonPrimeError(f"p = {p} is not prime")
@@ -452,15 +459,12 @@ def build_tower(
     if r > cap:
         raise FieldTooLargeError(f"r = {r} exceeds cap {cap}")
     if poly is None:
-        poly_t = find_primitive_polynomial(p, s * m)
-    else:
-        poly_t = tuple(c % p for c in poly)
-        if len(poly_t) != s * m + 1:
-            raise BadPolynomialError(
-                f"polynomial must have degree {s * m} (got {len(poly_t) - 1})"
-            )
-        if poly_t[-1] != 1:
-            raise BadPolynomialError("polynomial must be monic")
-        if not _is_primitive(list(poly_t), p):
-            raise BadPolynomialError(f"{poly_t} is not primitive over GF({p})")
+        return FieldTower(p, s, m)
+    poly_t = tuple(c % p for c in poly)
+    if len(poly_t) != s * m + 1:
+        raise BadPolynomialError(f"polynomial must have degree {s * m} (got {len(poly_t) - 1})")
+    if poly_t[-1] != 1:
+        raise BadPolynomialError("polynomial must be monic")
+    if not _is_primitive(list(poly_t), p):
+        raise BadPolynomialError(f"{poly_t} is not primitive over GF({p})")
     return FieldTower(p, s, m, poly_t)

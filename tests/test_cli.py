@@ -6,9 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 import cyclotome.code as code
+import cyclotome.fields as fields
 import cyclotome.theorem as theorem
 from cyclotome.charsums import CharSystem
-from cyclotome.cli import RunReport, _thread_count, main
+from cyclotome.cli import RunReport, _sweep_candidates, _thread_count, main
 from cyclotome.cycint import CycInt
 
 EXPECTED1 = [[0, "1"], [12, "72"], [16, "72"], [18, "264"], [20, "864"], [22, "864"], [24, "264"]]
@@ -22,6 +23,16 @@ def runner():
 def _invoke_json(runner, *args, env=None):
     result = runner.invoke(main, list(args), env=env, catch_exceptions=False)
     return result, json.loads(result.output) if result.output.startswith("{") else None
+
+
+@pytest.fixture()
+def no_search(monkeypatch):
+    """Make any primitive-polynomial search fail the test."""
+
+    def search(*args, **kwargs):
+        raise AssertionError("primitive-polynomial search ran")
+
+    monkeypatch.setattr(fields, "find_primitive_polynomial", search)
 
 
 def test_compute_table_json(runner):
@@ -84,6 +95,18 @@ def test_compute_not_applicable_is_clean(runner):
     assert report["classification"] == {"applicable": False, "reason": "N = 1 < 2"}
     assert report["distribution"] is None
     assert "not applicable" in report["checks"]["table"]
+
+
+def test_compute_table_builds_no_field(runner, no_search):
+    # r = 28561: the closed form reads integers only, so no search and no tables
+    result, report = _invoke_json(
+        runner, "compute", "--p", "13", "--s", "2", "--m", "2", "--h", "3", "--method", "table"
+    )
+    assert result.exit_code == 0
+    assert report["distribution"] == [
+        [0, "1"], [336, "42840"], [340, "42840"], [504, "101944920"],
+        [506, "305877600"], [508, "305877600"], [510, "101944920"],
+    ]
 
 
 def test_verify_passes_on_desk_sets(runner):
@@ -177,6 +200,12 @@ def test_poly_flag_validation(runner):
         ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--poly", "1,0,1"],
     )
     assert result.exit_code == 2
+    # checked up front, also on the table route, which never builds a field table
+    result = runner.invoke(
+        main,
+        ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--poly", "1,0,1", "--method", "table"],
+    )
+    assert result.exit_code == 2
     result = runner.invoke(
         main,
         ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--poly", "nope"],
@@ -202,6 +231,29 @@ def test_sweep_small(runner):
     assert by_params[(2, 2, 3, 3)]["status"] == "PASS"
     assert by_params[(7, 1, 2, 6)]["status"] == "not_applicable"
     assert list(by_params) == sorted(by_params)
+
+
+def test_sweep_internal_failure_is_a_fail_row(runner, monkeypatch):
+    # a semi route whose class counts vanish fails validate inside the two verified items
+    monkeypatch.setattr(code, "f_closed", lambda params, case, c: 0)
+    result = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
+    assert result.exit_code == 0
+    rows = [json.loads(line) for line in result.output.strip().splitlines()]
+    by_params = {(r["p"], r["s"], r["m"], r["h"]): r for r in rows}
+    assert list(by_params) == sorted(_sweep_candidates(100, 3))
+    for key in ((7, 1, 2, 3), (2, 2, 3, 3)):
+        assert by_params[key]["status"] == "FAIL"
+        assert by_params[key]["reason"].startswith("InvariantError: frequencies sum to")
+    assert by_params[(7, 1, 2, 6)]["status"] == "not_applicable"
+
+
+def test_unverified_sweep_rows_build_no_field(runner, no_search):
+    result = runner.invoke(main, ["sweep", "--max-r", "1000", "--budget", "0"], catch_exceptions=False)
+    assert result.exit_code == 0
+    rows = [json.loads(line) for line in result.output.strip().splitlines()]
+    assert len(rows) == len(list(_sweep_candidates(1000, 3)))
+    status = {row["status"] for row in rows}
+    assert status == {"not_applicable", "skipped_budget"}
 
 
 def test_sweep_includes_larger_sets(runner):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DIST1, DIST2
 from naive_oracle import naive_weight_distribution
@@ -19,8 +21,9 @@ from cyclotome.code import (
     lambda_weight,
     semi_analytic_distribution,
 )
-from cyclotome.fields import build_tower, find_primitive_polynomial
-from cyclotome.theorem import classify
+from cyclotome.cli import _sweep_candidates
+from cyclotome.fields import build_tower, find_primitive_polynomial, prime_factors
+from cyclotome.theorem import TheoremCase, classify, table_distribution
 
 
 def test_build_code_examples(set1, set2):
@@ -218,3 +221,34 @@ def test_general_e_brute_force():
         for b in elems[::6]:
             direct = hamming_weight(codeword(params, a, b))
             assert direct == codeword_weight_from_lambda(params, system, a, b)
+
+
+# every valid e = 3 set with r <= 128 whose brute cost r^2*n stays desk-sized
+SMALL_SETS = [
+    (p, s, m, h)
+    for p, s, m, h in sorted(_sweep_candidates(128, 3))
+    if p ** (2 * s * m) * h * (p ** (s * m) - 1) // (p**s - 1) <= 300_000
+]
+
+
+def _primitive_count(p: int, degree: int) -> int:
+    """Number of monic primitive polynomials: phi(p**degree - 1) / degree."""
+    phi = order = p**degree - 1
+    for ell in prime_factors(order):
+        phi = phi // ell * (ell - 1)
+    return phi // degree
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(SMALL_SETS), st.integers(min_value=0, max_value=10**6))
+@example((7, 1, 2, 3), 1)
+@example((2, 2, 3, 3), 5)
+def test_routes_agree_under_any_defining_polynomial(pssmh, draw):
+    p, s, m, h = pssmh
+    poly = find_primitive_polynomial(p, s * m, draw % _primitive_count(p, s * m))
+    params = build_code(build_tower(p, s, m, poly=poly), h, 3)
+    brute = brute_distribution(params)
+    assert brute == brute_distribution(build_code(build_tower(p, s, m), h, 3))
+    case = classify(params)
+    if isinstance(case, TheoremCase):
+        assert semi_analytic_distribution(params, case) == brute == table_distribution(case, params)

@@ -1,7 +1,9 @@
 import random
+from array import array
 
 import pytest
 
+from cyclotome.code import build_code
 from cyclotome.fields import (
     BadModulusError,
     BadPolynomialError,
@@ -14,6 +16,7 @@ from cyclotome.fields import (
     is_prime,
     prime_factors,
 )
+from cyclotome.theorem import classify, table_distribution
 
 
 def test_build_tower_examples():
@@ -34,6 +37,15 @@ def test_build_tower_rejects_bad_input():
         build_tower(2, 1, 30)
     with pytest.raises(ValueError):
         build_tower(7, 0, 2)
+
+
+def test_classification_and_table_build_no_field_table():
+    tower = build_tower(13, 2, 2)
+    params = build_code(tower, 3)
+    table_distribution(classify(params), params)
+    built = set(vars(tower))
+    assert not built & {"defining_polynomial", "zech", "trace_q_table", "trace_p_table"}
+    assert not [name for name in built if isinstance(vars(tower)[name], array)]
 
 
 def test_primes_helpers():
