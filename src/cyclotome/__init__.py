@@ -13,6 +13,7 @@ from .charsums import (
     NonIntegerResultError,
     NotSemiprimitiveError,
     XiMu,
+    class_counts,
     f_charsum,
     f_closed,
     f_enumerate,
@@ -25,6 +26,7 @@ from .code import (
     BudgetExceededError,
     CodeParams,
     WeightDistribution,
+    brute_cost,
     brute_distribution,
     build_code,
     codeword,

@@ -12,7 +12,8 @@ convention.
 The pair count f(c) for a coset vector c = (c1, c2, c3) is the number of
 (a, b) in GF(r)**2 with (a + beta**i b) * g**i * alpha**(c_i) an N-th
 power for i = 1, 2, 3.  It is computed three independent ways: direct
-enumeration, the Jacobi-sum identity, and the semiprimitive closed form.
+enumeration (one pass over GF(r)**2 for all classes at once), the
+Jacobi-sum identity, and the semiprimitive closed form.
 """
 
 from __future__ import annotations
@@ -184,25 +185,36 @@ def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> XiMu:
     return out
 
 
-def f_enumerate(params: "CodeParams", c: tuple[int, int, int]) -> int:
-    """Count pairs (a, b) in the class of c by direct double loop over GF(r)**2."""
+def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
+    """f(c) for every class c = (c1, c2, c3) with c_i < N, by one pass over GF(r)**2.
+
+    A pair (a, b) whose t_i = a + beta**i b are all nonzero lies in exactly
+    one class, c_i = -(log t_i + i log g) mod N; a pair with some t_i = 0
+    lies in none.  Classes that no pair reaches are absent.
+    """
     tw, n = params.tower, params.N
-    n1 = tw.r - 1
-    g, b = params.g_log, params.beta_log
-    targets = [((i + 1) * g + (ci % n)) % n for i, ci in enumerate(c)]
-    shifts = [(i * b) % n1 for i in (1, 2, 3)]
-    count = 0
-    all_indices = range(-1, n1)  # ZERO == -1 first, then every nonzero index
-    for a_idx in all_indices:
-        for b_idx in all_indices:
-            for i in range(3):
-                bb = ZERO if b_idx == ZERO else (b_idx + shifts[i]) % n1
-                t = tw.add(a_idx, bb)
-                if t == ZERO or (t + targets[i]) % n:
-                    break
-            else:
-                count += 1
-    return count
+    n1, zech, g = tw.r - 1, tw.zech, params.g_log
+    counts = [0] * n**3  # class c at flat index (c1 * N + c2) * N + c3
+
+    def flat(v1: int, v2: int, v3: int) -> int:
+        return (v1 % n * n + v2 % n) * n + v3 % n
+
+    for a_idx in range(n1):  # b = 0: t_i = a
+        counts[flat(-(a_idx + g), -(a_idx + 2 * g), -(a_idx + 3 * g))] += 1
+    for b_idx in range(n1):
+        b1, b2, b3 = ((b_idx + i * params.beta_log) % n1 for i in (1, 2, 3))  # logs of beta**i b
+        u1, u2, u3 = -(b1 + g), -(b2 + 2 * g), -(b3 + 3 * g)
+        counts[flat(u1, u2, u3)] += 1  # a = 0
+        for a_idx in range(n1):  # log t_i = b_i + zech[log a - b_i]; negative indices wrap
+            z1, z2, z3 = zech[a_idx - b1], zech[a_idx - b2], zech[a_idx - b3]
+            if z1 != ZERO and z2 != ZERO and z3 != ZERO:
+                counts[((u1 - z1) % n * n + (u2 - z2) % n) * n + (u3 - z3) % n] += 1
+    return {(k // (n * n), k // n % n, k % n): f for k, f in enumerate(counts) if f}
+
+
+def f_enumerate(params: "CodeParams", c: tuple[int, int, int]) -> int:
+    """Count the pairs (a, b) in the class of c: a lookup into ``class_counts``."""
+    return class_counts(params).get(tuple(ci % params.N for ci in c), 0)
 
 
 def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int]) -> int:

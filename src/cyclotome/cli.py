@@ -6,6 +6,10 @@ consumers that parse numbers into 64-bit floats.  Exit codes are stable
 for scripting: 0 success, 1 verification mismatch or internal failure (a
 broken invariant or an inexact sum), 2 invalid parameters, 3 work budget
 exceeded.
+
+Output goes through ``print``, not ``click.echo``: click keeps every stdout
+it has written to alive, so a caller that runs commands in process and
+captures each in a fresh StringIO would keep every output in memory.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from itertools import product
 
 import click
 
-from .charsums import CharSystem, f_charsum, f_closed, f_enumerate, gaussian_period_closed
+from .charsums import CharSystem, class_counts, f_charsum, f_closed, gaussian_period_closed
 from .code import (
     BadParametersError,
     BudgetExceededError,
     CodeParams,
     WeightDistribution,
+    brute_cost,
     brute_distribution,
     build_code,
     semi_analytic_distribution,
@@ -183,10 +188,11 @@ def _verification_checks(params: CodeParams, case: TheoremCase, budget: int) -> 
     if first:
         checks["first_diff"] = first
 
+    counts = class_counts(params)
     f_total = 0
     f_ok = True
     for c in product(range(n_ord), repeat=3):
-        fe = f_enumerate(params, c)
+        fe = counts.get(c, 0)
         fc = f_charsum(params, system, c)
         fl = f_closed(params, case, c)
         f_total += fe
@@ -228,33 +234,33 @@ def _verification_checks(params: CodeParams, case: TheoremCase, budget: int) -> 
 
 def _emit_report(report: RunReport, fmt: str) -> None:
     if fmt == "json":
-        click.echo(report.to_json())
+        print(report.to_json())
     elif fmt == "csv":
-        click.echo("weight,frequency")
+        print("weight,frequency")
         for w, f in report.distribution or []:
-            click.echo(f"{w},{f}")
+            print(f"{w},{f}")
     else:
         pr = report.params
-        click.echo(
+        print(
             "parameters: p={p} s={s} m={m} h={h} e={e}  (q={q}, r={r}, n={n}, N={N})".format(**pr)
         )
         cl = report.classification
         if cl["applicable"]:
-            click.echo(
+            print(
                 f"classification: case {cl['case']} (j={cl['j']}, gamma={cl['gamma']}, sqrt_r={cl['sqrt_r']})"
             )
         else:
-            click.echo(f"classification: not applicable ({cl['reason']})")
-        click.echo(f"method: {report.method}  [{report.timing:.3f}s]")
+            print(f"classification: not applicable ({cl['reason']})")
+        print(f"method: {report.method}  [{report.timing:.3f}s]")
         if report.distribution:
             width = max(len(str(w)) for w, _ in report.distribution)
-            click.echo("weight  frequency")
+            print("weight  frequency")
             for w, f in report.distribution:
-                click.echo(f"{w:>{width}}  {f}")
+                print(f"{w:>{width}}  {f}")
         if report.checks:
-            click.echo(f"checks: {json.dumps(report.checks, sort_keys=True)}")
+            print(f"checks: {json.dumps(report.checks, sort_keys=True)}")
         if report.verdict:
-            click.echo(f"verdict: {report.verdict}")
+            print(f"verdict: {report.verdict}")
 
 
 _shared_options = [
@@ -376,7 +382,7 @@ def _sweep_item(job: tuple) -> dict:
     case = classify(params)
     if isinstance(case, NotApplicable):
         row.update(case="", status="not_applicable", reason=case.reason)
-    elif params.tower.r ** 2 * params.n > budget:
+    elif brute_cost(params) > budget:
         row.update(case=case.label, status="skipped_budget", reason="")
     else:
         row.update(case=case.label, status="PASS", reason="")
@@ -435,14 +441,14 @@ def sweep(max_r, e, budget, fmt) -> None:
         writer.writerows([row.get(col, "") for col in _SWEEP_COLUMNS] for row in rows)
     elif fmt == "pretty":
         for row in rows:
-            click.echo(
+            print(
                 "p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".format(
                     **{col: row.get(col, "") for col in _SWEEP_COLUMNS}
                 ).rstrip()
             )
     else:
         for row in rows:
-            click.echo(json.dumps(row, sort_keys=True))
+            print(json.dumps(row, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ the vector of relative traces of a g**i + b (beta g)**i for i < n.
 
 Two independent routes to the weight distribution live here:
 
-* ``brute_distribution`` walks all r**2 pairs and counts nonzero
-  codeword coordinates directly (trace-table driven, no character theory);
+* ``brute_distribution`` counts nonzero codeword coordinates off the trace
+  table for b = 0 and one b per orbit of scaling and cyclic shift, each
+  against every a; the orbit argument is trace linearity and periodicity,
+  no character theory;
 * ``semi_analytic_distribution`` assembles the histogram from Gaussian
   periods and the closed-form class counts f(c), touching no codeword.
 
@@ -158,58 +160,49 @@ def hamming_weight(word: list[FieldElement]) -> int:
     return sum(1 for x in word if x.index != ZERO)
 
 
+def brute_cost(params: CodeParams) -> int:
+    """Nominal brute-force work r**2 * n, the unit ``--budget`` is charged in."""
+    return params.tower.r ** 2 * params.n
+
+
 def brute_distribution(params: CodeParams, budget: "int | None" = None) -> WeightDistribution:
     """Exact weight histogram over all r**2 pairs by direct coordinate counts.
 
-    Work is ~r**2 * n trace-table lookups; ``budget`` (same unit) guards
-    against accidental huge runs.
+    For lambda in GF(q)*, (a, b) -> (lambda g**j a, lambda (beta g)**j b)
+    turns the codeword into lambda times its cyclic shift by j (Tr is
+    GF(q)-linear and g**n = (beta g)**n = 1): the weight is kept and, for
+    fixed b, the a are permuted.  So all b in one coset of <alpha**step>,
+    step = gcd(r-1, log(beta g), (r-1)/(q-1)), share one histogram over a:
+    b = 0 and b = alpha**k for k < step are walked against every a, and
+    each alpha**k row counts (r-1)/step times.  No character theory is
+    used.  ``budget`` is charged the nominal ``brute_cost``.
     """
     tw = params.tower
-    r, n, n1 = tw.r, params.n, tw.r - 1
-    cost = r * r * n
+    n, n1 = params.n, tw.r - 1
+    cost = brute_cost(params)
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"r^2*n = {cost} exceeds budget {budget}")
-    zech = tw.zech
-    trace_q = tw.trace_q_table
-    nonzero_trace = bytes(1 if trace_q[k] != ZERO else 0 for k in range(n1))
+    # log(x + y) = log y + zech[log x - log y], and x + y = 0 where zech is ZERO;
+    # 2(r-1) stands in for ZERO, and the trace flags past 2(r-1) are 0
+    zech = [2 * n1 if z == ZERO else z for z in tw.zech]
+    nonzero = bytes(tw.trace_q_table[k % n1] != ZERO for k in range(2 * n1)) + bytes(n1)
     dg = params.g_log
     dbg = (params.beta_log + params.g_log) % n1
-    hist = Counter()
-    hist[0] = 1  # (a, b) = (0, 0)
-    for a_idx in range(n1):  # b = 0 column: entries tr(a g**i)
-        ai = a_idx
-        w = 0
-        for _ in range(n):
-            w += nonzero_trace[ai]
-            ai += dg
-            if ai >= n1:
-                ai -= n1
-        hist[w] += 1
-    for b_idx in range(n1):
-        offsets = [0] * n
-        bi = b_idx
-        for i in range(n):
-            offsets[i] = bi
-            bi += dbg
-            if bi >= n1:
-                bi -= n1
-        # a = 0 row: same histogram shape as the a-only column with g*beta
-        w = sum(nonzero_trace[o] for o in offsets)
-        hist[w] += 1
-        for a_idx in range(n1):
-            ai = a_idx
-            w = 0
-            for di in offsets:
-                z = zech[ai - di]  # negative index wraps, same residue class
-                if z != ZERO:
-                    x = di + z
-                    if x >= n1:
-                        x -= n1
-                    w += nonzero_trace[x]
-                ai += dg
-                if ai >= n1:
-                    ai -= n1
-            hist[w] += 1
+    step = math.gcd(n1, dbg, n1 // (tw.q - 1))
+
+    def powers(start: int, d: int) -> list[int]:  # logs of alpha**start * (alpha**d)**i, i < n
+        return [(start + i * d) % n1 for i in range(n)]
+
+    hist = Counter({0: 1})  # (a, b) = (0, 0)
+    hist.update(sum(nonzero[x] for x in powers(a_idx, dg)) for a_idx in range(n1))  # b = 0
+    for k in range(step):  # b = alpha**k stands for its coset
+        offsets = powers(k, dbg)
+        row = Counter({sum(nonzero[o] for o in offsets): 1})  # a = 0
+        row.update(  # negative zech indices wrap to the same residue
+            sum(nonzero[di + zech[ai - di]] for ai, di in zip(powers(a_idx, dg), offsets))
+            for a_idx in range(n1)
+        )
+        hist.update({w: f * (n1 // step) for w, f in row.items()})
     return WeightDistribution(hist)
 
 

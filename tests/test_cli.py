@@ -5,6 +5,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+import cyclotome.cli as cli
 import cyclotome.code as code
 import cyclotome.fields as fields
 import cyclotome.theorem as theorem
@@ -138,6 +139,18 @@ def test_verify_detects_injected_table_corruption(runner, monkeypatch):
     assert report["verdict"] == "FAIL"
     assert report["checks"]["three_way_equal"] is False
     assert report["checks"]["first_diff"]["weight_freqs"] is not None
+
+
+def test_verify_detects_wrong_class_count(runner, monkeypatch):
+    # a closed form off by one at one class: the one-pass enumeration must catch it
+    closed = cli.f_closed
+    monkeypatch.setattr(
+        cli, "f_closed", lambda params, case, c: closed(params, case, c) + (tuple(c) == (0, 0, 0))
+    )
+    result, report = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
+    assert result.exit_code == 1
+    assert report["checks"]["f_triple_equal"] is False
+    assert report["checks"]["f_first_diff"]["c"] == [0, 0, 0]
 
 
 def test_broken_invariant_exits_1(runner, monkeypatch):

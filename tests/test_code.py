@@ -1,4 +1,6 @@
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import DIST1, DIST2
 from naive_oracle import naive_weight_distribution
 
+import cyclotome.charsums as charsums
 from cyclotome.charsums import CharSystem, InvariantError, NotSemiprimitiveError
 from cyclotome.code import (
     BadParametersError,
@@ -91,6 +94,38 @@ def test_brute_distribution_matches_naive_oracle(set1, set2):
         t, params = desk.tower, desk.params
         oracle = naive_weight_distribution(t.p, t.s, t.m, params.h, params.e, t.defining_polynomial)
         assert brute_distribution(params).counts == oracle
+
+
+@pytest.mark.parametrize(
+    "p, s, m, h, e, step",
+    [(5, 1, 2, 2, 2, 2), (3, 2, 2, 2, 2, 2), (2, 2, 2, 3, 3, 1)],
+)
+def test_brute_matches_naive_oracle_outside_the_theorem(p, s, m, h, e, step):
+    # no closed form covers these sets (e = 2, or N = 1): the naive oracle is the only check
+    tower = build_tower(p, s, m)
+    params = build_code(tower, h, e)
+    assert not isinstance(classify(params), TheoremCase)
+    n1 = tower.r - 1
+    # number of b-cosets the orbit walk visits
+    assert math.gcd(n1, params.g_log + params.beta_log, n1 // (tower.q - 1)) == step
+    oracle = naive_weight_distribution(p, s, m, h, e, tower.defining_polynomial)
+    assert brute_distribution(params).counts == oracle
+
+
+def test_brute_uses_no_character_layer():
+    # brute is the oracle for the character routes, so it must not read any of their names
+    def names(code_obj):
+        yield from code_obj.co_names
+        for const in code_obj.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from names(const)
+
+    character_layer = {
+        name for name, value in vars(charsums).items()
+        if getattr(value, "__module__", None) == charsums.__name__
+    }
+    assert "class_counts" in character_layer
+    assert not set(names(brute_distribution.__code__)) & character_layer
 
 
 def test_brute_budget_guard(set1):
