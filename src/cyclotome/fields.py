@@ -10,9 +10,11 @@ addition mod r-1 and addition uses a precomputed Zech logarithm table
 
 The intermediate field GF(q) is the subfield fixed by the map
 ``x -> x**q``; its nonzero elements are exactly the indices divisible by
-(r-1)/(q-1).  Both trace maps (down to GF(q) and down to GF(p)) are
-index tables too.  Every table, and the default defining polynomial, is
-built on first use, so multiplication, powers, cosets and everything that
+(r-1)/(q-1).  Both trace maps (to GF(q) and to GF(p)) are index tables
+too, built by additivity from the traces of the two halves of every
+coefficient vector.  Every table, and the default defining polynomial
+(whose search skips constant terms that cannot be primitive), is built
+on first use, so multiplication, powers, cosets and everything that
 reads only (p, s, m, q, r) never build one.
 """
 
@@ -132,8 +134,8 @@ def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def _is_primitive(f: list[int], p: int) -> bool:
-    """True iff x generates the full group of order p**deg(f) - 1 modulo f.
+def _is_primitive(f: list[int], p: int, factors: list[int]) -> bool:
+    """True iff x has order p**deg(f) - 1 (distinct prime factors ``factors``) modulo f.
 
     Succeeding forces f irreducible: the powers of x then exhaust every
     nonzero residue, so the quotient ring is a field.
@@ -142,25 +144,30 @@ def _is_primitive(f: list[int], p: int) -> bool:
     x = [0, 1] if len(f) > 2 else _poly_trim([(-f[0]) % p])
     if _poly_powmod(x, order, f, p) != [1]:
         return False
-    return all(_poly_powmod(x, order // ell, f, p) != [1] for ell in prime_factors(order))
+    return all(_poly_powmod(x, order // ell, f, p) != [1] for ell in factors)
 
 
 def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int, ...]:
     """The index-th monic primitive polynomial of the given degree over GF(p).
 
-    Candidates are scanned in lexicographic order of the coefficient vector
-    (c_0, ..., c_{degree-1}); index 0 is the deterministic default of
-    ``build_tower``.  Returned constant-first, including the leading 1.
+    Primitive polynomials are counted in lexicographic order of the
+    coefficient vector (c_0, ..., c_{degree-1}); index 0 is the deterministic
+    default of ``build_tower``.  Returned constant-first, including the leading 1.
     """
     if not is_prime(p):
         raise NonPrimeError(f"p = {p} is not prime")
+    factors, unit_factors = prime_factors(p**degree - 1), prime_factors(p - 1)
     seen = 0
-    for low in itertools.product(range(p), repeat=degree):
-        f = list(low) + [1]
-        if _is_primitive(f, p):
-            if seen == index:
-                return tuple(f)
-            seen += 1
+    for c0 in range(1, p):
+        # c0 = (-1)**degree * N(alpha), and the norm of a generator generates GF(p)*
+        if any(pow((-1) ** degree * c0, (p - 1) // ell, p) == 1 for ell in unit_factors):
+            continue
+        for high in itertools.product(range(p), repeat=degree - 1):
+            f = [c0, *high, 1]
+            if _is_primitive(f, p, factors):
+                if seen == index:
+                    return tuple(f)
+                seen += 1
     raise NoPrimitivePolynomialError(f"no primitive polynomial of degree {degree} over GF({p})")
 
 
@@ -267,7 +274,7 @@ class FieldTower:
         """k -> coefficient vector of alpha**k, packed as a base-p integer."""
         p, d = self.p, self.degree
         f_low = self.defining_polynomial[:d]
-        pow_packed = array("q", bytes(8 * self._n1))
+        pow_packed = array("i", bytes(4 * self._n1))
         vec = [1] + [0] * (d - 1)
         weights = [p**i for i in range(d)]
         for k in range(self._n1):
@@ -285,7 +292,7 @@ class FieldTower:
     @cached_property
     def _log_packed(self) -> array:
         """Packed coefficient vector -> dlog (inverse of ``_pow_packed``)."""
-        log_packed = array("q", bytes(8 * self.r))
+        log_packed = array("i", bytes(4 * self.r))
         for k, packed in enumerate(self._pow_packed):
             log_packed[packed] = k
         return log_packed
@@ -294,7 +301,7 @@ class FieldTower:
     def zech(self) -> array:
         """k -> dlog(1 + alpha**k), ZERO where alpha**k = -1."""
         p, log_packed = self.p, self._log_packed
-        zech = array("q", bytes(8 * self._n1))
+        zech = array("i", bytes(4 * self._n1))
         for k, packed in enumerate(self._pow_packed):
             c0 = packed % p
             bumped = packed - c0 + (c0 + 1) % p
@@ -388,34 +395,42 @@ class FieldTower:
 
     # -- traces --------------------------------------------------------------
 
+    def _half_traces(self, step: int, terms: int) -> "tuple[int, list[int], list[int]]":
+        """Traces (sums of x**(step**i), i < terms) of every digit half of a packed vector.
+
+        Low halves are below ``split``, high halves multiples of it; results are indices.
+        """
+        n1, log_packed = self._n1, self._log_packed
+        split = self.p ** (self.degree // 2)
+
+        def frobenius_sum(packed: int) -> int:
+            if not packed:
+                return ZERO
+            acc = e = log_packed[packed]
+            for _ in range(terms - 1):
+                e = e * step % n1
+                acc = self.add(acc, e)
+            return acc
+
+        low = [frobenius_sum(v) for v in range(split)]
+        high = [frobenius_sum(v * split) for v in range(self.r // split)]
+        return split, low, high
+
     @cached_property
     def trace_q_table(self) -> array:
         """index -> index of the relative trace into GF(q) (ZERO for zero trace)."""
-        n1, q = self._n1, self.q
-        table = array("q", bytes(8 * n1))
-        for k in range(n1):
-            acc, e = k, k
-            for _ in range(self.m - 1):
-                e = e * q % n1
-                acc = self.add(acc, e)
-            table[k] = acc
-        return table
+        split, low, high = self._half_traces(self.q, self.m)
+        return array("i", (self.add(low[v % split], high[v // split]) for v in self._pow_packed))
 
     @cached_property
     def trace_p_table(self) -> array:
         """index -> absolute trace into GF(p), as an integer residue."""
-        n1, p = self._n1, self.p
-        const_of_index = {ZERO: 0}
-        for c in range(1, p):
-            const_of_index[self._log_packed[c]] = c
-        table = array("q", bytes(8 * n1))
-        for k in range(n1):
-            acc, e = k, k
-            for _ in range(self.degree - 1):
-                e = e * p % n1
-                acc = self.add(acc, e)
-            table[k] = const_of_index[acc]
-        return table
+        split, low, high = self._half_traces(self.p, self.degree)
+        # an element of GF(p) packs to its own residue
+        p, pow_packed = self.p, self._pow_packed
+        low = [0 if t == ZERO else pow_packed[t] for t in low]
+        high = [0 if t == ZERO else pow_packed[t] for t in high]
+        return array("i", ((low[v % split] + high[v // split]) % p for v in pow_packed))
 
     def trace_to_q(self, x: FieldElement) -> FieldElement:
         """Relative trace sum of x**(q**i) for i < m; lands in GF(q)."""
@@ -465,6 +480,6 @@ def build_tower(
         raise BadPolynomialError(f"polynomial must have degree {s * m} (got {len(poly_t) - 1})")
     if poly_t[-1] != 1:
         raise BadPolynomialError("polynomial must be monic")
-    if not _is_primitive(list(poly_t), p):
+    if not _is_primitive(list(poly_t), p, prime_factors(r - 1)):
         raise BadPolynomialError(f"{poly_t} is not primitive over GF({p})")
     return FieldTower(p, s, m, poly_t)

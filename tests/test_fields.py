@@ -1,3 +1,4 @@
+import itertools
 import random
 from array import array
 
@@ -10,7 +11,9 @@ from cyclotome.fields import (
     FieldTooLargeError,
     LogOfZeroError,
     NonPrimeError,
+    NoPrimitivePolynomialError,
     TowerMismatchError,
+    _is_primitive,
     build_tower,
     find_primitive_polynomial,
     is_prime,
@@ -196,6 +199,47 @@ def test_primitive_polynomial_search_is_deterministic():
     assert find_primitive_polynomial(7, 2, index=1) == (3, 2, 1)
     assert build_tower(7, 1, 2).defining_polynomial == build_tower(7, 1, 2).defining_polynomial
     assert build_tower(2, 2, 3).defining_polynomial == (1, 0, 0, 0, 0, 1, 1)
+    assert find_primitive_polynomial(19, 4) == (2, 0, 0, 1, 1)
+    assert find_primitive_polynomial(2, 12) == (1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1)
+    assert find_primitive_polynomial(13, 4) == (2, 0, 2, 6, 1)
+    assert find_primitive_polynomial(3, 10) == (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "p, degree",
+    [(2, 1), (2, 2), (2, 3), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2),
+     (5, 3), (7, 1), (7, 2), (7, 3), (13, 1), (13, 2)],
+)
+def test_search_matches_plain_lexicographic_scan(p, degree):
+    # every constant term, in lexicographic order, no filter
+    factors = prime_factors(p**degree - 1)
+    scan = [
+        (*low, 1)
+        for low in itertools.product(range(p), repeat=degree)
+        if _is_primitive([*low, 1], p, factors)
+    ]
+    for index in range(4):
+        if index < len(scan):
+            assert find_primitive_polynomial(p, degree, index) == scan[index]
+        else:
+            with pytest.raises(NoPrimitivePolynomialError):
+                find_primitive_polynomial(p, degree, index)
+
+
+@pytest.mark.parametrize("psm", [(2, 2, 3), (3, 2, 2), (13, 2, 2), (2, 2, 6), (5, 1, 4), (2, 3, 1)])
+def test_trace_tables_match_frobenius_sums(psm):
+    t = build_tower(*psm)
+    for name in ("_pow_packed", "_log_packed", "zech", "trace_q_table", "trace_p_table"):
+        assert getattr(t, name).typecode == "i"
+    for k in range(t.r - 1):
+        x = t.element(k)
+        relative, absolute = t.zero(), t.zero()
+        for i in range(t.m):
+            relative = relative + x ** (t.q**i)
+        for i in range(t.degree):
+            absolute = absolute + x ** (t.p**i)
+        assert t.trace_q_table[k] == relative.index
+        assert absolute.coeffs() == (t.trace_p_table[k],) + (0,) * (t.degree - 1)
 
 
 def test_polynomial_override_validation():
