@@ -16,7 +16,6 @@ from .charsums import (
     class_counts,
     f_charsum,
     f_closed,
-    f_enumerate,
     gaussian_period_closed,
     jacobi_offdiagonal_value,
     xi_mu,

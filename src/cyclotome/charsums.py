@@ -4,10 +4,10 @@ Everything is evaluated exactly: sums over GF(r) are bucketed into integer
 count tables in one pass over the field, then assembled into cyclotomic
 integers (:class:`~cyclotome.cycint.CycInt`).  The multiplicative
 character chi of order N sends alpha**k to zeta_N**k; the additive
-character psi sends x to zeta_p**trace_to_p(x).  Every character,
-including the principal one, takes the value 0 at 0 inside Gauss and
-Jacobi sums; the boundary evaluations r - 2 and -1 below pin that
-convention.
+character psi sends x to zeta_p**Tr(x), Tr the absolute trace to GF(p).
+Every character, including the principal one, takes the value 0 at 0
+inside Gauss and Jacobi sums; the boundary evaluations r - 2 and -1
+below pin that convention.
 
 The pair count f(c) for a coset vector c = (c1, c2, c3) is the number of
 (a, b) in GF(r)**2 with (a + beta**i b) * g**i * alpha**(c_i) an N-th
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cycint import CycInt
-from .fields import ZERO, BadModulusError, FieldElement, FieldTower
+from .fields import ZERO, BadModulusError, FieldTower
 
 if TYPE_CHECKING:
     from .code import CodeParams
@@ -67,20 +67,6 @@ class CharSystem:
         self._periods: dict[int, CycInt] = {}
         self._pair_counts: list[list[int]] | None = None
         self._jacobi: dict[tuple[int, int], CycInt] = {}
-
-    # -- characters ------------------------------------------------------------
-
-    def chi(self, x: FieldElement, power: int = 1) -> CycInt:
-        """chi**power at x; zero element maps to 0 by convention."""
-        if x.index == ZERO:
-            return CycInt.zero(self.order)
-        return CycInt.root_of_unity(self.order, power * (x.index % self.order))
-
-    def psi(self, x: FieldElement) -> CycInt:
-        """Canonical additive character zeta_p**trace_to_p(x)."""
-        return CycInt.root_of_unity(self.p, self.tower.trace_to_p(x))
-
-    # -- character sums ----------------------------------------------------------
 
     @property
     def eta_zero(self) -> int:
@@ -142,8 +128,6 @@ class XiMu:
     of xi1*mu, xi2*mu and xi1/xi2.
     """
 
-    xi1_coset: int
-    xi2_coset: int
     ximu1_coset: int
     ximu2_coset: int
     xi_ratio_coset: int
@@ -171,8 +155,6 @@ def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> XiMu:
     ximu2 = (xi2 + mu) % n1
     ratio = (xi1 - xi2) % n1
     out = XiMu(
-        xi1_coset=xi1 % n,
-        xi2_coset=xi2 % n,
         ximu1_coset=ximu1 % n,
         ximu2_coset=ximu2 % n,
         xi_ratio_coset=ratio % n,
@@ -210,11 +192,6 @@ def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
             if z1 != ZERO and z2 != ZERO and z3 != ZERO:
                 counts[((u1 - z1) % n * n + (u2 - z2) % n) * n + (u3 - z3) % n] += 1
     return {(k // (n * n), k // n % n, k % n): f for k, f in enumerate(counts) if f}
-
-
-def f_enumerate(params: "CodeParams", c: tuple[int, int, int]) -> int:
-    """Count the pairs (a, b) in the class of c: a lookup into ``class_counts``."""
-    return class_counts(params).get(tuple(ci % params.N for ci in c), 0)
 
 
 def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int]) -> int:

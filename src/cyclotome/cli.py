@@ -38,6 +38,7 @@ from .code import (
     brute_distribution,
     build_code,
     semi_analytic_distribution,
+    validate_e,
 )
 from .fields import BadPolynomialError, build_tower, is_prime
 from .theorem import NotApplicable, TheoremCase, classify, table_distribution
@@ -375,7 +376,7 @@ def _sweep_item(job: tuple) -> dict:
     row = {"p": p, "s": s, "m": m, "h": h, "e": e}
     try:
         params = build_code(_cached_tower(p, s, m), h, e)
-    except ValueError as exc:  # pragma: no cover - candidates are pre-filtered
+    except ValueError as exc:  # FieldTooLargeError: --max-r is above the field cap
         row.update(status="error", reason=str(exc))
         return row
     row.update(q=params.tower.q, r=params.tower.r, n=params.n, N=params.N)
@@ -424,11 +425,11 @@ def sweep(max_r, e, budget, fmt) -> None:
     Items run in parallel when CYCLOTOME_THREADS > 1; output order is by
     parameter tuple regardless.
     """
-    if max_r < 2:
-        click.echo("error: --max-r must be at least 2", err=True)
-        sys.exit(EXIT_BAD_PARAMS)
-    jobs = [(p, s, m, h, e, budget) for (p, s, m, h) in sorted(_sweep_candidates(max_r, e))]
     with _exit_on_error():
+        if max_r < 2:
+            raise BadParametersError("--max-r must be at least 2")
+        validate_e(e)
+        jobs = [(p, s, m, h, e, budget) for (p, s, m, h) in sorted(_sweep_candidates(max_r, e))]
         threads = _thread_count(os.environ.get("CYCLOTOME_THREADS"), len(jobs))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

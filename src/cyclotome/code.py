@@ -11,8 +11,9 @@ Two independent routes to the weight distribution live here:
   table for b = 0 and one b per orbit of scaling and cyclic shift, each
   against every a; the orbit argument is trace linearity and periodicity,
   no character theory;
-* ``semi_analytic_distribution`` assembles the histogram from Gaussian
-  periods and the closed-form class counts f(c), touching no codeword.
+* ``semi_analytic_distribution`` assembles the histogram from one integer
+  table of Gaussian periods and the closed-form class counts f(c), with the
+  coset size for the vanishing term of a degenerate pair; no codeword.
 
 The bridge between them is the modified weight lambda(a, b); the Hamming
 weight is always h(r-1)/q - lambda(a, b).
@@ -71,11 +72,16 @@ class CodeParams:
         }
 
 
+def validate_e(e: int) -> None:
+    """Reject e below 2: beta = alpha**((r-1)/e) must be a nontrivial e-th root of unity."""
+    if e <= 1:
+        raise BadParametersError(f"e = {e} must exceed 1")
+
+
 def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
     """Validate (h, e) against the tower and derive (g, beta, n, N)."""
     q, r, m = tower.q, tower.r, tower.m
-    if e <= 1:
-        raise BadParametersError(f"e = {e} must exceed 1")
+    validate_e(e)
     if h < e or h % e:
         raise BadParametersError(f"h = {h} is not a positive multiple of e = {e}")
     if (q - 1) % h:
@@ -249,40 +255,43 @@ def semi_analytic_distribution(
 ) -> WeightDistribution:
     """Assemble the histogram from class data instead of codewords.
 
-    Nondegenerate pairs are grouped by the N**3 coset vectors: the weight
-    comes from enumerated Gaussian periods, the frequency from the closed
-    form f(c).  Pairs with some a + beta**t b = 0 split into 3N coset
-    families of b with (r-1)/N members each.  The zero pair adds weight 0.
+    Every weight is h(r-1)/q - (hN/3q) times the sum of the periods at
+    (a + beta**i b) g**i.  The N**3 coset-vector classes take their sizes
+    from the closed form f(c); pairs with a = -beta**t b, b != 0, form 3N
+    coset families of (r-1)/N, whose vanishing term reads the coset size.
+    The zero pair adds weight 0.
     """
     if params.e != 3:
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
     tw = params.tower
-    n1, n_ord = tw.r - 1, params.N
+    n1, n_ord, beta_log = tw.r - 1, params.N, params.beta_log
     if system is None:
         system = CharSystem(tw, n_ord)
-    eta = []
-    for u in range(n_ord):
-        v = system.gaussian_period(u).as_integer()
-        if v is None:
-            raise NonIntegerResultError(f"period at coset {u} is irrational")
-        eta.append(v)
+    eta = [system.gaussian_period(u).as_integer() for u in range(n_ord)]
+    if None in eta:
+        raise NonIntegerResultError(f"period at coset {eta.index(None)} is irrational")
     hq = Fraction(params.h * n1, tw.q)
     coef = Fraction(params.h * n_ord, 3 * tw.q)
-    hist = Counter()
-    hist[0] = 1
+
+    def weight(periods) -> int:
+        w = hq - coef * sum(periods)
+        if w.denominator != 1:
+            raise NonIntegerResultError(f"weight {w} is not an integer")
+        return int(w)
+
+    hist = Counter({0: 1})
     for c in product(range(n_ord), repeat=3):
         freq = f_closed(params, case, c)
         if freq:
-            w = hq - coef * sum(eta[(-ci) % n_ord] for ci in c)
-            if w.denominator != 1:
-                raise NonIntegerResultError(f"weight {w} is not an integer")
-            hist[int(w)] += freq
-    # degenerate families a = -beta**t b, b != 0, one weight per coset of b
-    for t in range(1, 4):
-        for k in range(n_ord):
-            b = tw.element(k)
-            a = -(params.beta**t * b)
-            hist[codeword_weight_from_lambda(params, system, a, b)] += n1 // n_ord
+            hist[weight(eta[(-ci) % n_ord] for ci in c)] += freq
+    # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
+    for t, k in product(range(1, 4), range(n_ord)):
+        periods = (
+            system.eta_zero if i == t
+            else eta[(k + tw.sub(i * beta_log % n1, t * beta_log % n1) + i * params.g_log) % n_ord]
+            for i in range(1, 4)
+        )
+        hist[weight(periods)] += n1 // n_ord
     dist = WeightDistribution(hist)
     dist.validate(params)
     return dist

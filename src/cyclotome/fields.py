@@ -219,18 +219,6 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         return FieldElement(self.tower, self.tower.pow(self.index, e))
 
-    def dlog(self) -> int:
-        if self.index == ZERO:
-            raise LogOfZeroError("dlog(0) is undefined")
-        return self.index
-
-    def coset_index(self, n: int) -> int:
-        return self.tower.coset_index_of(self.index, n)
-
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients over GF(p) of this element, constant first."""
-        return self.tower.coeffs_of_index(self.index)
-
     def __repr__(self) -> str:
         body = "0" if self.index == ZERO else f"a^{self.index}"
         return f"<GF({self.tower.r}) {body}>"
@@ -359,39 +347,11 @@ class FieldTower:
             index %= self._n1
         return FieldElement(self, index)
 
-    def from_coeffs(self, coeffs: "list[int] | tuple[int, ...]") -> FieldElement:
-        """Element with the given GF(p) coefficient vector, constant first."""
-        p = self.p
-        packed = 0
-        for i, c in enumerate(coeffs):
-            packed += (c % p) * p**i
-        if packed == 0:
-            return self.zero()
-        if packed >= self.r:
-            raise ValueError("coefficient vector too long")
-        return FieldElement(self, self._log_packed[packed])
-
-    def coeffs_of_index(self, index: int) -> tuple[int, ...]:
-        packed = 0 if index == ZERO else self._pow_packed[index]
-        out = []
-        for _ in range(self.degree):
-            packed, c = divmod(packed, self.p)
-            out.append(c)
-        return tuple(out)
-
     def elements(self):
         """Iterate over all r elements (zero first)."""
         yield self.zero()
         for k in range(self._n1):
             yield FieldElement(self, k)
-
-    def coset_index_of(self, index: int, n: int) -> int:
-        """dlog mod n; 0 exactly when the element is an n-th power."""
-        if index == ZERO:
-            raise LogOfZeroError("coset index of 0 is undefined")
-        if self._n1 % n:
-            raise BadModulusError(f"N = {n} does not divide r-1 = {self._n1}")
-        return index % n
 
     # -- traces --------------------------------------------------------------
 
@@ -438,15 +398,6 @@ class FieldTower:
             return self.zero()
         return FieldElement(self, self.trace_q_table[x.index])
 
-    def trace_to_p(self, x: FieldElement) -> int:
-        """Absolute trace sum of x**(p**i) for i < s*m, as an int in [0, p)."""
-        if x.index == ZERO:
-            return 0
-        return self.trace_p_table[x.index]
-
-    def in_subfield_q(self, x: FieldElement) -> bool:
-        return x.index == ZERO or x.index % self.subfield_step == 0
-
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, s={self.s}, m={self.m}, r={self.r})"
 
@@ -470,6 +421,9 @@ def build_tower(
         raise NonPrimeError(f"p = {p} is not prime")
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
+    # p >= 2, so p**(s*m) >= 2**(s*m) > cap here; r is never computed
+    if s * m >= cap.bit_length():
+        raise FieldTooLargeError(f"r = p**(s*m) = {p}**{s * m} exceeds cap {cap}")
     r = p ** (s * m)
     if r > cap:
         raise FieldTooLargeError(f"r = {r} exceeds cap {cap}")

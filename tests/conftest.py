@@ -13,6 +13,16 @@ from cyclotome import (
 )
 
 
+def trace_p(tower: FieldTower, x) -> int:
+    """Absolute trace of x into GF(p), read off the tower's table (0 at zero)."""
+    return 0 if not x else tower.trace_p_table[x.index]
+
+
+def packed(tower: FieldTower, x) -> int:
+    """GF(p) coefficient vector of x packed as a base-p integer (0 at zero)."""
+    return 0 if not x else tower._pow_packed[x.index]
+
+
 @dataclass(frozen=True)
 class DeskSet:
     """One fully-built desk-scale parameter set shared across tests."""

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +13,7 @@ import cyclotome.theorem as theorem
 from cyclotome.charsums import CharSystem
 from cyclotome.cli import RunReport, _sweep_candidates, _thread_count, main
 from cyclotome.cycint import CycInt
+from cyclotome.fields import FieldElement
 
 EXPECTED1 = [[0, "1"], [12, "72"], [16, "72"], [18, "264"], [20, "864"], [22, "864"], [24, "264"]]
 
@@ -108,6 +110,43 @@ def test_compute_table_builds_no_field(runner, no_search):
         [0, "1"], [336, "42840"], [340, "42840"], [504, "101944920"],
         [506, "305877600"], [508, "305877600"], [510, "101944920"],
     ]
+
+
+def test_oversized_field_rejected_without_computing_r(runner):
+    # 3**4000000 has about 1.9 million digits; the cap must fire before it is formed
+    start = time.monotonic()
+    result = runner.invoke(
+        main, ["compute", "--p", "3", "--s", "4000000", "--m", "1", "--h", "3", "--method", "table"]
+    )
+    assert time.monotonic() - start < 0.5
+    assert result.exit_code == 2
+    assert result.output == f"error: r = p**(s*m) = 3**4000000 exceeds cap {fields.DEFAULT_FIELD_CAP}\n"
+
+
+def test_routes_and_checks_build_no_field_element(runner, monkeypatch):
+    # every route and verify check runs on discrete-log indices; elements are for reference code only
+    def refuse(self, tower, index):
+        raise AssertionError("a FieldElement was built")
+
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    expected = {
+        ("verify", "7", "1", "2", "3"): EXPECTED1,
+        ("verify", "2", "2", "3", "3"): [
+            [0, "1"], [30, "126"], [36, "252"], [42, "756"], [48, "1827"], [54, "1134"],
+        ],
+        ("verify", "13", "1", "2", "3"): [
+            [0, "1"], [24, "252"], [28, "252"], [36, "3444"], [38, "10584"], [40, "10584"], [42, "3444"],
+        ],
+        ("compute", "19", "1", "2", "3"): [
+            [0, "1"], [36, "540"], [40, "540"], [54, "16020"], [56, "48600"], [58, "48600"], [60, "16020"],
+        ],
+    }
+    for (command, p, s, m, h), distribution in expected.items():
+        result, report = _invoke_json(runner, command, "--p", p, "--s", s, "--m", m, "--h", h)
+        assert result.exit_code == 0
+        assert report["distribution"] == distribution
+        if command == "compute":
+            assert report["checks"] == {"methods_agree": True}
 
 
 def test_verify_passes_on_desk_sets(runner):
@@ -327,3 +366,12 @@ def test_sweep_rejects_non_integer_threads(runner):
 def test_sweep_rejects_bad_bound(runner):
     result = runner.invoke(main, ["sweep", "--max-r", "1"])
     assert result.exit_code == 2
+    assert result.output == "error: --max-r must be at least 2\n"
+
+
+@pytest.mark.parametrize("e", [0, 1, -3])
+def test_sweep_rejects_e_below_2_like_compute(runner, e):
+    for argv in (["sweep", "--max-r", "10"], ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3"]):
+        result = runner.invoke(main, [*argv, "--e", str(e)])
+        assert result.exit_code == 2
+        assert result.output == f"error: e = {e} must exceed 1\n"
