@@ -12,14 +12,16 @@ below pin that convention.
 The pair count f(c) for a coset vector c = (c1, c2, c3) is the number of
 (a, b) in GF(r)**2 with (a + beta**i b) * g**i * alpha**(c_i) an N-th
 power for i = 1, 2, 3.  It is computed three independent ways: direct
-enumeration (one pass over GF(r)**2 for all classes at once), the
-Jacobi-sum identity, and the semiprimitive closed form.
+enumeration (one pass over GF(r) for all classes at once, spread over
+GF(r)**2 by scaling), the Jacobi-sum identity, and the semiprimitive
+closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .cycint import CycInt
@@ -168,30 +170,38 @@ def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> XiMu:
 
 
 def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
-    """f(c) for every class c = (c1, c2, c3) with c_i < N, by one pass over GF(r)**2.
+    """f(c) for every class c = (c1, c2, c3) with c_i < N, by one pass over GF(r).
 
     A pair (a, b) whose t_i = a + beta**i b are all nonzero lies in exactly
     one class, c_i = -(log t_i + i log g) mod N; a pair with some t_i = 0
-    lies in none.  Classes that no pair reaches are absent.
+    lies in none.  Every pair other than (0, 0) is alpha**k (1, 0) or
+    alpha**k (y, 1) for exactly one k < r-1 and y in GF(r), and the factor
+    alpha**k adds k to every log t_i.  So one pass over the r + 1
+    representatives gives the histogram H at k = 0, and
+    f(c) = (r-1)/N * sum of H(c + (j, j, j)) over j < N.  Classes that no
+    pair reaches are absent.
     """
     tw, n = params.tower, params.N
     n1, zech, g = tw.r - 1, tw.zech, params.g_log
-    counts = [0] * n**3  # class c at flat index (c1 * N + c2) * N + c3
+    hist = [0] * n**3  # class c at flat index (c1 * N + c2) * N + c3
 
     def flat(v1: int, v2: int, v3: int) -> int:
         return (v1 % n * n + v2 % n) * n + v3 % n
 
-    for a_idx in range(n1):  # b = 0: t_i = a
-        counts[flat(-(a_idx + g), -(a_idx + 2 * g), -(a_idx + 3 * g))] += 1
-    for b_idx in range(n1):
-        b1, b2, b3 = ((b_idx + i * params.beta_log) % n1 for i in (1, 2, 3))  # logs of beta**i b
-        u1, u2, u3 = -(b1 + g), -(b2 + 2 * g), -(b3 + 3 * g)
-        counts[flat(u1, u2, u3)] += 1  # a = 0
-        for a_idx in range(n1):  # log t_i = b_i + zech[log a - b_i]; negative indices wrap
-            z1, z2, z3 = zech[a_idx - b1], zech[a_idx - b2], zech[a_idx - b3]
-            if z1 != ZERO and z2 != ZERO and z3 != ZERO:
-                counts[((u1 - z1) % n * n + (u2 - z2) % n) * n + (u3 - z3) % n] += 1
-    return {(k // (n * n), k // n % n, k % n): f for k, f in enumerate(counts) if f}
+    b1, b2, b3 = (i * params.beta_log % n1 for i in (1, 2, 3))  # logs of beta**i
+    u1, u2, u3 = -(b1 + g), -(b2 + 2 * g), -(b3 + 3 * g)
+    hist[flat(-g, -2 * g, -3 * g)] += 1  # (1, 0)
+    hist[flat(u1, u2, u3)] += 1  # (0, 1)
+    for x in range(n1):  # (alpha**x, 1): log t_i = b_i + zech[x - b_i]; negative indices wrap
+        z1, z2, z3 = zech[x - b1], zech[x - b2], zech[x - b3]
+        if z1 != ZERO and z2 != ZERO and z3 != ZERO:
+            hist[flat(u1 - z1, u2 - z2, u3 - z3)] += 1
+    counts = {}
+    for c1, c2, c3 in product(range(n), repeat=3):
+        f = sum(hist[flat(c1 + j, c2 + j, c3 + j)] for j in range(n))
+        if f:
+            counts[c1, c2, c3] = f * (n1 // n)
+    return counts
 
 
 def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int]) -> int:

@@ -358,10 +358,11 @@ def _sweep_candidates(max_r: int, e: int):
             m = 1
             while q ** (m + 1) <= max_r:
                 m += 1
+            low = [d for d in range(1, math.isqrt(q - 1) + 1) if (q - 1) % d == 0]
+            hs = sorted({h for d in low for h in (d, (q - 1) // d) if h % e == 0})
             for mm in range(1, m + 1):
-                for h in range(e, q, e):
-                    if (q - 1) % h == 0:
-                        yield (p, s, mm, h)
+                for h in hs:
+                    yield (p, s, mm, h)
             s += 1
 
 

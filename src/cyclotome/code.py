@@ -8,9 +8,10 @@ the vector of relative traces of a g**i + b (beta g)**i for i < n.
 Two independent routes to the weight distribution live here:
 
 * ``brute_distribution`` counts nonzero codeword coordinates off the trace
-  table for b = 0 and one b per orbit of scaling and cyclic shift, each
-  against every a; the orbit argument is trace linearity and periodicity,
-  no character theory;
+  table for one pair per orbit of the group generated by GF(q)* scaling,
+  the cyclic shift and Frobenius, weighted by the orbit size; the orbit
+  argument is trace linearity, periodicity and Tr(x**p) = Tr(x)**p, no
+  character theory;
 * ``semi_analytic_distribution`` assembles the histogram from one integer
   table of Gaussian periods and the closed-form class counts f(c), with the
   coset size for the vanishing term of a degenerate pair; no codeword.
@@ -171,20 +172,38 @@ def brute_cost(params: CodeParams) -> int:
     return params.tower.r ** 2 * params.n
 
 
+def _cycles(modulus: int, mult: int, add: int = 0):
+    """(first element, length) of every cycle of the bijection x -> mult*x + add on Z/modulus."""
+    seen = bytearray(modulus)
+    for x in range(modulus):
+        length, y = 0, x
+        while not seen[y]:
+            seen[y], length, y = 1, length + 1, (mult * y + add) % modulus
+        if length:
+            yield x, length
+
+
 def brute_distribution(params: CodeParams, budget: "int | None" = None) -> WeightDistribution:
     """Exact weight histogram over all r**2 pairs by direct coordinate counts.
 
-    For lambda in GF(q)*, (a, b) -> (lambda g**j a, lambda (beta g)**j b)
-    turns the codeword into lambda times its cyclic shift by j (Tr is
-    GF(q)-linear and g**n = (beta g)**n = 1): the weight is kept and, for
-    fixed b, the a are permuted.  So all b in one coset of <alpha**step>,
-    step = gcd(r-1, log(beta g), (r-1)/(q-1)), share one histogram over a:
-    b = 0 and b = alpha**k for k < step are walked against every a, and
-    each alpha**k row counts (r-1)/step times.  No character theory is
-    used.  ``budget`` is charged the nominal ``brute_cost``.
+    The group G generated by (a, b) -> (lambda a, lambda b), lambda in
+    GF(q)*, the shift (a, b) -> (g a, beta g b) and Frobenius
+    (a, b) -> (a**p, b**p) keeps the weight: Tr is GF(q)-linear,
+    g**n = (beta g)**n = 1 makes the shift cyclic, and Tr(x**p) = Tr(x)**p
+    sends coordinate i to coordinate i*p mod n.  On logs mod r-1, with
+    P = (r-1)/(q-1) and d = log(beta g), G acts on b by translations by
+    multiples of step = gcd(P, d) and by k -> p*k, so one b = alpha**k per
+    cycle of k -> p*k on Z/step (length o) stands for o*(r-1)/step values.
+    Its stabiliser acts on log a by translations by multiples of
+    T = gcd(r-1, (P/step) log beta) and by x -> p**o x + c - j log beta,
+    with c = (1 - p**o) k and j d = c mod P; so one a per cycle of that
+    map on Z/T stands for (cycle length)(r-1)/T values, and a = 0 for
+    itself.  The row b = 0 takes one a per cycle of x -> p*x on
+    Z/gcd(r-1, P, log g) the same way.  No character theory is used.
+    ``budget`` is charged the nominal ``brute_cost``.
     """
     tw = params.tower
-    n, n1 = params.n, tw.r - 1
+    p, n, n1, big_p = tw.p, params.n, tw.r - 1, tw.subfield_step
     cost = brute_cost(params)
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"r^2*n = {cost} exceeds budget {budget}")
@@ -192,23 +211,30 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     # 2(r-1) stands in for ZERO, and the trace flags past 2(r-1) are 0
     zech = [2 * n1 if z == ZERO else z for z in tw.zech]
     nonzero = bytes(tw.trace_q_table[k % n1] != ZERO for k in range(2 * n1)) + bytes(n1)
-    dg = params.g_log
-    dbg = (params.beta_log + params.g_log) % n1
-    step = math.gcd(n1, dbg, n1 // (tw.q - 1))
+    dg, dbeta = params.g_log, params.beta_log
+    dbg = (dbeta + dg) % n1
+    step = math.gcd(big_p, dbg)
 
     def powers(start: int, d: int) -> list[int]:  # logs of alpha**start * (alpha**d)**i, i < n
         return [(start + i * d) % n1 for i in range(n)]
 
     hist = Counter({0: 1})  # (a, b) = (0, 0)
-    hist.update(sum(nonzero[x] for x in powers(a_idx, dg)) for a_idx in range(n1))  # b = 0
-    for k in range(step):  # b = alpha**k stands for its coset
+    t0 = math.gcd(n1, big_p, dg)
+    for x, length in _cycles(t0, p):  # b = 0
+        hist[sum(nonzero[y] for y in powers(x, dg))] += length * (n1 // t0)
+    t = math.gcd(n1, big_p // step * dbeta)
+    d_inv = pow(dbg // step, -1, big_p // step)
+    for k, o in _cycles(step, p):  # b = alpha**k stands for its G-orbit
         offsets = powers(k, dbg)
-        row = Counter({sum(nonzero[o] for o in offsets): 1})  # a = 0
-        row.update(  # negative zech indices wrap to the same residue
-            sum(nonzero[di + zech[ai - di]] for ai, di in zip(powers(a_idx, dg), offsets))
-            for a_idx in range(n1)
-        )
-        hist.update({w: f * (n1 // step) for w, f in row.items()})
+        mult = pow(p, o, n1)
+        c = (1 - mult) * k % n1
+        shift = c - c // step * d_inv % (big_p // step) * dbeta  # c - j log beta, j d = c mod P
+        row = Counter({sum(nonzero[y] for y in offsets): 1})  # a = 0
+        for x, length in _cycles(t, mult, shift):
+            # negative zech indices wrap to the same residue
+            weight = sum(nonzero[di + zech[ai - di]] for ai, di in zip(powers(x, dg), offsets))
+            row[weight] += length * (n1 // t)
+        hist.update({w: f * o * (n1 // step) for w, f in row.items()})
     return WeightDistribution(hist)
 
 

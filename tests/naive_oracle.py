@@ -8,6 +8,7 @@ scale only (r up to a few thousand).
 
 from collections import Counter
 from itertools import product
+from operator import eq
 
 
 class NaiveField:
@@ -102,27 +103,36 @@ class NaiveTower:
 
 
 def naive_weight_distribution(p, s, m, h, e, poly):
-    """Hamming-weight histogram over all r**2 codeword pairs, the long way."""
+    """Hamming-weight histogram over all r**2 codeword pairs, the long way.
+
+    Coordinate i of the pair (a, b) is Tr(a g**i) + Tr(b (beta g)**i), and
+    it vanishes exactly where the first trace equals minus the second; both
+    trace vectors are tabulated once per field element (powers read off
+    this field's own log table), then every pair compares them
+    coordinate by coordinate.
+    """
     tw = NaiveTower(p, s, m, poly)
     f = tw.field
     q, r = tw.q, tw.r
     n = h * (r - 1) // (q - 1)
-    g = f.pows[(q - 1) // h]
-    beta = f.pows[(r - 1) // e]
-    bg = f.mul(beta, g)
+    g_log = (q - 1) // h
+    bg_log = g_log + (r - 1) // e
     elems = [f.zero] + f.pows
-    trace_nonzero = {x: tw.trace_q(x) != f.zero for x in elems}
+    label = {}  # GF(q) element -> small int, so coordinates compare as ints
+    trace = {x: label.setdefault(tw.trace_q(x), len(label)) for x in elems}
+    neg_trace = {x: trace[f.neg(x)] for x in elems}
+
+    def trace_vector(x, d, table):  # table at x * alpha**(d*i) for i < n
+        if x == f.zero:
+            return (table[x],) * n
+        k = f.log[x]
+        return tuple(table[f.pows[(k + d * i) % (r - 1)]] for i in range(n))
+
+    left = [trace_vector(a, g_log, trace) for a in elems]
+    right = [trace_vector(b, bg_log, neg_trace) for b in elems]
     hist = Counter()
-    for a in elems:
-        for b in elems:
-            ga, gb = a, b
-            w = 0
-            for _ in range(n):
-                if trace_nonzero[f.add(ga, gb)]:
-                    w += 1
-                ga = f.mul(ga, g)
-                gb = f.mul(gb, bg)
-            hist[w] += 1
+    for u in left:
+        hist.update(n - sum(map(eq, u, v)) for v in right)
     return dict(hist)
 
 

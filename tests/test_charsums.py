@@ -16,7 +16,9 @@ from cyclotome.charsums import (
     jacobi_offdiagonal_value,
     xi_mu,
 )
+from cyclotome.code import build_code
 from cyclotome.cycint import CycInt
+from cyclotome.fields import ZERO, build_tower
 
 
 def test_chi_has_exact_order_n(set1, set2):
@@ -238,6 +240,38 @@ def test_f_tables_match_naive_oracle(set1, set2):
         counts = class_counts(desk.params)
         for c, expected in oracle.items():
             assert counts.get(c, 0) == expected
+
+
+def _class_counts_by_pairs(params):
+    """Reference for class_counts: the direct pass over all r**2 pairs."""
+    tw, n = params.tower, params.N
+    n1, zech, g = tw.r - 1, tw.zech, params.g_log
+    counts = [0] * n**3
+
+    def flat(v1, v2, v3):
+        return (v1 % n * n + v2 % n) * n + v3 % n
+
+    for a_idx in range(n1):  # b = 0: t_i = a
+        counts[flat(-(a_idx + g), -(a_idx + 2 * g), -(a_idx + 3 * g))] += 1
+    for b_idx in range(n1):
+        b1, b2, b3 = ((b_idx + i * params.beta_log) % n1 for i in (1, 2, 3))
+        u1, u2, u3 = -(b1 + g), -(b2 + 2 * g), -(b3 + 3 * g)
+        counts[flat(u1, u2, u3)] += 1  # a = 0
+        for a_idx in range(n1):
+            z1, z2, z3 = zech[a_idx - b1], zech[a_idx - b2], zech[a_idx - b3]
+            if z1 != ZERO and z2 != ZERO and z3 != ZERO:
+                counts[flat(u1 - z1, u2 - z2, u3 - z3)] += 1
+    return {(k // (n * n), k // n % n, k % n): f for k, f in enumerate(counts) if f}
+
+
+@pytest.mark.parametrize(
+    "p, s, m, h, e",
+    # two non-semiprimitive N = 3 sets, e = 2 and N = 1, and r = 2401 with N = 2
+    [(7, 1, 3, 3, 3), (13, 1, 3, 3, 3), (5, 1, 2, 2, 2), (3, 2, 2, 2, 2), (2, 2, 2, 3, 3), (7, 2, 2, 6, 3)],
+)
+def test_class_counts_by_scaling_equal_pair_pass(p, s, m, h, e):
+    params = build_code(build_tower(p, s, m), h, e)
+    assert class_counts(params) == _class_counts_by_pairs(params)
 
 
 def test_f_partition_identity(set1, set2):

@@ -158,6 +158,16 @@ def test_verify_passes_on_desk_sets(runner):
         assert all(v is not False for v in report["checks"].values())
 
 
+def test_verify_at_r_4096(runner):
+    result, report = _invoke_json(
+        runner, "verify", "--p", "2", "--s", "2", "--m", "6", "--h", "3", "--budget", "100000000000"
+    )
+    assert result.exit_code == 0
+    assert report["verdict"] == "PASS"
+    assert report["checks"]["three_way_equal"] is True
+    assert report["checks"]["f_triple_equal"] is True
+
+
 def test_verify_rejects_not_applicable(runner):
     result = runner.invoke(main, ["verify", "--p", "7", "--s", "1", "--m", "2", "--h", "6"])
     assert result.exit_code == 2

@@ -106,10 +106,38 @@ def test_brute_matches_naive_oracle_outside_the_theorem(p, s, m, h, e, step):
     params = build_code(tower, h, e)
     assert not isinstance(classify(params), TheoremCase)
     n1 = tower.r - 1
-    # number of b-cosets the orbit walk visits
+    # cosets of <alpha**step> that the b != 0 fall into before Frobenius joins any
     assert math.gcd(n1, params.g_log + params.beta_log, n1 // (tower.q - 1)) == step
     oracle = naive_weight_distribution(p, s, m, h, e, tower.defining_polynomial)
     assert brute_distribution(params).counts == oracle
+
+
+@pytest.mark.parametrize("p, s, m, h", [(19, 1, 2, 3), (2, 2, 4, 3), (7, 1, 3, 3), (5, 2, 2, 3)])
+def test_brute_matches_naive_oracle_beyond_the_desk(p, s, m, h):
+    tower = build_tower(p, s, m)
+    oracle = naive_weight_distribution(p, s, m, h, 3, tower.defining_polynomial)
+    assert brute_distribution(build_code(tower, h, 3)).counts == oracle
+
+
+# distributions recorded by the walk over every a against one b per coset of <alpha**step>
+RECORDED_BRUTE = {
+    # r = 4096: k -> 2k has a 2-cycle on Z/step, so Frobenius joins two cosets of b
+    (2, 4, 3, 5, 5): {
+        0: 1, 1008: 13650, 1056: 6825, 1260: 2325960, 1272: 5159700,
+        1284: 5896800, 1296: 2538900, 1308: 819000, 1320: 16380,
+    },
+    # r = 6561: the stabiliser of b = alpha moves log a by c - j log beta, and j log beta != 0 mod T
+    (3, 2, 4, 4, 4): {
+        0: 1, 2160: 13120, 2196: 6560, 2232: 6560, 2880: 13546400,
+        2916: 18341760, 2952: 8888800, 2988: 2072960, 3024: 170560,
+    },
+}
+
+
+@pytest.mark.parametrize("p, s, m, h, e", RECORDED_BRUTE)
+def test_brute_matches_recorded_coset_walk(p, s, m, h, e):
+    params = build_code(build_tower(p, s, m), h, e)
+    assert brute_distribution(params).counts == RECORDED_BRUTE[p, s, m, h, e]
 
 
 def test_brute_uses_no_character_layer():
