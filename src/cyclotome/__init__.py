@@ -25,7 +25,6 @@ from .code import (
     BudgetExceededError,
     CodeParams,
     WeightDistribution,
-    brute_cost,
     brute_distribution,
     build_code,
     codeword,

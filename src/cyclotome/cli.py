@@ -17,10 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -34,7 +32,6 @@ from .code import (
     BudgetExceededError,
     CodeParams,
     WeightDistribution,
-    brute_cost,
     brute_distribution,
     build_code,
     semi_analytic_distribution,
@@ -172,18 +169,21 @@ def _compute_methods(
     return checks, dists
 
 
-def _verification_checks(params: CodeParams, case: TheoremCase, budget: int) -> dict:
-    """The full cross-check suite behind ``verify`` (all comparisons exact)."""
+def _verification_checks(
+    params: CodeParams, case: TheoremCase, budget: int
+) -> tuple[dict, "dict[str, WeightDistribution]"]:
+    """The full cross-check suite behind ``verify`` (all comparisons exact).
+
+    Returns (checks, route name -> distribution).  Brute runs first, so a
+    set over ``budget`` raises BudgetExceededError before any table is built.
+    """
     tw = params.tower
     r, n_ord = tw.r, params.N
+    dists = {"brute": brute_distribution(params, budget=budget)}
     system = CharSystem(tw, n_ord)
+    dists["semi"] = semi_analytic_distribution(params, case, system)
+    dists["table"] = table_distribution(case, params)
     checks: dict = {}
-
-    dists = {
-        "brute": brute_distribution(params, budget=budget),
-        "semi": semi_analytic_distribution(params, case, system),
-        "table": table_distribution(case, params),
-    }
     first = _first_diff_check(dists, (("brute", "semi"), ("brute", "table")))
     checks["three_way_equal"] = first is None
     if first:
@@ -230,7 +230,7 @@ def _verification_checks(params: CodeParams, case: TheoremCase, budget: int) -> 
             if lhs != system.gauss_sum(i) * system.gauss_sum(j):
                 gauss_ok = False
     checks["gauss_jacobi_relation"] = gauss_ok
-    return checks
+    return checks, dists
 
 
 def _emit_report(report: RunReport, fmt: str) -> None:
@@ -330,14 +330,13 @@ def verify(p, s, m, h, e, poly, budget, fmt) -> None:
         case = classify(params)
         if isinstance(case, NotApplicable):
             raise BadParametersError(f"verify needs applicable parameters: {case.reason}")
-        checks = _verification_checks(params, case, budget)
-        dist = table_distribution(case, params)
+        checks, dists = _verification_checks(params, case, budget)
     passed = all(v is not False for v in checks.values())
     report = RunReport(
         params=params.describe(),
         method="verify",
         classification=_classification_dict(case),
-        distribution=_distribution_json(dist),
+        distribution=_distribution_json(dists["table"]),
         checks=checks,
         timing=round(time.monotonic() - t0, 6),
         verdict="PASS" if passed else "FAIL",
@@ -371,8 +370,7 @@ def _cached_tower(p: int, s: int, m: int):
     return build_tower(p, s, m)
 
 
-def _sweep_item(job: tuple) -> dict:
-    p, s, m, h, e, budget = job
+def _sweep_item(p: int, s: int, m: int, h: int, e: int, budget: int) -> dict:
     t0 = time.monotonic()
     row = {"p": p, "s": s, "m": m, "h": h, "e": e}
     try:
@@ -384,12 +382,13 @@ def _sweep_item(job: tuple) -> dict:
     case = classify(params)
     if isinstance(case, NotApplicable):
         row.update(case="", status="not_applicable", reason=case.reason)
-    elif brute_cost(params) > budget:
-        row.update(case=case.label, status="skipped_budget", reason="")
     else:
         row.update(case=case.label, status="PASS", reason="")
         try:
-            checks = _verification_checks(params, case, budget)
+            checks, _ = _verification_checks(params, case, budget)
+        except BudgetExceededError:
+            row.update(status="skipped_budget")
+            checks = {}
         except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
             row.update(status="FAIL", reason=f"{type(exc).__name__}: {exc}")
             checks = {}
@@ -403,18 +402,6 @@ def _sweep_item(job: tuple) -> dict:
 _SWEEP_COLUMNS = ["p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds"]
 
 
-def _thread_count(value: "str | None", jobs: int) -> int:
-    """Sweep worker count for a CYCLOTOME_THREADS value and a number of jobs.
-
-    Unset, empty or below 1 gives 1; above min(cpu count, jobs) is clamped to it.
-    """
-    try:
-        wanted = int(value or "1")
-    except ValueError:
-        raise ValueError(f"CYCLOTOME_THREADS must be an integer, got {value!r}") from None
-    return max(1, min(wanted, os.cpu_count() or 1, jobs))
-
-
 @main.command()
 @click.option("--max-r", type=int, required=True, help="Upper bound on the big field size r.")
 @click.option("--e", "e", type=int, default=3, show_default=True)
@@ -423,20 +410,14 @@ def _thread_count(value: "str | None", jobs: int) -> int:
 def sweep(max_r, e, budget, fmt) -> None:
     """Enumerate, classify, and verify every parameter set with r <= MAX_R.
 
-    Items run in parallel when CYCLOTOME_THREADS > 1; output order is by
-    parameter tuple regardless.
+    Items run one after another in parameter-tuple order; an applicable item
+    whose brute cost exceeds --budget is classified only (skipped_budget).
     """
     with _exit_on_error():
         if max_r < 2:
             raise BadParametersError("--max-r must be at least 2")
         validate_e(e)
-        jobs = [(p, s, m, h, e, budget) for (p, s, m, h) in sorted(_sweep_candidates(max_r, e))]
-        threads = _thread_count(os.environ.get("CYCLOTOME_THREADS"), len(jobs))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_item, jobs))
-    else:
-        rows = [_sweep_item(job) for job in jobs]
+    rows = [_sweep_item(p, s, m, h, e, budget) for p, s, m, h in sorted(_sweep_candidates(max_r, e))]
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_SWEEP_COLUMNS)

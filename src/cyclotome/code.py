@@ -57,14 +57,6 @@ class CodeParams:
     g_log: int
     beta_log: int
 
-    @property
-    def g(self) -> FieldElement:
-        return self.tower.element(self.g_log)
-
-    @property
-    def beta(self) -> FieldElement:
-        return self.tower.element(self.beta_log)
-
     def describe(self) -> dict:
         tw = self.tower
         return {
@@ -167,11 +159,6 @@ def hamming_weight(word: list[FieldElement]) -> int:
     return sum(1 for x in word if x.index != ZERO)
 
 
-def brute_cost(params: CodeParams) -> int:
-    """Nominal brute-force work r**2 * n, the unit ``--budget`` is charged in."""
-    return params.tower.r ** 2 * params.n
-
-
 def _cycles(modulus: int, mult: int, add: int = 0):
     """(first element, length) of every cycle of the bijection x -> mult*x + add on Z/modulus."""
     seen = bytearray(modulus)
@@ -200,11 +187,12 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     map on Z/T stands for (cycle length)(r-1)/T values, and a = 0 for
     itself.  The row b = 0 takes one a per cycle of x -> p*x on
     Z/gcd(r-1, P, log g) the same way.  No character theory is used.
-    ``budget`` is charged the nominal ``brute_cost``.
+    ``budget`` is charged the nominal work r**2 * n before any table is read;
+    this is the one place ``--budget`` is charged.
     """
     tw = params.tower
     p, n, n1, big_p = tw.p, params.n, tw.r - 1, tw.subfield_step
-    cost = brute_cost(params)
+    cost = tw.r ** 2 * n
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"r^2*n = {cost} exceeds budget {budget}")
     # log(x + y) = log y + zech[log x - log y], and x + y = 0 where zech is ZERO;

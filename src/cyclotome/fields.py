@@ -231,9 +231,7 @@ class FieldTower:
     polynomial).  The default polynomial search, the exp/log arrays, the
     Zech table and the two trace tables are cached properties, each
     computed on first use.  Logically immutable: every operation is a pure
-    read, so a tower may be shared freely between threads or processes; a
-    race on a first use at worst recomputes the identical value, never
-    exposes a partial one.
+    read.
     """
 
     def __init__(self, p: int, s: int, m: int, poly: "tuple[int, ...] | None" = None):
@@ -407,7 +405,6 @@ def build_tower(
     s: int,
     m: int,
     poly: "tuple[int, ...] | list[int] | None" = None,
-    cap: int = DEFAULT_FIELD_CAP,
 ) -> FieldTower:
     """Construct the tower GF(p) < GF(p**s) < GF(p**(s*m)).
 
@@ -415,18 +412,19 @@ def build_tower(
     primitive polynomial of degree s*m over GF(p), so towers (and hence
     all derived tables) are reproducible; it is searched for on first use.
     A caller-supplied ``poly`` (constant-first coefficients, monic, length
-    s*m + 1) is checked here and must be primitive.
+    s*m + 1) is checked here and must be primitive.  Fields above
+    DEFAULT_FIELD_CAP raise FieldTooLargeError.
     """
     if not is_prime(p):
         raise NonPrimeError(f"p = {p} is not prime")
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
-    # p >= 2, so p**(s*m) >= 2**(s*m) > cap here; r is never computed
-    if s * m >= cap.bit_length():
-        raise FieldTooLargeError(f"r = p**(s*m) = {p}**{s * m} exceeds cap {cap}")
+    # p >= 2, so p**(s*m) >= 2**(s*m) > the cap here; r is never computed
+    if s * m >= DEFAULT_FIELD_CAP.bit_length():
+        raise FieldTooLargeError(f"r = p**(s*m) = {p}**{s * m} exceeds cap {DEFAULT_FIELD_CAP}")
     r = p ** (s * m)
-    if r > cap:
-        raise FieldTooLargeError(f"r = {r} exceeds cap {cap}")
+    if r > DEFAULT_FIELD_CAP:
+        raise FieldTooLargeError(f"r = {r} exceeds cap {DEFAULT_FIELD_CAP}")
     if poly is None:
         return FieldTower(p, s, m)
     poly_t = tuple(c % p for c in poly)

@@ -5,6 +5,7 @@ import pytest
 from cyclotome import (
     CharSystem,
     CodeParams,
+    FieldElement,
     FieldTower,
     TheoremCase,
     build_code,
@@ -31,6 +32,14 @@ class DeskSet:
     params: CodeParams
     case: TheoremCase
     system: CharSystem
+
+    @property
+    def g(self) -> FieldElement:
+        return self.tower.element(self.params.g_log)
+
+    @property
+    def beta(self) -> FieldElement:
+        return self.tower.element(self.params.beta_log)
 
 
 def _desk(p: int, s: int, m: int, h: int) -> DeskSet:

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import time
 
 import pytest
@@ -11,7 +10,7 @@ import cyclotome.code as code
 import cyclotome.fields as fields
 import cyclotome.theorem as theorem
 from cyclotome.charsums import CharSystem
-from cyclotome.cli import RunReport, _sweep_candidates, _thread_count, main
+from cyclotome.cli import RunReport, _sweep_candidates, main
 from cyclotome.cycint import CycInt
 from cyclotome.fields import FieldElement
 
@@ -166,6 +165,23 @@ def test_verify_at_r_4096(runner):
     assert report["verdict"] == "PASS"
     assert report["checks"]["three_way_equal"] is True
     assert report["checks"]["f_triple_equal"] is True
+
+
+def test_verify_over_budget_builds_no_field(runner, no_search):
+    # r = 4096: brute charges the budget first, so verify exits 3 before any table is built
+    result = runner.invoke(main, ["verify", "--p", "2", "--s", "2", "--m", "6", "--h", "3"])
+    assert result.exit_code == 3
+    assert result.output == "error: r^2*n = 68702699520 exceeds budget 500000000\n"
+
+
+def test_verify_builds_table_once(runner, monkeypatch):
+    calls = []
+    table = cli.table_distribution
+    monkeypatch.setattr(cli, "table_distribution", lambda *args: calls.append(args) or table(*args))
+    result, report = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
+    assert result.exit_code == 0
+    assert report["distribution"] == EXPECTED1
+    assert len(calls) == 1
 
 
 def test_verify_rejects_not_applicable(runner):
@@ -341,36 +357,18 @@ def test_sweep_includes_larger_sets(runner):
     assert by_params[("7", "1", "3", "3")][11] == "no j with p**j = -1 mod N (p = 7, N = 3)"
 
 
-def test_sweep_parallel_matches_serial(runner):
-    serial = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
-    parallel = runner.invoke(
-        main, ["sweep", "--max-r", "100"], env={"CYCLOTOME_THREADS": "2"}, catch_exceptions=False
+def test_sweep_ignores_threads_variable(runner):
+    # sweep has one serial path; the former worker-count variable is not read
+    plain = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
+    with_var = runner.invoke(
+        main, ["sweep", "--max-r", "100"], env={"CYCLOTOME_THREADS": "abc"}, catch_exceptions=False
     )
+    assert with_var.exit_code == 0
     strip = lambda out: [
         {k: v for k, v in json.loads(line).items() if k != "seconds"}
         for line in out.strip().splitlines()
     ]
-    assert strip(serial.output) == strip(parallel.output)
-
-
-def test_thread_count_parsing_and_clamp(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    for value in (None, "", "0", "-3", "1"):
-        assert _thread_count(value, 50) == 1
-    assert _thread_count("4", 50) == 4
-    assert _thread_count("100000", 50) == 8
-    assert _thread_count("100000", 3) == 3
-    assert _thread_count("2", 1) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _thread_count("100000", 50) == 1
-    with pytest.raises(ValueError, match="must be an integer"):
-        _thread_count("abc", 50)
-
-
-def test_sweep_rejects_non_integer_threads(runner):
-    result = runner.invoke(main, ["sweep", "--max-r", "10"], env={"CYCLOTOME_THREADS": "abc"})
-    assert result.exit_code == 2
-    assert result.output == "error: CYCLOTOME_THREADS must be an integer, got 'abc'\n"
+    assert strip(with_var.output) == strip(plain.output)
 
 
 def test_sweep_rejects_bad_bound(runner):

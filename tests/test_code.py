@@ -32,7 +32,7 @@ from cyclotome.theorem import TheoremCase, classify, table_distribution
 def test_build_code_examples(set1, set2):
     p1 = set1.params
     assert (p1.n, p1.N) == (24, 2)
-    assert p1.g.index == 2 and p1.beta.index == 16
+    assert p1.g_log == 2 and p1.beta_log == 16
     p2 = set2.params
     assert (p2.n, p2.N) == (63, 3)
 
@@ -49,7 +49,7 @@ def test_build_code_rejects_bad_divisibility(set1):
 def test_generator_orders(set1, set2):
     for desk in (set1, set2):
         t, params = desk.tower, desk.params
-        g, gb = params.g, params.g * params.beta
+        g, gb = desk.g, desk.g * desk.beta
         assert g**params.n == t.one()
         assert gb**params.n == t.one()
         assert all(g**k != t.one() for k in range(1, params.n))
@@ -204,12 +204,12 @@ def test_lambda_degenerate_pairs(set1, set2):
         for t_exp in (1, 2, 3):
             for k in (0, 1, 2):
                 b = t.element(k)
-                a = -(params.beta**t_exp) * b
+                a = -(desk.beta**t_exp) * b
                 expected = Fraction(sys_.eta_zero)
                 for i in range(1, 4):
                     if i == t_exp:
                         continue
-                    arg = b * params.g**i * (params.beta**i - params.beta**t_exp)
+                    arg = b * desk.g**i * (desk.beta**i - desk.beta**t_exp)
                     expected += sys_.gaussian_period(arg.index % n).as_integer()
                 expected *= Fraction(params.h * n, 3 * t.q)
                 assert lambda_weight(params, sys_, a, b) == expected
@@ -222,7 +222,7 @@ def test_lambda_depends_only_on_coset_vector(set1):
     rng = random.Random(21)
     for _ in range(300):
         a, b = t.element(rng.randrange(n1)), t.element(rng.randrange(n1))
-        terms = [a + params.beta**i * b for i in (1, 2, 3)]
+        terms = [a + set1.beta**i * b for i in (1, 2, 3)]
         if not all(terms):
             continue  # degenerate pair, not in any class
         vec = tuple((-x.index - i * params.g_log) % n for i, x in zip((1, 2, 3), terms))
