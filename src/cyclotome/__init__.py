@@ -11,13 +11,10 @@ from .charsums import (
     CharSystem,
     InvariantError,
     NonIntegerResultError,
-    NotSemiprimitiveError,
-    XiMu,
     class_counts,
     f_charsum,
     f_closed,
     gaussian_period_closed,
-    jacobi_offdiagonal_value,
     xi_mu,
 )
 from .code import (

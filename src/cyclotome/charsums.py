@@ -20,7 +20,7 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -40,18 +40,15 @@ class InvariantError(ArithmeticError):
     """An internal invariant failed: a bug in the tables or the routes, not bad input."""
 
 
-class NotSemiprimitiveError(ValueError):
-    """Closed form requested without the semiprimitive hypotheses."""
-
-
 class CharSystem:
     """Character data for one tower and one character order N.
 
     Holds the two bucket tables that all character sums here reduce to:
     ``period_counts[u][t]`` counts field elements in coset u with absolute
     trace t, and ``pair_counts[u][v]`` counts solutions of a + b = 1 with
-    a in coset u and b in coset v.  Immutable after construction; Jacobi
-    sums are memoized.
+    a in coset u and b in coset v.  The N periods are built with the
+    system; the pair counts are built on first use and Jacobi sums are
+    memoized.
     """
 
     def __init__(self, tower: FieldTower, order: int):
@@ -66,8 +63,7 @@ class CharSystem:
         for k in range(tower.r - 1):
             counts[k % order][trace_p[k]] += 1
         self.period_counts = counts
-        self._periods: dict[int, CycInt] = {}
-        self._pair_counts: list[list[int]] | None = None
+        self._periods = [CycInt(self.p, row) for row in counts]
         self._jacobi: dict[tuple[int, int], CycInt] = {}
 
     @property
@@ -77,10 +73,7 @@ class CharSystem:
 
     def gaussian_period(self, u_coset: int) -> CycInt:
         """Sum of psi over the coset alpha**u_coset * C, in Z[zeta_p]."""
-        u = u_coset % self.order
-        if u not in self._periods:
-            self._periods[u] = CycInt(self.p, self.period_counts[u])
-        return self._periods[u]
+        return self._periods[u_coset % self.order]
 
     def gauss_sum(self, i: int) -> CycInt:
         """Sum of chi**i(x) psi(x) over nonzero x, in Z[zeta_lcm(p, N)]."""
@@ -96,16 +89,15 @@ class CharSystem:
                     vec[(base + wp * t) % m] += row[t]
         return CycInt(m, vec)
 
-    def _pairs(self) -> list[list[int]]:
-        if self._pair_counts is None:
-            tw, n = self.tower, self.order
-            jc = [[0] * n for _ in range(n)]
-            for k in range(tw.r - 1):
-                b = tw.sub(0, k)  # 1 - alpha**k
-                if b != ZERO:
-                    jc[k % n][b % n] += 1
-            self._pair_counts = jc
-        return self._pair_counts
+    @cached_property
+    def pair_counts(self) -> list[list[int]]:
+        tw, n = self.tower, self.order
+        jc = [[0] * n for _ in range(n)]
+        for k in range(tw.r - 1):
+            b = tw.sub(0, k)  # 1 - alpha**k
+            if b != ZERO:
+                jc[k % n][b % n] += 1
+        return jc
 
     def jacobi_sum(self, i: int, j: int) -> CycInt:
         """Sum of chi**i(a) chi**j(b) over a + b = 1, in Z[zeta_N]."""
@@ -113,7 +105,7 @@ class CharSystem:
         key = (i % n, j % n)
         if key not in self._jacobi:
             vec = [0] * n
-            for u, row in enumerate(self._pairs()):
+            for u, row in enumerate(self.pair_counts):
                 for v, cnt in enumerate(row):
                     if cnt:
                         vec[(key[0] * u + key[1] * v) % n] += cnt
@@ -121,26 +113,22 @@ class CharSystem:
         return self._jacobi[key]
 
 
-@dataclass(frozen=True)
-class XiMu:
-    """Coset indices of the variable-change data attached to a coset vector.
+def _class_cosets(g_log: int, n: int, c: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Cosets of xi1*mu, xi2*mu and xi1/xi2 for class c, beta-free.
 
-    xi_i = g**i (1 - beta**i) c_i / c_3 for i = 1, 2, and
-    mu = beta / (1 - beta**2); what enters the count formula are the cosets
-    of xi1*mu, xi2*mu and xi1/xi2.
+    Because beta, -1 and 1 + beta are all N-th powers, they are the cosets
+    of g*c1/c3, g**2*c2/c3 and (g*c2/c1)**-1.
     """
-
-    ximu1_coset: int
-    ximu2_coset: int
-    xi_ratio_coset: int
+    c1, c2, c3 = c
+    return (g_log + c1 - c3) % n, (2 * g_log + c2 - c3) % n, -(g_log + c2 - c1) % n
 
 
-def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> XiMu:
-    """Coset data for a coset vector, with the beta-free reductions cross-checked.
+def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Cosets of xi1*mu, xi2*mu and xi1/xi2 for a coset vector, from the field.
 
-    Because beta, -1 and 1 + beta are all N-th powers, the three relevant
-    cosets collapse to those of g*c1/c3, g**2*c2/c3 and (g*c2/c1)**-1; the
-    raw field computation must agree with that reduction.
+    xi_i = g**i (1 - beta**i) c_i / c_3 for i = 1, 2 and
+    mu = beta / (1 - beta**2).  The raw field computation must agree with
+    the beta-free reduction that ``f_closed`` reads.
     """
     if params.e != 3:
         raise ValueError("xi/mu data is defined for e = 3 only")
@@ -150,23 +138,15 @@ def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> XiMu:
     g, b = params.g_log, params.beta_log
     omb = tw.sub(0, b)  # 1 - beta, nonzero
     omb2 = tw.sub(0, 2 * b % n1)  # 1 - beta**2
-    xi1 = (g + omb + k1 - k3) % n1
-    xi2 = (2 * g + omb2 + k2 - k3) % n1
-    mu = (b - omb2) % n1
-    ximu1 = (xi1 + mu) % n1
-    ximu2 = (xi2 + mu) % n1
-    ratio = (xi1 - xi2) % n1
-    out = XiMu(
-        ximu1_coset=ximu1 % n,
-        ximu2_coset=ximu2 % n,
-        xi_ratio_coset=ratio % n,
-    )
-    # reduced forms; failure would mean the character conventions drifted
-    reduced = ((g + k1 - k3) % n, (2 * g + k2 - k3) % n, (-(g + k2 - k1)) % n)
-    got = (out.ximu1_coset, out.ximu2_coset, out.xi_ratio_coset)
-    if got != reduced or (got[0] - got[1] - got[2]) % n:
-        raise InvariantError(f"coset data {out} disagrees with the reduction {reduced}")
-    return out
+    xi1 = g + omb + k1 - k3
+    xi2 = 2 * g + omb2 + k2 - k3
+    mu = b - omb2
+    # n divides n1, so the logs reduce mod n directly
+    got = ((xi1 + mu) % n, (xi2 + mu) % n, (xi1 - xi2) % n)
+    reduced = _class_cosets(g, n, c)
+    if got != reduced:
+        raise InvariantError(f"coset data {got} disagrees with the reduction {reduced}")
+    return got
 
 
 def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
@@ -207,16 +187,14 @@ def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
 def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int]) -> int:
     """Evaluate f(c) through the Jacobi-sum identity, exactly in Z[zeta_N]."""
     n, r = params.N, params.tower.r
-    xm = xi_mu(params, c)
-    deltas = (
-        (xm.ximu1_coset == 0) + (xm.ximu2_coset == 0) + (xm.xi_ratio_coset == 0)
-    )
+    x1, x2, x3 = xi_mu(params, c)
+    deltas = (x1 == 0) + (x2 == 0) + (x3 == 0)
     total = CycInt.from_int(n, r + 1 - n * deltas)
     for i in range(1, n):
         for j in range(1, n):
             if i + j == n:
                 continue
-            phase = CycInt.root_of_unity(n, i * xm.ximu1_coset + j * xm.ximu2_coset)
+            phase = CycInt.root_of_unity(n, i * x1 + j * x2)
             total = total + phase * system.jacobi_sum(i, j)
     val = total.as_integer()
     if val is None:
@@ -227,26 +205,17 @@ def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int])
     return num // n**3
 
 
-def jacobi_offdiagonal_value(case: "TheoremCase") -> int:
-    """Common value of J(chi**i, chi**j) for i + j != N under the case hypotheses."""
-    if case is None:
-        raise NotSemiprimitiveError("no applicable case")
-    return -case.sign * case.sqrt_r
-
-
 def f_closed(params: "CodeParams", case: "TheoremCase", c: tuple[int, int, int]) -> int:
-    """Closed form for f(c): the Jacobi sums replaced by their +-sqrt(r) value."""
-    if case is None:
-        raise NotSemiprimitiveError("closed form needs the semiprimitive hypotheses")
+    """Closed form for f(c): every off-diagonal Jacobi sum is -sg*sqrt(r).
+
+    Reads the class cosets from integers only, so it builds no field table.
+    """
     n, r = params.N, params.tower.r
-    s = jacobi_offdiagonal_value(case)
-    cg = params.g_log % n
-    k1, k2, k3 = (ci % n for ci in c)
-    d1 = (cg + k2 - k1) % n == 0
-    d2 = (2 * cg + k2 - k3) % n == 0
-    d3 = (cg + k1 - k3) % n == 0
-    dsum = d1 + d2 + d3
-    braced = r + 1 - n * dsum + s * (n * n * d2 * d3 - n * dsum + 2)
+    s = -case.sign * case.sqrt_r
+    x1, x2, x3 = _class_cosets(params.g_log, n, c)
+    d1, d2 = x1 == 0, x2 == 0
+    dsum = d1 + d2 + (x3 == 0)
+    braced = r + 1 - n * dsum + s * (n * n * d1 * d2 - n * dsum + 2)
     num = (r - 1) * braced
     if num % n**3 or num < 0:
         raise NonIntegerResultError(f"closed form for {c} not a nonnegative integer")
@@ -261,8 +230,6 @@ def gaussian_period_closed(case: "TheoremCase", i: int) -> int:
     values follow from the case sign alone; the sign does not fix which
     coset is distinguished.
     """
-    if case is None:
-        raise NotSemiprimitiveError("no applicable case")
     n, sr, sign = case.N, case.sqrt_r, case.sign
     special_coset = n // 2 if case.case_major == 1 else 0
     if i % n == special_coset:
@@ -270,5 +237,5 @@ def gaussian_period_closed(case: "TheoremCase", i: int) -> int:
     else:
         num = sign * sr - 1
     if num % n:
-        raise NotSemiprimitiveError(f"period value {num}/{n} is not integral")
+        raise NonIntegerResultError(f"period value {num}/{n} is not integral")
     return num // n

@@ -11,7 +11,10 @@ The major bit decides only one sign sg: the off-diagonal Jacobi sums are
 all -sg*sqrt(r), with sg = -1 in major case 1 and (-1)**gamma in major
 case 2.  With r = sqrt(r)**2, the printed major-1 tables are the major-2
 tables at sg = -1, row for row, so one table per minor case is kept and
-``_sign`` is the single place the sign is decided.
+``TheoremCase.sign`` is the single place the sign is decided.  Every
+closed form (the tables here, the Jacobi value and periods in
+``charsums``) takes the ``TheoremCase`` that ``classify`` returns as its
+only case input.
 
 Each table is encoded symbolically in (r, sqrt(r), N, h, q, sg), one
 (weight, frequency) formula pair per row, rather than as numbers;
@@ -53,8 +56,11 @@ class TheoremCase:
 
     @property
     def sign(self) -> int:
-        """Sign sg of the sqrt(r) terms; the off-diagonal Jacobi sums are -sg*sqrt(r)."""
-        return _sign(self.case_major, self.gamma)
+        """Sign sg of the sqrt(r) terms: -1 in major case 1, (-1)**gamma in major case 2.
+
+        The off-diagonal Jacobi sums are -sg*sqrt(r).
+        """
+        return -1 if self.case_major == 1 else (-1) ** self.gamma
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
 
 # ---------------------------------------------------------------------------
 # symbolic tables, one per minor case; each row maps (r, sr, N, h, q, sg) ->
-# (weight, frequency) where sr = sqrt(r) and sg is the sign from ``_sign``
+# (weight, frequency) where sr = sqrt(r) and sg is ``TheoremCase.sign``
 
 Row = Callable[[int, int, int, int, int, int], tuple[Fraction, Fraction]]
 
@@ -159,32 +165,18 @@ _TABLES: dict[int, list[Row]] = {
 }
 
 
-def _sign(major: int, gamma: "int | None") -> int:
-    """Sign sg of the sqrt(r) terms: -1 in major case 1, (-1)**gamma in major case 2."""
-    return -1 if major == 1 else (-1) ** gamma
-
-
-def instantiate_table(
-    major: int, minor: int, params: CodeParams, gamma: "int | None" = None
-) -> WeightDistribution:
-    """Evaluate one table's rows for the given parameters.
+def instantiate_table(case: TheoremCase, params: CodeParams) -> WeightDistribution:
+    """Evaluate the table of ``case.case_minor`` at ``case.sign`` and ``case.sqrt_r``.
 
     No hypothesis checking here beyond integrality; this is the raw
-    substitution used both by ``table_distribution`` and by the check that
-    the two N = 2 tables coincide.
+    substitution used both by ``table_distribution``, which re-classifies
+    first, and by the check that the two N = 2 tables coincide, which
+    passes the case with its major bit swapped.
     """
     tw = params.tower
-    if tw.degree % 2:
-        raise NotApplicableError("sqrt(r) is not an integer: s*m is odd")
-    sr = tw.p ** (tw.degree // 2)
-    if major not in (1, 2) or minor not in _TABLES:
-        raise NotApplicableError(f"no table for case ({major}, {minor})")
-    if major == 2 and gamma is None:
-        raise NotApplicableError("major case 2 needs gamma for the sign")
-    sg = _sign(major, gamma)
     hist: dict[int, int] = {0: 1}
-    for row in _TABLES[minor]:
-        weight, freq = row(tw.r, sr, params.N, params.h, tw.q, sg)
+    for row in _TABLES[case.case_minor]:
+        weight, freq = row(tw.r, case.sqrt_r, params.N, params.h, tw.q, case.sign)
         if freq.denominator != 1 or freq < 0:
             raise NonIntegerFrequencyError(
                 f"row frequency {freq} is not a nonnegative integer"
@@ -207,6 +199,6 @@ def table_distribution(case: TheoremCase, params: CodeParams) -> WeightDistribut
     fresh = classify(params)
     if fresh != case:
         raise NotApplicableError(f"case {case} does not match parameters ({fresh})")
-    dist = instantiate_table(case.case_major, case.case_minor, params, case.gamma)
+    dist = instantiate_table(case, params)
     dist.validate(params)
     return dist

@@ -7,6 +7,7 @@ asserted inside the tests that carry one.
 
 import json
 import time
+from dataclasses import replace
 from itertools import product
 
 from click.testing import CliRunner
@@ -27,7 +28,6 @@ from cyclotome import (
     f_closed,
     gaussian_period_closed,
     instantiate_table,
-    jacobi_offdiagonal_value,
     semi_analytic_distribution,
     table_distribution,
 )
@@ -68,7 +68,7 @@ def test_criterion_2_three_way_equality_set2():
     case, elapsed = _three_way(*SET2, DIST2, limit=10.0)
     assert case.label == "2.2"
     # the merge is exercised: two table rows collide at weight 36
-    raw = instantiate_table(2, 2, build_code(build_tower(2, 2, 3), 3, 3), gamma=3)
+    raw = instantiate_table(case, build_code(build_tower(2, 2, 3), 3, 3))
     assert raw.counts[36] == 252
     print(f"[acceptance] 2 PASS: (2,2,3,3,3) brute = semi = table = {DIST2} ({elapsed:.2f}s < 10s)")
 
@@ -110,8 +110,8 @@ def test_criterion_4_jacobi_gauss_identities():
                 assert lhs == system.gauss_sum(i) * system.gauss_sum(j)
                 # major case 2 value: (-1)**(gamma+1) sqrt(r)
                 assert case.case_major == 2
-                assert system.jacobi_sum(i, j).as_integer() == jacobi_offdiagonal_value(case)
-                assert jacobi_offdiagonal_value(case) == (-1) ** (case.gamma + 1) * case.sqrt_r
+                assert system.jacobi_sum(i, j).as_integer() == -case.sign * case.sqrt_r
+                assert -case.sign * case.sqrt_r == (-1) ** (case.gamma + 1) * case.sqrt_r
     print("[acceptance] 4 PASS: J(eps,eps) = r-2, J(i,N-i) = -1, tau relation, case-2 value, both sets")
 
 
@@ -176,8 +176,8 @@ def test_criterion_8_n2_table_coincidence():
         if isinstance(case, NotApplicable):
             continue
         if params.N == 2 and case.case_minor == 1:
-            t11 = instantiate_table(1, 1, params)
-            t21 = instantiate_table(2, 1, params, gamma=case.gamma)
+            t11 = instantiate_table(replace(case, case_major=1), params)
+            t21 = instantiate_table(replace(case, case_major=2), params)
             assert t11 == t21, (p, s, m, h)
             assert t11 == table_distribution(case, params)
             found.append(((p, s, m, h), case.label))

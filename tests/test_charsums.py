@@ -8,17 +8,17 @@ from naive_oracle import naive_f_table, naive_gauss_counts, naive_jacobi_counts,
 
 from cyclotome.charsums import (
     CharSystem,
-    NotSemiprimitiveError,
+    NonIntegerResultError,
     class_counts,
     f_charsum,
     f_closed,
     gaussian_period_closed,
-    jacobi_offdiagonal_value,
     xi_mu,
 )
 from cyclotome.code import build_code
 from cyclotome.cycint import CycInt
 from cyclotome.fields import ZERO, build_tower
+from cyclotome.theorem import TheoremCase
 
 
 def test_chi_has_exact_order_n(set1, set2):
@@ -99,11 +99,13 @@ def test_period_closed_form_consistency(set1):
     assert gaussian_period_closed(case, 1) == -4
 
 
-def test_closed_period_requires_case():
-    with pytest.raises(NotSemiprimitiveError):
-        gaussian_period_closed(None, 0)
-    with pytest.raises(NotSemiprimitiveError):
-        jacobi_offdiagonal_value(None)
+def test_closed_period_indivisible_is_arithmetic_error():
+    # a hand-built case whose period numerator -8 is not divisible by N = 3:
+    # an internal failure (exit 1), not invalid parameters
+    case = TheoremCase(j=1, gamma=1, case_major=2, case_minor=1, sqrt_r=7, N=3)
+    with pytest.raises(NonIntegerResultError):
+        gaussian_period_closed(case, 1)
+    assert issubclass(NonIntegerResultError, ArithmeticError)
 
 
 def test_gauss_sum_principal_is_minus_one(set1, set2):
@@ -181,7 +183,7 @@ def test_jacobi_norm_and_case_value(set2):
     sys_, r, case = set2.system, set2.tower.r, set2.case
     for i, j in ((1, 1), (2, 2)):
         assert sys_.jacobi_sum(i, j).conj_norm().as_integer() == r
-        assert sys_.jacobi_sum(i, j).as_integer() == jacobi_offdiagonal_value(case) == 8
+        assert sys_.jacobi_sum(i, j).as_integer() == -case.sign * case.sqrt_r == 8
 
 
 def test_jacobi_matches_oracle(set1, set2):
@@ -198,15 +200,14 @@ def test_xi_mu_consistency_all_vectors(set1, set2):
     for desk in (set1, set2):
         n = desk.params.N
         for c in product(range(n), repeat=3):
-            xm = xi_mu(desk.params, c)
-            assert (xm.ximu1_coset - xm.ximu2_coset - xm.xi_ratio_coset) % n == 0
+            x1, x2, ratio = xi_mu(desk.params, c)
+            assert (x1 - x2 - ratio) % n == 0
 
 
 def test_xi_mu_zero_vector_with_square_g(set1):
     # g is an N-th power here, so the zero vector lands every coset at 0
     assert set1.params.g_log % set1.params.N == 0
-    xm = xi_mu(set1.params, (0, 0, 0))
-    assert (xm.ximu1_coset, xm.ximu2_coset, xm.xi_ratio_coset) == (0, 0, 0)
+    assert xi_mu(set1.params, (0, 0, 0)) == (0, 0, 0)
 
 
 def test_one_plus_beta_is_nth_power(set1, set2):
@@ -301,8 +302,7 @@ def test_f_charsum_n2_reduces_to_delta_formula(set1):
     # N = 2 leaves no (i, j) pairs in the correction sum
     params, r = set1.params, set1.tower.r
     for c in product(range(2), repeat=3):
-        xm = xi_mu(params, c)
-        deltas = (xm.ximu1_coset == 0) + (xm.ximu2_coset == 0) + (xm.xi_ratio_coset == 0)
+        deltas = sum(x == 0 for x in xi_mu(params, c))
         assert f_charsum(params, set1.system, c) == (r - 1) * (r + 1 - 2 * deltas) // 8
 
 
@@ -319,11 +319,6 @@ def test_f_closed_zero_vector_formula(set1):
     sign = -1 if case.gamma % 2 else 1
     expected = (r - 1) * (r + 1 - 3 * n - sign * case.sqrt_r * (n * n - 3 * n + 2)) // n**3
     assert f_closed(params, case, (0, 0, 0)) == expected == 264
-
-
-def test_f_closed_requires_case(set1):
-    with pytest.raises(NotSemiprimitiveError):
-        f_closed(set1.params, None, (0, 0, 0))
 
 
 def test_closed_forms_beyond_desk_scale():

@@ -11,7 +11,7 @@ from conftest import DIST1, DIST2
 from naive_oracle import naive_weight_distribution
 
 import cyclotome.charsums as charsums
-from cyclotome.charsums import CharSystem, InvariantError, NotSemiprimitiveError
+from cyclotome.charsums import CharSystem, InvariantError
 from cyclotome.code import (
     BadParametersError,
     BudgetExceededError,
@@ -243,8 +243,6 @@ def test_semi_analytic_frozen(set1, set2):
 
 
 def test_semi_analytic_requires_case_and_e3(set1):
-    with pytest.raises(NotSemiprimitiveError):
-        semi_analytic_distribution(set1.params, None)
     params_e2 = build_code(set1.tower, 2, 2)
     with pytest.raises(BadParametersError):
         semi_analytic_distribution(params_e2, set1.case)

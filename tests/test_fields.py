@@ -1,12 +1,13 @@
 import itertools
 import random
 from array import array
+from dataclasses import replace
 
 import pytest
 
 from conftest import packed, trace_p
 
-from cyclotome.charsums import CharSystem
+from cyclotome.charsums import CharSystem, f_closed, gaussian_period_closed
 from cyclotome.code import build_code
 from cyclotome.fields import (
     BadModulusError,
@@ -22,7 +23,7 @@ from cyclotome.fields import (
     is_prime,
     prime_factors,
 )
-from cyclotome.theorem import classify, table_distribution
+from cyclotome.theorem import classify, instantiate_table, table_distribution
 
 
 def test_build_tower_examples():
@@ -46,9 +47,16 @@ def test_build_tower_rejects_bad_input():
 
 
 def test_classification_and_table_build_no_field_table():
+    # the closed forms read only integers, so they too leave the tower bare
     tower = build_tower(13, 2, 2)
     params = build_code(tower, 3)
-    table_distribution(classify(params), params)
+    case = classify(params)
+    table_distribution(case, params)
+    instantiate_table(replace(case, case_major=1), params)
+    for c in itertools.product(range(params.N), repeat=3):
+        f_closed(params, case, c)
+    for u in range(params.N):
+        gaussian_period_closed(case, u)
     built = set(vars(tower))
     assert not built & {"defining_polynomial", "zech", "trace_q_table", "trace_p_table"}
     assert not [name for name in built if isinstance(vars(tower)[name], array)]

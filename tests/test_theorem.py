@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import DIST1, DIST2
 
-from cyclotome.charsums import CharSystem, gaussian_period_closed, jacobi_offdiagonal_value
+from cyclotome.charsums import CharSystem, gaussian_period_closed
 from cyclotome.cli import _sweep_candidates
 from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
 from cyclotome.fields import build_tower
@@ -74,7 +76,6 @@ def test_case_sign(major, gamma, sign):
     # major 1 is always negative; major 2 follows the parity of gamma
     case = TheoremCase(j=1, gamma=gamma, case_major=major, case_minor=1, sqrt_r=7, N=2)
     assert case.sign == sign
-    assert jacobi_offdiagonal_value(case) == -sign * 7
 
 
 def test_case_mismatch_is_rejected(set1, set2):
@@ -85,21 +86,9 @@ def test_case_mismatch_is_rejected(set1, set2):
         table_distribution(stale, set1.params)
 
 
-def test_instantiate_table_guards():
-    tower = build_tower(7, 1, 3)  # odd degree: sqrt(r) not an integer
-    params = build_code(tower, 3, 3)
-    with pytest.raises(NotApplicableError):
-        instantiate_table(1, 1, params)
-    params2 = build_code(build_tower(7, 1, 2), 3, 3)
-    with pytest.raises(NotApplicableError):
-        instantiate_table(2, 1, params2)  # gamma required for the sign
-    with pytest.raises(NotApplicableError):
-        instantiate_table(3, 1, params2, gamma=1)
-
-
 def test_zero_frequency_rows_are_dropped(set1):
     # raw substitution of the minor-2 table at N = 2 empties its last row
-    dist = instantiate_table(1, 2, set1.params)
+    dist = instantiate_table(replace(set1.case, case_minor=2), set1.params)
     assert all(freq > 0 for freq in dist.counts.values())
     assert len(dist.counts) == 6  # five surviving rows plus the zero weight
 
@@ -107,8 +96,8 @@ def test_zero_frequency_rows_are_dropped(set1):
 def test_n2_tables_coincide(set1, set3):
     # both N = 2 sign patterns instantiate to the same distribution
     for desk in (set1, set3):
-        t11 = instantiate_table(1, 1, desk.params)
-        t21 = instantiate_table(2, 1, desk.params, gamma=desk.case.gamma)
+        t11 = instantiate_table(replace(desk.case, case_major=1), desk.params)
+        t21 = instantiate_table(replace(desk.case, case_major=2), desk.params)
         assert t11 == t21 == table_distribution(desk.case, desk.params)
 
 
