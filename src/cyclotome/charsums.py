@@ -20,6 +20,7 @@ closed form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING
@@ -58,12 +59,10 @@ class CharSystem:
         self.order = order
         self.p = tower.p
         self.r = tower.r
-        trace_p = tower.trace_p_table
-        counts = [[0] * self.p for _ in range(order)]
-        for k in range(tower.r - 1):
-            counts[k % order][trace_p[k]] += 1
-        self.period_counts = counts
-        self._periods = [CycInt(self.p, row) for row in counts]
+        trace_p = memoryview(tower.trace_p_table)  # strided views, no copies
+        buckets = (Counter(trace_p[u::order]) for u in range(order))
+        self.period_counts = [[b[t] for t in range(self.p)] for b in buckets]
+        self._periods = [CycInt(self.p, row) for row in self.period_counts]
         self._jacobi: dict[tuple[int, int], CycInt] = {}
 
     @property
@@ -91,13 +90,12 @@ class CharSystem:
 
     @cached_property
     def pair_counts(self) -> list[list[int]]:
-        tw, n = self.tower, self.order
-        jc = [[0] * n for _ in range(n)]
-        for k in range(tw.r - 1):
-            b = tw.sub(0, k)  # 1 - alpha**k
-            if b != ZERO:
-                jc[k % n][b % n] += 1
-        return jc
+        n, zech, shift = self.order, memoryview(self.tower.zech), self.tower.neg_shift
+        # 1 - alpha**k = alpha**zech[(k + neg_shift) mod (r-1)] and N | r-1, so coset u reads
+        # zech[j] for j = u + neg_shift mod N; k = 0 gives 0, in no coset, read in coset 0 as ZERO
+        buckets = [Counter(map(n.__rmod__, zech[(u + shift) % n :: n])) for u in range(n)]
+        buckets[0][ZERO % n] -= 1
+        return [[b[v] for v in range(n)] for b in buckets]
 
     def jacobi_sum(self, i: int, j: int) -> CycInt:
         """Sum of chi**i(a) chi**j(b) over a + b = 1, in Z[zeta_N]."""

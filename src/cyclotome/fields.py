@@ -8,6 +8,10 @@ sentinel ``ZERO = -1``.  With this representation multiplication is index
 addition mod r-1 and addition uses a precomputed Zech logarithm table
 ``zech[k] = dlog(1 + alpha**k)``.
 
+The exp table takes two lookups per step for every p: with d = s*m and
+h = ceil(d/2), alpha*v is read from tables of p**h and p**(d-h+1)
+entries, at most 2*r**(3/4) for d >= 3 (see ``FieldTower._pow_packed``).
+
 The intermediate field GF(q) is the subfield fixed by the map
 ``x -> x**q``; its nonzero elements are exactly the indices divisible by
 (r-1)/(q-1).  Both trace maps (to GF(q) and to GF(p)) are index tables
@@ -257,23 +261,39 @@ class FieldTower:
 
     @cached_property
     def _pow_packed(self) -> array:
-        """k -> coefficient vector of alpha**k, packed as a base-p integer."""
+        """k -> coefficient vector of alpha**k, packed as a base-p integer.
+
+        alpha*v is p*v with its overflow digit d (the lead of v) folded back:
+        digit i becomes (digit i of p*v - lead*f_i) mod p.  With h = ceil(d/2),
+        digits 0..h-1 of alpha*v read only digits 0..h-2 of v and the lead,
+        and digits h..d-1 only digits h-1..d-1 of v, the lead among them, so
+        each step is two lookups into tables of p**h and p**(d-h+1) entries.
+        """
         p, d = self.p, self.degree
-        f_low = self.defining_polynomial[:d]
+        h = (d + 1) // 2
+        split, top = p ** (h - 1), p ** (d - 1)
+        low = self._times_alpha_digits(range(0, p ** (h + 1), p), 0, h)
+        high = self._times_alpha_digits(range(0, p ** (d + 1), p**h), h, d)
         pow_packed = array("i", bytes(4 * self._n1))
-        vec = [1] + [0] * (d - 1)
-        weights = [p**i for i in range(d)]
+        v = 1
         for k in range(self._n1):
-            pow_packed[k] = sum(c * w for c, w in zip(vec, weights))
-            lead = vec[d - 1]
-            vec[1:] = vec[: d - 1]
-            vec[0] = 0
-            if lead:
-                for i in range(d):
-                    vec[i] = (vec[i] - lead * f_low[i]) % p
-        if vec != [1] + [0] * (d - 1):
+            pow_packed[k] = v
+            v = low[v % split + v // top * split] + high[v // split]
+        if v != 1:
             raise NoPrimitivePolynomialError("generator power table corrupt")
         return pow_packed
+
+    def _times_alpha_digits(self, shifted: range, first: int, last: int) -> array:
+        """Digits first..last-1 of alpha*v for each p*v in ``shifted``, lead at digit ``last``.
+
+        32-bit, one pass per digit: for d <= 2 the tables hold about r entries.
+        """
+        p, f, top = self.p, self.defining_polynomial, self.p**last
+        tab = array("i", bytes(4 * len(shifted)))
+        for i in range(first, last):
+            w, f_i = p**i, f[i]
+            tab = array("i", (t + (s // w - s // top * f_i) % p * w for s, t in zip(shifted, tab)))
+        return tab
 
     @cached_property
     def _log_packed(self) -> array:
@@ -281,17 +301,18 @@ class FieldTower:
         log_packed = array("i", bytes(4 * self.r))
         for k, packed in enumerate(self._pow_packed):
             log_packed[packed] = k
+        # only zero and alpha**0 may hold 0; another 0 is a vector alpha never reached
+        if log_packed.count(0) != 2:
+            raise NoPrimitivePolynomialError(f"{self.defining_polynomial} is not primitive")
         return log_packed
 
     @cached_property
     def zech(self) -> array:
         """k -> dlog(1 + alpha**k), ZERO where alpha**k = -1."""
         p, log_packed = self.p, self._log_packed
-        zech = array("i", bytes(4 * self._n1))
-        for k, packed in enumerate(self._pow_packed):
-            c0 = packed % p
-            bumped = packed - c0 + (c0 + 1) % p
-            zech[k] = log_packed[bumped] if bumped else ZERO
+        bump = [1] * (p - 1) + [1 - p]  # adds 1 to the constant digit mod p
+        zech = array("i", (log_packed[v + bump[v % p]] for v in self._pow_packed))
+        zech[self.neg_shift] = ZERO
         return zech
 
     # -- raw index arithmetic (ZERO = -1 marks the zero element) ------------

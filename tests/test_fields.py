@@ -10,9 +10,11 @@ from conftest import packed, trace_p
 from cyclotome.charsums import CharSystem, f_closed, gaussian_period_closed
 from cyclotome.code import build_code
 from cyclotome.fields import (
+    ZERO,
     BadModulusError,
     BadPolynomialError,
     FieldTooLargeError,
+    FieldTower,
     LogOfZeroError,
     NonPrimeError,
     NoPrimitivePolynomialError,
@@ -274,3 +276,88 @@ def test_prime_field_edge_case():
     assert t.r == 5 and t.degree == 1
     assert {trace_p(t, x) for x in t.elements()} == set(range(5))
     assert t.alpha() ** 4 == t.one()
+
+
+def _pow_packed_by_digits(tower) -> list[int]:
+    """alpha**k packed for k < r-1, by the per-digit walk the two-lookup step replaced."""
+    p, d = tower.p, tower.degree
+    f_low = tower.defining_polynomial[:d]
+    out, vec, weights = [], [1] + [0] * (d - 1), [p**i for i in range(d)]
+    for _ in range(tower.r - 1):
+        out.append(sum(c * w for c, w in zip(vec, weights)))
+        lead = vec[d - 1]
+        vec[1:] = vec[: d - 1]
+        vec[0] = 0
+        if lead:
+            for i in range(d):
+                vec[i] = (vec[i] - lead * f_low[i]) % p
+    return out
+
+
+def _reference_tables(tower) -> dict[str, list[int]]:
+    """The five tower tables from the per-digit walk and coefficient arithmetic only."""
+    p, d, n1 = tower.p, tower.degree, tower.r - 1
+    pow_ref = _pow_packed_by_digits(tower)
+    log_ref = [0] * tower.r
+    for k, v in enumerate(pow_ref):
+        log_ref[v] = k
+    digit = [[v // p**i % p for v in pow_ref] for i in range(d)]  # digit[i][k]: digit i of alpha**k
+
+    def linear_trace(step: int, terms: int) -> list[int]:
+        # both traces are GF(p)-linear in the coefficient vector: Tr(v) = sum of v_j Tr(x**j),
+        # and Tr(x**j) is the digit-wise sum of the vectors of x**(j * step**e), e < terms
+        packed = [0] * n1
+        for i in range(d):
+            acc = [0] * n1
+            for j in range(d):
+                t_ij = sum(digit[i][j * step**e % n1] for e in range(terms))
+                acc = [a + c * t_ij for a, c in zip(acc, digit[j])]
+            packed = [x + a % p * p**i for x, a in zip(packed, acc)]
+        return packed
+
+    one_plus = [v - c + (c + 1) % p for v, c in zip(pow_ref, digit[0])]
+    return {
+        "_pow_packed": pow_ref,
+        "_log_packed": log_ref,
+        "zech": [log_ref[v] if v else ZERO for v in one_plus],
+        "trace_q_table": [log_ref[v] if v else ZERO for v in linear_trace(tower.q, tower.m)],
+        # an element of GF(p) packs to its own residue
+        "trace_p_table": linear_trace(p, d),
+    }
+
+
+@pytest.mark.parametrize(
+    "psm, poly_index",
+    [((101, 1, 1), 0), ((251, 1, 2), 0), ((7, 1, 3), 0), ((3, 1, 5), 0), ((2, 2, 6), 0),
+     ((19, 1, 4), 0), ((13, 2, 2), 0), ((7, 1, 3), 1), ((2, 2, 6), 1)],
+)
+def test_tables_match_per_digit_reference(psm, poly_index):
+    p, s, m = psm
+    tower = build_tower(*psm, poly=find_primitive_polynomial(p, s * m, poly_index))
+    for name, table in _reference_tables(tower).items():
+        assert getattr(tower, name).tolist() == table, name
+
+
+@pytest.mark.parametrize("psm, poly_index", [((7, 1, 3), 1), ((2, 2, 6), 1), ((13, 1, 2), 0), ((2, 1, 4), 0)])
+def test_char_system_buckets_match_naive_loop(psm, poly_index):
+    p, s, m = psm
+    tower = build_tower(*psm, poly=find_primitive_polynomial(p, s * m, poly_index))
+    for order in [n for n in range(1, 8) if (tower.r - 1) % n == 0]:
+        periods = [[0] * p for _ in range(order)]
+        pairs = [[0] * order for _ in range(order)]
+        for k in range(tower.r - 1):
+            x = tower.element(k)
+            periods[k % order][trace_p(tower, x)] += 1
+            one_minus = tower.one() - x
+            if one_minus:
+                pairs[k % order][one_minus.index % order] += 1
+        system = CharSystem(tower, order)
+        assert system.period_counts == periods
+        assert system.pair_counts == pairs
+
+
+def test_non_primitive_polynomial_is_caught():
+    # x**4 + x**3 + x**2 + x + 1 is irreducible over GF(2), but x has order 5, not 15
+    tower = FieldTower(2, 1, 4, poly=(1, 1, 1, 1, 1))
+    with pytest.raises(NoPrimitivePolynomialError):
+        tower._log_packed
