@@ -15,7 +15,6 @@ from .charsums import (
     f_charsum,
     f_closed,
     gaussian_period_closed,
-    xi_mu,
 )
 from .code import (
     BadParametersError,

@@ -11,16 +11,17 @@ below pin that convention.
 
 The pair count f(c) for a coset vector c = (c1, c2, c3) is the number of
 (a, b) in GF(r)**2 with (a + beta**i b) * g**i * alpha**(c_i) an N-th
-power for i = 1, 2, 3.  It is computed three independent ways: direct
-enumeration (one pass over GF(r) for all classes at once, spread over
-GF(r)**2 by scaling), the Jacobi-sum identity, and the semiprimitive
-closed form.
+power for i = 1, 2, 3.  It is computed by direct enumeration (one pass
+over GF(r), spread over GF(r)**2 by scaling) and by one Jacobi-sum
+identity, fed either the tower's Jacobi sums or the semiprimitive value
+-sg*sqrt(r), which makes it the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING
@@ -47,9 +48,10 @@ class CharSystem:
     Holds the two bucket tables that all character sums here reduce to:
     ``period_counts[u][t]`` counts field elements in coset u with absolute
     trace t, and ``pair_counts[u][v]`` counts solutions of a + b = 1 with
-    a in coset u and b in coset v.  The N periods are built with the
-    system; the pair counts are built on first use and Jacobi sums are
-    memoized.
+    a in coset u and b in coset v; Gauss and Jacobi sums are one bucket sum
+    over them.  The periods are built with the system, the pair counts on
+    first use; Jacobi sums are memoized and feed the f(c) identity, which
+    the closed form feeds the semiprimitive value instead.
     """
 
     def __init__(self, tower: FieldTower, order: int):
@@ -76,17 +78,8 @@ class CharSystem:
 
     def gauss_sum(self, i: int) -> CycInt:
         """Sum of chi**i(x) psi(x) over nonzero x, in Z[zeta_lcm(p, N)]."""
-        n = self.order
-        m = math.lcm(self.p, n)
-        vec = [0] * m
-        wp, wn = m // self.p, m // n
-        for u in range(n):
-            row = self.period_counts[u]
-            base = wn * (i * u % n)
-            for t in range(self.p):
-                if row[t]:
-                    vec[(base + wp * t) % m] += row[t]
-        return CycInt(m, vec)
+        m = math.lcm(self.p, self.order)
+        return _bucket_sum(self.period_counts, m, m // self.order * i, m // self.p)
 
     @cached_property
     def pair_counts(self) -> list[list[int]]:
@@ -102,49 +95,29 @@ class CharSystem:
         n = self.order
         key = (i % n, j % n)
         if key not in self._jacobi:
-            vec = [0] * n
-            for u, row in enumerate(self.pair_counts):
-                for v, cnt in enumerate(row):
-                    if cnt:
-                        vec[(key[0] * u + key[1] * v) % n] += cnt
-            self._jacobi[key] = CycInt(n, vec)
+            self._jacobi[key] = _bucket_sum(self.pair_counts, n, *key)
         return self._jacobi[key]
+
+
+def _bucket_sum(table: list[list[int]], m: int, a: int, b: int) -> CycInt:
+    """Sum of table[u][t] * zeta_m**(a*u + b*t) over all cells, in Z[zeta_m]."""
+    vec = [0] * m
+    for u, row in enumerate(table):
+        for t, cnt in enumerate(row):
+            if cnt:
+                vec[(a * u + b * t) % m] += cnt
+    return CycInt(m, vec)
 
 
 def _class_cosets(g_log: int, n: int, c: tuple[int, int, int]) -> tuple[int, int, int]:
     """Cosets of xi1*mu, xi2*mu and xi1/xi2 for class c, beta-free.
 
-    Because beta, -1 and 1 + beta are all N-th powers, they are the cosets
-    of g*c1/c3, g**2*c2/c3 and (g*c2/c1)**-1.
+    xi_i = g**i (1 - beta**i) c_i / c_3 and mu = beta / (1 - beta**2).  As beta,
+    -1 (both checked in ``build_code``) and 1 + beta = -beta**2 are N-th powers,
+    these are the cosets of g*c1/c3, g**2*c2/c3 and (g*c2/c1)**-1.
     """
     c1, c2, c3 = c
     return (g_log + c1 - c3) % n, (2 * g_log + c2 - c3) % n, -(g_log + c2 - c1) % n
-
-
-def xi_mu(params: "CodeParams", c: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Cosets of xi1*mu, xi2*mu and xi1/xi2 for a coset vector, from the field.
-
-    xi_i = g**i (1 - beta**i) c_i / c_3 for i = 1, 2 and
-    mu = beta / (1 - beta**2).  The raw field computation must agree with
-    the beta-free reduction that ``f_closed`` reads.
-    """
-    if params.e != 3:
-        raise ValueError("xi/mu data is defined for e = 3 only")
-    tw, n = params.tower, params.N
-    n1 = tw.r - 1
-    k1, k2, k3 = (ci % n for ci in c)
-    g, b = params.g_log, params.beta_log
-    omb = tw.sub(0, b)  # 1 - beta, nonzero
-    omb2 = tw.sub(0, 2 * b % n1)  # 1 - beta**2
-    xi1 = g + omb + k1 - k3
-    xi2 = 2 * g + omb2 + k2 - k3
-    mu = b - omb2
-    # n divides n1, so the logs reduce mod n directly
-    got = ((xi1 + mu) % n, (xi2 + mu) % n, (xi1 - xi2) % n)
-    reduced = _class_cosets(g, n, c)
-    if got != reduced:
-        raise InvariantError(f"coset data {got} disagrees with the reduction {reduced}")
-    return got
 
 
 def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
@@ -182,18 +155,22 @@ def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
     return counts
 
 
-def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int]) -> int:
-    """Evaluate f(c) through the Jacobi-sum identity, exactly in Z[zeta_N]."""
-    n, r = params.N, params.tower.r
-    x1, x2, x3 = xi_mu(params, c)
-    deltas = (x1 == 0) + (x2 == 0) + (x3 == 0)
-    total = CycInt.from_int(n, r + 1 - n * deltas)
-    for i in range(1, n):
-        for j in range(1, n):
-            if i + j == n:
-                continue
-            phase = CycInt.root_of_unity(n, i * x1 + j * x2)
-            total = total + phase * system.jacobi_sum(i, j)
+def _f_identity(n: int, r: int, g_log: int, c: tuple[int, int, int], jacobi: Callable) -> int:
+    """f(c) by the Jacobi-sum identity, with J(i, j) read from ``jacobi(i, j)``.
+
+    N**3 f(c) / (r-1) = r + 1 - N*#{x_k = 0} + sum of zeta_N**(i*x1 + j*x2) J(i, j)
+    over 0 < i, j < N, i + j != N, x the class cosets; the terms are summed as
+    shifted coefficient vectors in Z[x]/(x**N - 1) and reduced once.
+    """
+    x1, x2, x3 = _class_cosets(g_log, n, c)
+    vec = [0] * n
+    vec[0] = r + 1 - n * ((x1 == 0) + (x2 == 0) + (x3 == 0))
+    for i, j in product(range(1, n), repeat=2):
+        if i + j != n:
+            shift = i * x1 + j * x2
+            for k, a in enumerate(jacobi(i, j).coeffs):
+                vec[(shift + k) % n] += a
+    total = CycInt(n, vec)
     val = total.as_integer()
     if val is None:
         raise NonIntegerResultError(f"character sum for {c} is irrational: {total!r}")
@@ -203,21 +180,15 @@ def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int])
     return num // n**3
 
 
-def f_closed(params: "CodeParams", case: "TheoremCase", c: tuple[int, int, int]) -> int:
-    """Closed form for f(c): every off-diagonal Jacobi sum is -sg*sqrt(r).
+def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int]) -> int:
+    """f(c) by the Jacobi-sum identity on the tower's Jacobi sums, exactly in Z[zeta_N]."""
+    return _f_identity(params.N, params.tower.r, params.g_log, c, system.jacobi_sum)
 
-    Reads the class cosets from integers only, so it builds no field table.
-    """
-    n, r = params.N, params.tower.r
-    s = -case.sign * case.sqrt_r
-    x1, x2, x3 = _class_cosets(params.g_log, n, c)
-    d1, d2 = x1 == 0, x2 == 0
-    dsum = d1 + d2 + (x3 == 0)
-    braced = r + 1 - n * dsum + s * (n * n * d1 * d2 - n * dsum + 2)
-    num = (r - 1) * braced
-    if num % n**3 or num < 0:
-        raise NonIntegerResultError(f"closed form for {c} not a nonnegative integer")
-    return num // n**3
+
+def f_closed(params: "CodeParams", case: "TheoremCase", c: tuple[int, int, int]) -> int:
+    """f(c) in closed form: the identity at the semiprimitive Jacobi value -sg*sqrt(r), no field."""
+    value = CycInt.from_int(params.N, -case.sign * case.sqrt_r)
+    return _f_identity(params.N, params.tower.r, params.g_log, c, lambda i, j: value)
 
 
 def gaussian_period_closed(case: "TheoremCase", i: int) -> int:

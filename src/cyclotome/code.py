@@ -95,6 +95,9 @@ def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
         raise InvariantError(f"g = alpha**{params.g_log} does not have order n = {n}")
     if (params.g_log + params.beta_log) * n % (r - 1):
         raise InvariantError(f"(g*beta)**n != 1 for n = {n}")
+    # the class cosets in charsums drop beta and -1, so both must be N-th powers
+    if e == 3 and (params.beta_log % params.N or tower.neg_shift % params.N):
+        raise InvariantError(f"beta or -1 is not an N-th power for N = {params.N}")
     return params
 
 

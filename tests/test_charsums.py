@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -9,16 +12,16 @@ from naive_oracle import naive_f_table, naive_gauss_counts, naive_jacobi_counts,
 from cyclotome.charsums import (
     CharSystem,
     NonIntegerResultError,
+    _class_cosets,
     class_counts,
     f_charsum,
     f_closed,
     gaussian_period_closed,
-    xi_mu,
 )
 from cyclotome.code import build_code
 from cyclotome.cycint import CycInt
-from cyclotome.fields import ZERO, build_tower
-from cyclotome.theorem import TheoremCase
+from cyclotome.fields import ZERO, FieldTower, build_tower
+from cyclotome.theorem import TheoremCase, classify
 
 
 def test_chi_has_exact_order_n(set1, set2):
@@ -195,19 +198,39 @@ def test_jacobi_matches_oracle(set1, set2):
                 assert CycInt(n, counts) == desk.system.jacobi_sum(i, j)
 
 
+def _xi_mu_by_field(params, c):
+    """Reference for _class_cosets: cosets of xi1*mu, xi2*mu and xi1/xi2 by field arithmetic.
+
+    xi_i = g**i (1 - beta**i) c_i / c_3 for i = 1, 2 and mu = beta / (1 - beta**2).
+    """
+    tw, n = params.tower, params.N
+    k1, k2, k3 = (ci % n for ci in c)
+    g, b = params.g_log, params.beta_log
+    omb = tw.sub(0, b)  # 1 - beta, nonzero
+    omb2 = tw.sub(0, 2 * b % (tw.r - 1))  # 1 - beta**2
+    xi1 = g + omb + k1 - k3
+    xi2 = 2 * g + omb2 + k2 - k3
+    mu = b - omb2
+    # n divides r - 1, so the logs reduce mod n directly
+    return (xi1 + mu) % n, (xi2 + mu) % n, (xi1 - xi2) % n
+
+
 def test_xi_mu_consistency_all_vectors(set1, set2):
-    # raw field evaluation must equal the beta-free reduction (asserted inside)
+    # the field evaluation equals the beta-free reduction that f(c) reads
     for desk in (set1, set2):
-        n = desk.params.N
+        params, n = desk.params, desk.params.N
         for c in product(range(n), repeat=3):
-            x1, x2, ratio = xi_mu(desk.params, c)
+            x1, x2, ratio = _class_cosets(params.g_log, n, c)
+            assert _xi_mu_by_field(params, c) == (x1, x2, ratio)
             assert (x1 - x2 - ratio) % n == 0
 
 
 def test_xi_mu_zero_vector_with_square_g(set1):
     # g is an N-th power here, so the zero vector lands every coset at 0
-    assert set1.params.g_log % set1.params.N == 0
-    assert xi_mu(set1.params, (0, 0, 0)) == (0, 0, 0)
+    params = set1.params
+    assert params.g_log % params.N == 0
+    assert _class_cosets(params.g_log, params.N, (0, 0, 0)) == (0, 0, 0)
+    assert _xi_mu_by_field(params, (0, 0, 0)) == (0, 0, 0)
 
 
 def test_one_plus_beta_is_nth_power(set1, set2):
@@ -302,7 +325,7 @@ def test_f_charsum_n2_reduces_to_delta_formula(set1):
     # N = 2 leaves no (i, j) pairs in the correction sum
     params, r = set1.params, set1.tower.r
     for c in product(range(2), repeat=3):
-        deltas = sum(x == 0 for x in xi_mu(params, c))
+        deltas = sum(x == 0 for x in _class_cosets(params.g_log, 2, c))
         assert f_charsum(params, set1.system, c) == (r - 1) * (r + 1 - 2 * deltas) // 8
 
 
@@ -319,6 +342,88 @@ def test_f_closed_zero_vector_formula(set1):
     sign = -1 if case.gamma % 2 else 1
     expected = (r - 1) * (r + 1 - 3 * n - sign * case.sqrt_r * (n * n - 3 * n + 2)) // n**3
     assert f_closed(params, case, (0, 0, 0)) == expected == 264
+
+
+def _f_closed_by_formula(params, case, c):
+    """Reference for f_closed: the semiprimitive identity expanded by hand.
+
+    Returns None where the count is not a nonnegative integer.
+    """
+    n, r = params.N, params.tower.r
+    s = -case.sign * case.sqrt_r
+    x1, x2, x3 = _class_cosets(params.g_log, n, c)
+    d1, d2 = x1 == 0, x2 == 0
+    dsum = d1 + d2 + (x3 == 0)
+    braced = r + 1 - n * dsum + s * (n * n * d1 * d2 - n * dsum + 2)
+    num = (r - 1) * braced
+    return None if num % n**3 or num < 0 else num // n**3
+
+
+_TOWER_TABLES = {name for name, attr in vars(FieldTower).items() if isinstance(attr, cached_property)}
+
+
+@pytest.mark.parametrize(
+    "p, s, m, h, swap_major",
+    # case 1.1; N = 3 at r = 4096 and r = 11**6; N = 4; N = 5; r = 2**60; and two hand-built
+    # major swaps: one flips the sign to other integral counts, one to non-integral ones
+    [
+        (13, 1, 2, 3, False),
+        (2, 2, 6, 3, False),
+        (11, 2, 3, 3, False),
+        (7, 2, 4, 3, False),
+        (2, 4, 5, 3, False),
+        (2, 2, 30, 3, False),
+        (7, 2, 4, 3, True),
+        (2, 2, 6, 3, True),
+    ],
+)
+def test_f_closed_equals_expanded_formula(p, s, m, h, swap_major):
+    tower = FieldTower(p, s, m)
+    params = build_code(tower, h, 3)
+    case = classify(params)
+    if swap_major:
+        swapped = dataclasses.replace(case, case_major=3 - case.case_major)
+        assert swapped.sign != case.sign
+        case = swapped
+    for c in product(range(params.N), repeat=3):
+        expected = _f_closed_by_formula(params, case, c)
+        if expected is None:
+            with pytest.raises(NonIntegerResultError, match=re.escape(f"count for {c} is not a nonnegative integer")):
+                f_closed(params, case, c)
+        else:
+            assert f_closed(params, case, c) == expected
+    assert not _TOWER_TABLES & vars(tower).keys()
+
+
+def test_f_charsum_equals_closed_form_at_n5():
+    # r = 2**20: the identity's correction sum over tower Jacobi sums beyond N = 3
+    tower = build_tower(2, 4, 5)
+    params = build_code(tower, 3, 3)
+    case, system = classify(params), CharSystem(tower, params.N)
+    assert params.N == 5
+    total = 0
+    for c in product(range(5), repeat=3):
+        fc = f_charsum(params, system, c)
+        assert fc == f_closed(params, case, c)
+        total += fc
+    assert total == tower.r**2 - 1 - 3 * (tower.r - 1)
+
+
+def test_f_charsum_calls_no_field_operation(monkeypatch):
+    # once the pair counts exist, f(c) reads only integers and the Jacobi sums
+    tower = build_tower(2, 2, 3)
+    params = build_code(tower, 3, 3)
+    system = CharSystem(tower, params.N)
+    system.pair_counts
+    counts = class_counts(params)
+
+    def refuse(*args):
+        raise AssertionError("field operation during f(c)")
+
+    for name in ("add", "sub", "neg", "mul"):
+        monkeypatch.setattr(FieldTower, name, refuse)
+    for c in product(range(3), repeat=3):
+        assert f_charsum(params, system, c) == counts.get(c, 0)
 
 
 def test_closed_forms_beyond_desk_scale():

@@ -236,6 +236,35 @@ def test_inexact_sum_exits_1(runner, monkeypatch):
     assert result.output == "error: period at coset 0 is irrational\n"
 
 
+def _corrupt_jacobi(monkeypatch, delta, keys):
+    """Add delta to the tower's Jacobi sums J(i, j) at the given (i, j)."""
+    real = CharSystem.jacobi_sum
+
+    def jacobi_sum(self, i, j):
+        value = real(self, i, j)
+        return value + delta if (i % self.order, j % self.order) in keys else value
+
+    monkeypatch.setattr(CharSystem, "jacobi_sum", jacobi_sum)
+
+
+def test_verify_flags_corrupted_jacobi_sums(runner, monkeypatch):
+    # f_charsum and f_closed share one identity but not its Jacobi source, so a wrong
+    # tower Jacobi sum still splits the f routes and breaks the Gauss-Jacobi relation
+    _corrupt_jacobi(monkeypatch, 3, {(1, 1), (2, 2)})
+    result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
+    assert result.exit_code == 1
+    checks = out["checks"]
+    assert checks["f_triple_equal"] is False and checks["gauss_jacobi_relation"] is False
+    assert checks["f_first_diff"] == {"c": [0, 0, 0], "counts": [189, 203, 189]}
+
+
+def test_verify_non_integral_jacobi_count_exits_1(runner, monkeypatch):
+    _corrupt_jacobi(monkeypatch, 1, {(1, 1)})
+    result = runner.invoke(main, ["verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3"])
+    assert result.exit_code == 1
+    assert result.output == "error: count for (0, 0, 0) is not a nonnegative integer: 5166/27\n"
+
+
 def test_verify_pretty_format(runner):
     result = runner.invoke(
         main,

@@ -11,6 +11,7 @@ from conftest import DIST1, DIST2
 from naive_oracle import naive_weight_distribution
 
 import cyclotome.charsums as charsums
+import cyclotome.code as code
 from cyclotome.charsums import CharSystem, InvariantError
 from cyclotome.code import (
     BadParametersError,
@@ -25,7 +26,7 @@ from cyclotome.code import (
     semi_analytic_distribution,
 )
 from cyclotome.cli import _sweep_candidates
-from cyclotome.fields import build_tower, find_primitive_polynomial, prime_factors
+from cyclotome.fields import FieldTower, build_tower, find_primitive_polynomial, prime_factors
 from cyclotome.theorem import TheoremCase, classify, table_distribution
 
 
@@ -44,6 +45,16 @@ def test_build_code_rejects_bad_divisibility(set1):
         build_code(build_tower(5, 1, 2), 3, 3)  # h does not divide q-1
     with pytest.raises(BadParametersError):
         build_code(set1.tower, 3, 1)  # e must exceed 1
+
+
+def test_build_code_requires_beta_and_minus_one_nth_powers(monkeypatch):
+    # no real e = 3 set breaks either fact, so a forced N stands in: N = 2 at (2,2,3)
+    # leaves beta = alpha**21 outside C_0, N = 16 at (7,1,2) leaves -1 = alpha**24 outside
+    real = code.CodeParams
+    for (p, s, m), forced_n in (((2, 2, 3), 2), ((7, 1, 2), 16)):
+        monkeypatch.setattr(code, "CodeParams", lambda forced_n=forced_n, **kw: real(**{**kw, "N": forced_n}))
+        with pytest.raises(InvariantError, match="beta or -1 is not an N-th power"):
+            build_code(FieldTower(p, s, m), 3, 3)
 
 
 def test_generator_orders(set1, set2):
