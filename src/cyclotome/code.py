@@ -95,8 +95,8 @@ def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
         raise InvariantError(f"g = alpha**{params.g_log} does not have order n = {n}")
     if (params.g_log + params.beta_log) * n % (r - 1):
         raise InvariantError(f"(g*beta)**n != 1 for n = {n}")
-    # the class cosets in charsums drop beta and -1, so both must be N-th powers
-    if e == 3 and (params.beta_log % params.N or tower.neg_shift % params.N):
+    # GF(q)* must lie in C_0: the class cosets drop beta and -1, the semi families beta**i - beta**t
+    if e == 3 and tower.subfield_step % params.N:
         raise InvariantError(f"beta or -1 is not an N-th power for N = {params.N}")
     return params
 
@@ -201,7 +201,7 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     # log(x + y) = log y + zech[log x - log y], and x + y = 0 where zech is ZERO;
     # 2(r-1) stands in for ZERO, and the trace flags past 2(r-1) are 0
     zech = [2 * n1 if z == ZERO else z for z in tw.zech]
-    nonzero = bytes(tw.trace_q_table[k % n1] != ZERO for k in range(2 * n1)) + bytes(n1)
+    nonzero = bytes(t != ZERO for t in tw.trace_q_table) * 2 + bytes(n1)
     dg, dbeta = params.g_log, params.beta_log
     dbg = (dbeta + dg) % n1
     step = math.gcd(big_p, dbg)
@@ -276,12 +276,13 @@ def semi_analytic_distribution(
     (a + beta**i b) g**i.  The N**3 coset-vector classes take their sizes
     from the closed form f(c); pairs with a = -beta**t b, b != 0, form 3N
     coset families of (r-1)/N, whose vanishing term reads the coset size.
-    The zero pair adds weight 0.
+    Their other terms read beta**i - beta**t in coset 0: it lies in GF(q)*,
+    inside C_0 as N | (r-1)/(q-1).  The zero pair adds weight 0.
     """
     if params.e != 3:
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
     tw = params.tower
-    n1, n_ord, beta_log = tw.r - 1, params.N, params.beta_log
+    n1, n_ord = tw.r - 1, params.N
     if system is None:
         system = CharSystem(tw, n_ord)
     eta = [system.gaussian_period(u).as_integer() for u in range(n_ord)]
@@ -304,8 +305,7 @@ def semi_analytic_distribution(
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
     for t, k in product(range(1, 4), range(n_ord)):
         periods = (
-            system.eta_zero if i == t
-            else eta[(k + tw.sub(i * beta_log % n1, t * beta_log % n1) + i * params.g_log) % n_ord]
+            system.eta_zero if i == t else eta[(k + i * params.g_log) % n_ord]
             for i in range(1, 4)
         )
         hist[weight(periods)] += n1 // n_ord

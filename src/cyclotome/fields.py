@@ -14,19 +14,21 @@ entries, at most 2*r**(3/4) for d >= 3 (see ``FieldTower._pow_packed``).
 
 The intermediate field GF(q) is the subfield fixed by the map
 ``x -> x**q``; its nonzero elements are exactly the indices divisible by
-(r-1)/(q-1).  Both trace maps (to GF(q) and to GF(p)) are index tables
-too, built by additivity from the traces of the two halves of every
-coefficient vector.  Every table, and the default defining polynomial
-(whose search skips constant terms that cannot be primitive), is built
-on first use, so multiplication, powers, cosets and everything that
-reads only (p, s, m, q, r) never build one.
+(r-1)/(q-1).  Both trace maps are tables too, built by additivity from
+the traces of the two halves of every coefficient vector: Newton's
+identities give the absolute trace from the defining polynomial, with no
+log or Zech table, and only the relative trace takes Frobenius sums.
+Every table, and the default defining polynomial (whose search skips
+constant terms that cannot be primitive), is built on first use, so
+multiplication, powers, cosets and everything that reads only
+(p, s, m, q, r) never build one.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from functools import cached_property
+from functools import cached_property, reduce
 
 ZERO = -1
 
@@ -374,42 +376,40 @@ class FieldTower:
 
     # -- traces --------------------------------------------------------------
 
-    def _half_traces(self, step: int, terms: int) -> "tuple[int, list[int], list[int]]":
-        """Traces (sums of x**(step**i), i < terms) of every digit half of a packed vector.
-
-        Low halves are below ``split``, high halves multiples of it; results are indices.
-        """
-        n1, log_packed = self._n1, self._log_packed
-        split = self.p ** (self.degree // 2)
-
-        def frobenius_sum(packed: int) -> int:
-            if not packed:
-                return ZERO
-            acc = e = log_packed[packed]
-            for _ in range(terms - 1):
-                e = e * step % n1
-                acc = self.add(acc, e)
-            return acc
-
-        low = [frobenius_sum(v) for v in range(split)]
-        high = [frobenius_sum(v * split) for v in range(self.r // split)]
-        return split, low, high
-
     @cached_property
     def trace_q_table(self) -> array:
         """index -> index of the relative trace into GF(q) (ZERO for zero trace)."""
-        split, low, high = self._half_traces(self.q, self.m)
-        return array("i", (self.add(low[v % split], high[v // split]) for v in self._pow_packed))
+        n1, q, log_packed, zech = self._n1, self.q, self._log_packed, self.zech
+        split = self.p ** (self.degree // 2)
+
+        def frobenius_sum(packed: int) -> int:  # x + x**q + ... + x**(q**(m-1))
+            x = log_packed[packed] if packed else ZERO
+            return reduce(self.add, (self.pow(x, q**i) for i in range(self.m)))
+
+        low = [frobenius_sum(v) for v in range(split)]
+        high = [frobenius_sum(v * split) for v in range(self.r // split)]
+        table = array("i", [ZERO]) * n1
+        for k, v in enumerate(self._pow_packed):  # add the two halves by one Zech read
+            i, j = low[v % split], high[v // split]
+            if i == ZERO or j == ZERO:
+                table[k] = j if i == ZERO else i  # the other half, ZERO if both are
+            elif (z := zech[j - i]) != ZERO:  # a negative index wraps mod r-1
+                table[k] = (i + z) % n1
+        return table
 
     @cached_property
     def trace_p_table(self) -> array:
-        """index -> absolute trace into GF(p), as an integer residue."""
-        split, low, high = self._half_traces(self.p, self.degree)
-        # an element of GF(p) packs to its own residue
-        p, pow_packed = self.p, self._pow_packed
-        low = [0 if t == ZERO else pow_packed[t] for t in low]
-        high = [0 if t == ZERO else pow_packed[t] for t in high]
-        return array("i", ((low[v % split] + high[v // split]) % p for v in pow_packed))
+        """index -> absolute trace into GF(p), as an integer residue, by GF(p)-linearity."""
+        p, d, f = self.p, self.degree, self.defining_polynomial
+        # Tr(alpha**k), k < d, is the power sum s_k of the roots of f: Newton's identities
+        sums, low, high = [d % p], [0], [0]
+        for k in range(1, d):
+            sums.append(-(k * f[d - k] + sum(f[d - i] * sums[k - i] for i in range(1, k))) % p)
+        for k, s_k in enumerate(sums):  # low, high: digit_k * s_k summed below d//2, and from it
+            half = low if k < d // 2 else high
+            half[:] = [(t + c * s_k) % p for c in range(p) for t in half]
+        split = p ** (d // 2)
+        return array("i", ((low[v % split] + high[v // split]) % p for v in self._pow_packed))
 
     def trace_to_q(self, x: FieldElement) -> FieldElement:
         """Relative trace sum of x**(q**i) for i < m; lands in GF(q)."""

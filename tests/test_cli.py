@@ -47,6 +47,18 @@ def test_compute_table_json(runner):
     assert report["params"]["n"] == 24
 
 
+@pytest.mark.parametrize("method", ["semi", "all"])
+def test_compute_semi_builds_no_log_or_zech_table(runner, monkeypatch, method):
+    towers = []
+    build = fields.build_tower
+    monkeypatch.setattr(cli, "build_tower", lambda *a, **kw: towers.append(build(*a, **kw)) or towers[-1])
+    result, report = _invoke_json(
+        runner, "compute", "--p", "19", "--s", "1", "--m", "4", "--h", "3", "--method", method
+    )
+    assert result.exit_code == 0 and report["distribution"]
+    assert not {"_log_packed", "zech", "trace_q_table"} & vars(towers[0]).keys()
+
+
 def test_compute_brute_matches_table(runner):
     _, table = _invoke_json(
         runner, "compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--method", "table"

@@ -2,6 +2,7 @@ import math
 import random
 import types
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -257,6 +258,28 @@ def test_semi_analytic_requires_case_and_e3(set1):
     params_e2 = build_code(set1.tower, 2, 2)
     with pytest.raises(BadParametersError):
         semi_analytic_distribution(params_e2, set1.case)
+
+
+@pytest.mark.parametrize("p, s, m", [(19, 1, 4), (2, 2, 6)])
+def test_semi_analytic_builds_no_log_or_zech_table(p, s, m):
+    tower = build_tower(p, s, m)
+    params = build_code(tower, 3)
+    semi_analytic_distribution(params, classify(params)).validate(params)
+    assert not {"_log_packed", "zech", "trace_q_table"} & vars(tower).keys()
+
+
+def test_beta_power_differences_lie_in_coset_zero():
+    # the semi route's degenerate families read beta**i - beta**t in C_0 without a field addition
+    sets = 0
+    for p, s, m, h in _sweep_candidates(5000, 3):
+        params = build_code(FieldTower(p, s, m), h, 3)
+        if params.N < 2:
+            continue
+        sets += 1
+        tw, n1, beta_log = params.tower, params.tower.r - 1, params.beta_log
+        for i, t in permutations(range(1, 4), 2):
+            assert tw.sub(i * beta_log % n1, t * beta_log % n1) % params.N == 0, (p, s, m, h, i, t)
+    assert sets == 36
 
 
 def test_mean_weight_identity(set1, set2):
