@@ -7,9 +7,9 @@ for scripting: 0 success, 1 verification mismatch or internal failure (a
 broken invariant or an inexact sum), 2 invalid parameters, 3 work budget
 exceeded.
 
-Output goes through ``print``, not ``click.echo``: click keeps every stdout
-it has written to alive, so a caller that runs commands in process and
-captures each in a fresh StringIO would keep every output in memory.
+Output and errors go through ``print``, not ``click.echo``: click keeps
+every stream it has written to alive, so an in-process caller capturing
+each run in a fresh StringIO would keep every capture in memory.
 """
 
 from __future__ import annotations
@@ -128,13 +128,13 @@ def _exit_on_error():
     try:
         yield
     except BudgetExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BUDGET)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_PARAMS)
     except ArithmeticError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_MISMATCH)
 
 

@@ -7,11 +7,11 @@ the vector of relative traces of a g**i + b (beta g)**i for i < n.
 
 Two independent routes to the weight distribution live here:
 
-* ``brute_distribution`` counts nonzero codeword coordinates off the trace
-  table for one pair per orbit of the group generated by GF(q)* scaling,
-  the cyclic shift and Frobenius, weighted by the orbit size; the orbit
-  argument is trace linearity, periodicity and Tr(x**p) = Tr(x)**p, no
-  character theory;
+* ``brute_distribution`` counts nonzero codeword coordinates off the
+  relative-trace coordinates for one pair per orbit of the group generated
+  by GF(q)* scaling, the cyclic shift and Frobenius, weighted by the orbit
+  size; the orbit argument is trace linearity, periodicity and
+  Tr(x**p) = Tr(x)**p, no character theory;
 * ``semi_analytic_distribution`` assembles the histogram from one integer
   table of Gaussian periods and the closed-form class counts f(c), with the
   coset size for the vanishing term of a degenerate pair; no codeword.
@@ -189,7 +189,11 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     with c = (1 - p**o) k and j d = c mod P; so one a per cycle of that
     map on Z/T stands for (cycle length)(r-1)/T values, and a = 0 for
     itself.  The row b = 0 takes one a per cycle of x -> p*x on
-    Z/gcd(r-1, P, log g) the same way.  No character theory is used.
+    Z/gcd(r-1, P, log g) the same way.  Coordinate i is zero exactly when
+    Tr(a g**i) = Tr(-b (beta g)**i).  Tr_{r/p}(lambda x) = Tr_{q/p}(lambda
+    Tr_{r/q}(x)) for lambda in GF(q), and the trace form of GF(q)/GF(p) is
+    nondegenerate, so ``trace_q_coords`` compares the two by s absolute
+    traces; no character theory, and no log or Zech table, is used.
     ``budget`` is charged the nominal work r**2 * n before any table is read;
     this is the one place ``--budget`` is charged.
     """
@@ -198,10 +202,7 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     cost = tw.r ** 2 * n
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"r^2*n = {cost} exceeds budget {budget}")
-    # log(x + y) = log y + zech[log x - log y], and x + y = 0 where zech is ZERO;
-    # 2(r-1) stands in for ZERO, and the trace flags past 2(r-1) are 0
-    zech = [2 * n1 if z == ZERO else z for z in tw.zech]
-    nonzero = bytes(t != ZERO for t in tw.trace_q_table) * 2 + bytes(n1)
+    coords = tw.trace_q_coords
     dg, dbeta = params.g_log, params.beta_log
     dbg = (dbeta + dg) % n1
     step = math.gcd(big_p, dbg)
@@ -212,18 +213,17 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     hist = Counter({0: 1})  # (a, b) = (0, 0)
     t0 = math.gcd(n1, big_p, dg)
     for x, length in _cycles(t0, p):  # b = 0
-        hist[sum(nonzero[y] for y in powers(x, dg))] += length * (n1 // t0)
+        hist[sum(coords[y] != 0 for y in powers(x, dg))] += length * (n1 // t0)
     t = math.gcd(n1, big_p // step * dbeta)
     d_inv = pow(dbg // step, -1, big_p // step)
     for k, o in _cycles(step, p):  # b = alpha**k stands for its G-orbit
-        offsets = powers(k, dbg)
+        minus_b = [coords[y] for y in powers(k + tw.neg_shift, dbg)]  # -b (beta g)**i
         mult = pow(p, o, n1)
         c = (1 - mult) * k % n1
         shift = c - c // step * d_inv % (big_p // step) * dbeta  # c - j log beta, j d = c mod P
-        row = Counter({sum(nonzero[y] for y in offsets): 1})  # a = 0
+        row = Counter({sum(v != 0 for v in minus_b): 1})  # a = 0
         for x, length in _cycles(t, mult, shift):
-            # negative zech indices wrap to the same residue
-            weight = sum(nonzero[di + zech[ai - di]] for ai, di in zip(powers(x, dg), offsets))
+            weight = sum(coords[y] != v for y, v in zip(powers(x, dg), minus_b))
             row[weight] += length * (n1 // t)
         hist.update({w: f * o * (n1 // step) for w, f in row.items()})
     return WeightDistribution(hist)

@@ -14,13 +14,13 @@ entries, at most 2*r**(3/4) for d >= 3 (see ``FieldTower._pow_packed``).
 
 The intermediate field GF(q) is the subfield fixed by the map
 ``x -> x**q``; its nonzero elements are exactly the indices divisible by
-(r-1)/(q-1).  Both trace maps are tables too, built by additivity from
-the traces of the two halves of every coefficient vector: Newton's
-identities give the absolute trace from the defining polynomial, with no
-log or Zech table, and only the relative trace takes Frobenius sums.
-Every table, and the default defining polynomial (whose search skips
-constant terms that cannot be primitive), is built on first use, so
-multiplication, powers, cosets and everything that reads only
+(r-1)/(q-1).  The absolute trace is a table built by additivity from the
+traces of the two halves of every coefficient vector, which Newton's
+identities give from the defining polynomial, with no log or Zech table.
+By trace duality, s rotations of it give the relative trace's coordinates
+over GF(p).  Every table, and the default defining polynomial (whose
+search skips constant terms that cannot be primitive), is built on first
+use, so multiplication, powers, cosets and everything that reads only
 (p, s, m, q, r) never build one.
 """
 
@@ -235,9 +235,9 @@ class FieldTower:
 
     Construction stores integers only (and a caller-supplied defining
     polynomial).  The default polynomial search, the exp/log arrays, the
-    Zech table and the two trace tables are cached properties, each
-    computed on first use.  Logically immutable: every operation is a pure
-    read.
+    Zech table, the absolute-trace table and the relative-trace coordinates
+    read off it are cached properties, each computed on first use.
+    Logically immutable: every operation is a pure read.
     """
 
     def __init__(self, p: int, s: int, m: int, poly: "tuple[int, ...] | None" = None):
@@ -377,27 +377,6 @@ class FieldTower:
     # -- traces --------------------------------------------------------------
 
     @cached_property
-    def trace_q_table(self) -> array:
-        """index -> index of the relative trace into GF(q) (ZERO for zero trace)."""
-        n1, q, log_packed, zech = self._n1, self.q, self._log_packed, self.zech
-        split = self.p ** (self.degree // 2)
-
-        def frobenius_sum(packed: int) -> int:  # x + x**q + ... + x**(q**(m-1))
-            x = log_packed[packed] if packed else ZERO
-            return reduce(self.add, (self.pow(x, q**i) for i in range(self.m)))
-
-        low = [frobenius_sum(v) for v in range(split)]
-        high = [frobenius_sum(v * split) for v in range(self.r // split)]
-        table = array("i", [ZERO]) * n1
-        for k, v in enumerate(self._pow_packed):  # add the two halves by one Zech read
-            i, j = low[v % split], high[v // split]
-            if i == ZERO or j == ZERO:
-                table[k] = j if i == ZERO else i  # the other half, ZERO if both are
-            elif (z := zech[j - i]) != ZERO:  # a negative index wraps mod r-1
-                table[k] = (i + z) % n1
-        return table
-
-    @cached_property
     def trace_p_table(self) -> array:
         """index -> absolute trace into GF(p), as an integer residue, by GF(p)-linearity."""
         p, d, f = self.p, self.degree, self.defining_polynomial
@@ -411,11 +390,27 @@ class FieldTower:
         split = p ** (d // 2)
         return array("i", ((low[v % split] + high[v // split]) % p for v in self._pow_packed))
 
+    @cached_property
+    def trace_q_coords(self) -> array:
+        """index -> sum of Tr(gamma**j alpha**index) p**j over j < s, gamma = alpha**P.
+
+        P = ``subfield_step``, so the powers of gamma below s are a GF(p)-basis
+        of GF(q).  As Tr_{r/p}(lambda x) = Tr_{q/p}(lambda Tr_{r/q}(x)) for
+        lambda in GF(q) and the trace form of GF(q)/GF(p) is nondegenerate,
+        this encodes the relative trace GF(p)-linearly and injectively: equal
+        entries are equal relative traces, and 0 is trace zero.
+        """
+        coords, trace = self.trace_p_table, memoryview(self.trace_p_table)
+        for j in range(1, self.s):  # Tr(gamma**j alpha**k) = trace[k + j*P]: a rotation, not a copy
+            cut, w = j * self.subfield_step, self.p**j
+            rotated = itertools.chain(trace[cut:], trace[:cut])
+            coords = array("i", (c + t * w for c, t in zip(coords, rotated)))
+        return coords
+
     def trace_to_q(self, x: FieldElement) -> FieldElement:
         """Relative trace sum of x**(q**i) for i < m; lands in GF(q)."""
-        if x.index == ZERO:
-            return self.zero()
-        return FieldElement(self, self.trace_q_table[x.index])
+        terms = (self.pow(x.index, self.q**i) for i in range(self.m))
+        return FieldElement(self, reduce(self.add, terms))
 
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, s={self.s}, m={self.m}, r={self.r})"

@@ -1,6 +1,10 @@
+import contextlib
 import csv
+import gc
+import io
 import json
 import time
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -56,7 +60,7 @@ def test_compute_semi_builds_no_log_or_zech_table(runner, monkeypatch, method):
         runner, "compute", "--p", "19", "--s", "1", "--m", "4", "--h", "3", "--method", method
     )
     assert result.exit_code == 0 and report["distribution"]
-    assert not {"_log_packed", "zech", "trace_q_table"} & vars(towers[0]).keys()
+    assert not {"_log_packed", "zech", "trace_q_coords"} & vars(towers[0]).keys()
 
 
 def test_compute_brute_matches_table(runner):
@@ -410,6 +414,20 @@ def test_sweep_ignores_threads_variable(runner):
         for line in out.strip().splitlines()
     ]
     assert strip(with_var.output) == strip(plain.output)
+
+
+def test_error_output_is_not_kept_alive():
+    # click keeps every stream it writes to alive; an in-process caller's stderr must be freed
+    refs = []
+    for _ in range(20):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+            main.main(["compute", "--p", "4", "--s", "1", "--m", "2", "--h", "3"], standalone_mode=False)
+        assert exit_info.value.code == 2 and err.getvalue() == "error: p = 4 is not prime\n"
+        refs.append(weakref.ref(err))
+        del err, exit_info
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_sweep_rejects_bad_bound(runner):

@@ -168,6 +168,15 @@ def test_brute_uses_no_character_layer():
     assert not set(names(brute_distribution.__code__)) & character_layer
 
 
+@pytest.mark.parametrize("p, s, m, h, e", [(2, 2, 4, 3, 3), (7, 2, 2, 6, 3)])
+def test_brute_builds_no_log_or_zech_table(p, s, m, h, e):
+    # (7, 2, 2, 6): p odd and s = 2, so -1 is a nonzero shift and the coordinates take a rotation
+    tower = build_tower(p, s, m)
+    params = build_code(tower, h, e)
+    brute_distribution(params).validate(params)
+    assert not {"_log_packed", "zech"} & vars(tower).keys()
+
+
 def test_brute_budget_guard(set1):
     with pytest.raises(BudgetExceededError):
         brute_distribution(set1.params, budget=100)
@@ -265,7 +274,7 @@ def test_semi_analytic_builds_no_log_or_zech_table(p, s, m):
     tower = build_tower(p, s, m)
     params = build_code(tower, 3)
     semi_analytic_distribution(params, classify(params)).validate(params)
-    assert not {"_log_packed", "zech", "trace_q_table"} & vars(tower).keys()
+    assert not {"_log_packed", "zech", "trace_q_coords"} & vars(tower).keys()
 
 
 def test_beta_power_differences_lie_in_coset_zero():

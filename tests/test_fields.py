@@ -60,7 +60,7 @@ def test_classification_and_table_build_no_field_table():
     for u in range(params.N):
         gaussian_period_closed(case, u)
     built = set(vars(tower))
-    assert not built & {"defining_polynomial", "zech", "trace_q_table", "trace_p_table"}
+    assert not built & {"defining_polynomial", "zech", "trace_q_coords", "trace_p_table"}
     assert not [name for name in built if isinstance(vars(tower)[name], array)]
 
 
@@ -238,11 +238,19 @@ def test_search_matches_plain_lexicographic_scan(p, degree):
                 find_primitive_polynomial(p, degree, index)
 
 
+def assert_encodes_relative_trace(coords, reference):
+    """coords agree where the packed reference traces agree, and are 0 where they are 0."""
+    pairs = set(zip(coords, reference))
+    assert len(pairs) == len({c for c, _ in pairs}) == len({v for _, v in pairs})
+    assert all((c == 0) == (v == 0) for c, v in pairs)
+
+
 @pytest.mark.parametrize("psm", [(2, 2, 3), (3, 2, 2), (13, 2, 2), (2, 2, 6), (5, 1, 4), (2, 3, 1)])
 def test_trace_tables_match_frobenius_sums(psm):
     t = build_tower(*psm)
-    for name in ("_pow_packed", "_log_packed", "zech", "trace_q_table", "trace_p_table"):
+    for name in ("_pow_packed", "_log_packed", "zech", "trace_q_coords", "trace_p_table"):
         assert getattr(t, name).typecode == "i"
+    relatives = []
     for k in range(t.r - 1):
         x = t.element(k)
         relative, absolute = t.zero(), t.zero()
@@ -250,8 +258,9 @@ def test_trace_tables_match_frobenius_sums(psm):
             relative = relative + x ** (t.q**i)
         for i in range(t.degree):
             absolute = absolute + x ** (t.p**i)
-        assert t.trace_q_table[k] == relative.index
+        relatives.append(packed(t, relative))
         assert packed(t, absolute) == t.trace_p_table[k]
+    assert_encodes_relative_trace(t.trace_q_coords, relatives)
 
 
 def test_polynomial_override_validation():
@@ -295,7 +304,7 @@ def _pow_packed_by_digits(tower) -> list[int]:
 
 
 def _reference_tables(tower) -> dict[str, list[int]]:
-    """The five tower tables from the per-digit walk and coefficient arithmetic only."""
+    """The tower tables and the relative trace by the per-digit walk and coefficient arithmetic."""
     p, d, n1 = tower.p, tower.degree, tower.r - 1
     pow_ref = _pow_packed_by_digits(tower)
     log_ref = [0] * tower.r
@@ -320,7 +329,8 @@ def _reference_tables(tower) -> dict[str, list[int]]:
         "_pow_packed": pow_ref,
         "_log_packed": log_ref,
         "zech": [log_ref[v] if v else ZERO for v in one_plus],
-        "trace_q_table": [log_ref[v] if v else ZERO for v in linear_trace(tower.q, tower.m)],
+        # the relative trace packed as an element of GF(r); trace_q_coords only has to encode it
+        "relative_trace": linear_trace(tower.q, tower.m),
         # an element of GF(p) packs to its own residue
         "trace_p_table": linear_trace(p, d),
     }
@@ -334,7 +344,9 @@ def _reference_tables(tower) -> dict[str, list[int]]:
 def test_tables_match_per_digit_reference(psm, poly_index):
     p, s, m = psm
     tower = build_tower(*psm, poly=find_primitive_polynomial(p, s * m, poly_index))
-    for name, table in _reference_tables(tower).items():
+    reference = _reference_tables(tower)
+    assert_encodes_relative_trace(tower.trace_q_coords, reference.pop("relative_trace"))
+    for name, table in reference.items():
         assert getattr(tower, name).tolist() == table, name
 
 
