@@ -11,7 +11,8 @@ Two independent routes to the weight distribution live here:
   relative-trace coordinates for one pair per orbit of the group generated
   by GF(q)* scaling, the cyclic shift and Frobenius, weighted by the orbit
   size; the orbit argument is trace linearity, periodicity and
-  Tr(x**p) = Tr(x)**p, no character theory;
+  Tr(x**p) = Tr(x)**p, no character theory.  Each b, 0 included, takes one
+  row walk over a, whose coordinates are strided slices of one doubled table;
 * ``semi_analytic_distribution`` assembles the histogram from one integer
   table of Gaussian periods and the closed-form class counts f(c), with the
   coset size for the vanishing term of a degenerate pair; no codeword.
@@ -27,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import ne
 from typing import TYPE_CHECKING
 
 from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_closed
@@ -188,12 +190,17 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     T = gcd(r-1, (P/step) log beta) and by x -> p**o x + c - j log beta,
     with c = (1 - p**o) k and j d = c mod P; so one a per cycle of that
     map on Z/T stands for (cycle length)(r-1)/T values, and a = 0 for
-    itself.  The row b = 0 takes one a per cycle of x -> p*x on
-    Z/gcd(r-1, P, log g) the same way.  Coordinate i is zero exactly when
-    Tr(a g**i) = Tr(-b (beta g)**i).  Tr_{r/p}(lambda x) = Tr_{q/p}(lambda
-    Tr_{r/q}(x)) for lambda in GF(q), and the trace form of GF(q)/GF(p) is
-    nondegenerate, so ``trace_q_coords`` compares the two by s absolute
-    traces; no character theory, and no log or Zech table, is used.
+    itself.  The row b = 0 is walked the same way, with one a per cycle of
+    x -> p*x on Z/gcd(r-1, P, log g); its a = 0 is the pair (0, 0).
+    (a, b) -> (a, -b) is a bijection commuting with G, as (-b)**p = -b**p,
+    so a walked pair (a, b) may count the weight of (a, -b): coordinate i
+    is then zero exactly when Tr(a g**i) = Tr(b (beta g)**i).  As
+    n log g = r-1, the coordinates of a = alpha**x, x < r-1, sit at
+    x + i log g < x + r-1: one strided slice of the doubled table.
+    Tr_{r/p}(lambda x) = Tr_{q/p}(lambda Tr_{r/q}(x)) for lambda in GF(q),
+    and the trace form of GF(q)/GF(p) is nondegenerate, so ``trace_q_coords``
+    compares two relative traces by s absolute traces; no character theory,
+    and no log or Zech table, is used.
     ``budget`` is charged the nominal work r**2 * n before any table is read;
     this is the one place ``--budget`` is charged.
     """
@@ -203,29 +210,27 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"r^2*n = {cost} exceeds budget {budget}")
     coords = tw.trace_q_coords
+    twice = memoryview(coords * 2)  # a = alpha**x, x < r-1: coordinates twice[x : x + r-1 : log g]
     dg, dbeta = params.g_log, params.beta_log
     dbg = (dbeta + dg) % n1
     step = math.gcd(big_p, dbg)
 
-    def powers(start: int, d: int) -> list[int]:  # logs of alpha**start * (alpha**d)**i, i < n
-        return [(start + i * d) % n1 for i in range(n)]
+    def row(b_coords: list, t: int, mult: int, shift: int) -> Counter:
+        """Weights against b: a = 0, then one a = alpha**x per cycle of x -> mult*x + shift on Z/t."""
+        weights = Counter({n - b_coords.count(0): 1})
+        for x, length in _cycles(t, mult, shift):
+            weights[sum(map(ne, twice[x : x + n1 : dg], b_coords))] += length * (n1 // t)
+        return weights
 
-    hist = Counter({0: 1})  # (a, b) = (0, 0)
-    t0 = math.gcd(n1, big_p, dg)
-    for x, length in _cycles(t0, p):  # b = 0
-        hist[sum(coords[y] != 0 for y in powers(x, dg))] += length * (n1 // t0)
+    hist = row([0] * n, math.gcd(n1, big_p, dg), p, 0)  # b = 0
     t = math.gcd(n1, big_p // step * dbeta)
     d_inv = pow(dbg // step, -1, big_p // step)
     for k, o in _cycles(step, p):  # b = alpha**k stands for its G-orbit
-        minus_b = [coords[y] for y in powers(k + tw.neg_shift, dbg)]  # -b (beta g)**i
         mult = pow(p, o, n1)
         c = (1 - mult) * k % n1
         shift = c - c // step * d_inv % (big_p // step) * dbeta  # c - j log beta, j d = c mod P
-        row = Counter({sum(v != 0 for v in minus_b): 1})  # a = 0
-        for x, length in _cycles(t, mult, shift):
-            weight = sum(coords[y] != v for y, v in zip(powers(x, dg), minus_b))
-            row[weight] += length * (n1 // t)
-        hist.update({w: f * o * (n1 // step) for w, f in row.items()})
+        b_coords = [coords[(k + i * dbg) % n1] for i in range(n)]  # b (beta g)**i
+        hist.update({w: f * o * (n1 // step) for w, f in row(b_coords, t, mult, shift).items()})
     return WeightDistribution(hist)
 
 
@@ -255,16 +260,19 @@ def lambda_weight(
     return Fraction(params.h * params.N * (val + const), params.e * tw.q)
 
 
+def _weight(params: CodeParams, lam: Fraction) -> int:
+    """Hamming weight h(r-1)/q minus the modified weight lam; it must be an integer."""
+    w = Fraction(params.h * (params.tower.r - 1), params.tower.q) - lam
+    if w.denominator != 1:
+        raise NonIntegerResultError(f"weight {w} is not an integer")
+    return int(w)
+
+
 def codeword_weight_from_lambda(
     params: CodeParams, system: CharSystem, a: FieldElement, b: FieldElement
 ) -> int:
     """Hamming weight via h(r-1)/q minus the modified weight."""
-    w = Fraction(params.h * (params.tower.r - 1), params.tower.q) - lambda_weight(
-        params, system, a, b
-    )
-    if w.denominator != 1:
-        raise NonIntegerResultError(f"weight {w} is not an integer")
-    return int(w)
+    return _weight(params, lambda_weight(params, system, a, b))
 
 
 def semi_analytic_distribution(
@@ -288,27 +296,19 @@ def semi_analytic_distribution(
     eta = [system.gaussian_period(u).as_integer() for u in range(n_ord)]
     if None in eta:
         raise NonIntegerResultError(f"period at coset {eta.index(None)} is irrational")
-    hq = Fraction(params.h * n1, tw.q)
     coef = Fraction(params.h * n_ord, 3 * tw.q)
-
-    def weight(periods) -> int:
-        w = hq - coef * sum(periods)
-        if w.denominator != 1:
-            raise NonIntegerResultError(f"weight {w} is not an integer")
-        return int(w)
-
     hist = Counter({0: 1})
     for c in product(range(n_ord), repeat=3):
         freq = f_closed(params, case, c)
         if freq:
-            hist[weight(eta[(-ci) % n_ord] for ci in c)] += freq
+            hist[_weight(params, coef * sum(eta[(-ci) % n_ord] for ci in c))] += freq
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
     for t, k in product(range(1, 4), range(n_ord)):
         periods = (
             system.eta_zero if i == t else eta[(k + i * params.g_log) % n_ord]
             for i in range(1, 4)
         )
-        hist[weight(periods)] += n1 // n_ord
+        hist[_weight(params, coef * sum(periods))] += n1 // n_ord
     dist = WeightDistribution(hist)
     dist.validate(params)
     return dist

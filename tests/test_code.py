@@ -143,6 +143,17 @@ RECORDED_BRUTE = {
         0: 1, 2160: 13120, 2196: 6560, 2232: 6560, 2880: 13546400,
         2916: 18341760, 2952: 8888800, 2988: 2072960, 3024: 170560,
     },
+    # e = 7 with s = 3, r = 4096 and n = r-1: two nonzero weights
+    (2, 3, 4, 7, 7): {0: 1, 3072: 28665, 3584: 16748550},
+    # e = 2 with odd p and s = 2, r = 6561: beta = -1
+    (3, 2, 4, 4, 2): {
+        0: 1, 1440: 9840, 1512: 3280, 2880: 24206400, 2952: 16137600, 3024: 2689600,
+    },
+    # p = 67, r = 4489, n = 2244: a large prime
+    (67, 1, 2, 33, 3): {
+        0: 1, 1452: 6732, 1496: 6732, 2178: 2515524, 2200: 7553304, 2222: 7553304,
+        2244: 2515524,
+    },
 }
 
 
@@ -170,7 +181,7 @@ def test_brute_uses_no_character_layer():
 
 @pytest.mark.parametrize("p, s, m, h, e", [(2, 2, 4, 3, 3), (7, 2, 2, 6, 3)])
 def test_brute_builds_no_log_or_zech_table(p, s, m, h, e):
-    # (7, 2, 2, 6): p odd and s = 2, so -1 is a nonzero shift and the coordinates take a rotation
+    # (7, 2, 2, 6): p odd and s = 2, so the relative-trace coordinates take a rotation of the absolute trace
     tower = build_tower(p, s, m)
     params = build_code(tower, h, e)
     brute_distribution(params).validate(params)
