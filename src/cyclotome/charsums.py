@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from typing import TYPE_CHECKING
 
 from .cycint import CycInt
@@ -49,9 +49,9 @@ class CharSystem:
     ``period_counts[u][t]`` counts field elements in coset u with absolute
     trace t, and ``pair_counts[u][v]`` counts solutions of a + b = 1 with
     a in coset u and b in coset v; Gauss and Jacobi sums are one bucket sum
-    over them.  The periods are built with the system, the pair counts on
-    first use; Jacobi sums are memoized and feed the f(c) identity, which
-    the closed form feeds the semiprimitive value instead.
+    over them.  The periods and Gauss sums are built with the system, the
+    pair counts on first use; Jacobi sums are memoized and feed the f(c)
+    identity, which the closed form feeds the semiprimitive value instead.
     """
 
     def __init__(self, tower: FieldTower, order: int):
@@ -65,6 +65,10 @@ class CharSystem:
         buckets = (Counter(trace_p[u::order]) for u in range(order))
         self.period_counts = [[b[t] for t in range(self.p)] for b in buckets]
         self._periods = [CycInt(self.p, row) for row in self.period_counts]
+        m = math.lcm(self.p, order)
+        self._gauss = [
+            _bucket_sum(self.period_counts, m, m // order * i, m // self.p) for i in range(order)
+        ]
         self._jacobi: dict[tuple[int, int], CycInt] = {}
 
     @property
@@ -78,8 +82,7 @@ class CharSystem:
 
     def gauss_sum(self, i: int) -> CycInt:
         """Sum of chi**i(x) psi(x) over nonzero x, in Z[zeta_lcm(p, N)]."""
-        m = math.lcm(self.p, self.order)
-        return _bucket_sum(self.period_counts, m, m // self.order * i, m // self.p)
+        return self._gauss[i % self.order]
 
     @cached_property
     def pair_counts(self) -> list[list[int]]:
@@ -107,6 +110,66 @@ def _bucket_sum(table: list[list[int]], m: int, a: int, b: int) -> CycInt:
             if cnt:
                 vec[(a * u + b * t) % m] += cnt
     return CycInt(m, vec)
+
+
+def _shifted_sum(m: int, terms) -> CycInt:
+    """Sum of zeta_m**shift * x over (shift, x) in ``terms``, as shifted vectors reduced once."""
+    vec = [0] * m
+    for shift, x in terms:
+        for k, a in enumerate(x.coeffs):
+            vec[(shift + k) % m] += a
+    return CycInt(m, vec)
+
+
+def norm_degree(p: int, n: int) -> int:
+    """ord_N(p), the least f with N | p**f - 1: the smallest GF(p**f) with characters of order N."""
+    return next(f for f in count(1) if (p**f - 1) % n == 0)
+
+
+def norm_system(tower: FieldTower, n: int) -> CharSystem:
+    """Order-N characters of GF(p**f), f = ord_N(p), generated by Norm(alpha) = alpha**M.
+
+    M = (r-1)/(p**f - 1).  The small tower's polynomial is the product of
+    x - alpha**(M p**j) over j < f, multiplied out with ``add`` and ``mul``;
+    its chi o Norm is the tower's chi, so ``lifted_gauss_sums`` of this
+    system are the tower's Gauss sums, index for index.
+    """
+    p, f, n1 = tower.p, norm_degree(tower.p, n), tower.r - 1
+    big_m = n1 // (p**f - 1)
+    poly = [0]  # dlogs, constant first: the polynomial 1
+    for j in range(f):
+        root = tower.neg(big_m * p**j % n1)
+        poly = [tower.add(a, tower.mul(b, root)) for a, b in zip([ZERO, *poly], [*poly, ZERO])]
+    coeffs = tuple(0 if c == ZERO else tower._pow_packed[c] for c in poly)  # GF(p): one digit
+    if max(coeffs) >= p:
+        raise InvariantError(f"minimal polynomial {coeffs} of alpha**{big_m} is not over GF({p})")
+    return CharSystem(FieldTower(p, 1, f, coeffs), n)
+
+
+def lifted_gauss_sums(system: CharSystem, k: int) -> list[CycInt]:
+    """G(chi**i o Norm), i < N, over the degree-k extension of the system's field.
+
+    Davenport-Hasse (Lidl & Niederreiter, *Finite Fields*, Thm 5.14):
+    -G(chi o Norm) = (-G(chi))**k, psi lifted through the trace; for the
+    principal character both sides are 1.
+    """
+    return [-((-system.gauss_sum(i)) ** k) for i in range(system.order)]
+
+
+def periods_from_gauss(gauss: list[CycInt], n: int) -> list[int]:
+    """Periods eta_u, u < N, from the Gauss sums G(chi**i), i < N, by Fourier inversion.
+
+    N eta_u = sum of zeta_N**(-i*u) G(chi**i); NonIntegerResultError unless it
+    is a rational integer divisible by N.
+    """
+    m, periods = gauss[0].order, []
+    for u in range(n):
+        val = _shifted_sum(m, ((-i * u * m // n, g) for i, g in enumerate(gauss))).as_integer()
+        if val is None or val % n:
+            value = "irrational" if val is None else f"{val}/{n}"
+            raise NonIntegerResultError(f"period at coset {u} is {value}")
+        periods.append(val // n)
+    return periods
 
 
 def _class_cosets(g_log: int, n: int, c: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -159,22 +222,16 @@ def _f_identity(n: int, r: int, g_log: int, c: tuple[int, int, int], jacobi: Cal
     """f(c) by the Jacobi-sum identity, with J(i, j) read from ``jacobi(i, j)``.
 
     N**3 f(c) / (r-1) = r + 1 - N*#{x_k = 0} + sum of zeta_N**(i*x1 + j*x2) J(i, j)
-    over 0 < i, j < N, i + j != N, x the class cosets; the terms are summed as
-    shifted coefficient vectors in Z[x]/(x**N - 1) and reduced once.
+    over 0 < i, j < N, i + j != N, x the class cosets; the sum over (i, j) is
+    reduced once.
     """
     x1, x2, x3 = _class_cosets(g_log, n, c)
-    vec = [0] * n
-    vec[0] = r + 1 - n * ((x1 == 0) + (x2 == 0) + (x3 == 0))
-    for i, j in product(range(1, n), repeat=2):
-        if i + j != n:
-            shift = i * x1 + j * x2
-            for k, a in enumerate(jacobi(i, j).coeffs):
-                vec[(shift + k) % n] += a
-    total = CycInt(n, vec)
+    pairs = ((i, j) for i, j in product(range(1, n), repeat=2) if i + j != n)
+    total = _shifted_sum(n, ((i * x1 + j * x2, jacobi(i, j)) for i, j in pairs))
     val = total.as_integer()
     if val is None:
         raise NonIntegerResultError(f"character sum for {c} is irrational: {total!r}")
-    num = (r - 1) * val
+    num = (r - 1) * (val + r + 1 - n * ((x1 == 0) + (x2 == 0) + (x3 == 0)))
     if num % n**3 or num < 0:
         raise NonIntegerResultError(f"count for {c} is not a nonnegative integer: {num}/{n**3}")
     return num // n**3

@@ -20,13 +20,14 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import click
 
 from .charsums import CharSystem, class_counts, f_charsum, f_closed, gaussian_period_closed
+from .charsums import lifted_gauss_sums, norm_system
 from .code import (
     BadParametersError,
     BudgetExceededError,
@@ -62,7 +63,7 @@ class RunReport:
     verdict: "str | None" = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # shallow: asdict would deep-copy the distribution
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -180,8 +181,8 @@ def _verification_checks(
     tw = params.tower
     r, n_ord = tw.r, params.N
     dists = {"brute": brute_distribution(params, budget=budget)}
-    system = CharSystem(tw, n_ord)
-    dists["semi"] = semi_analytic_distribution(params, case, system)
+    system, small = CharSystem(tw, n_ord), norm_system(tw, n_ord)
+    dists["semi"] = semi_analytic_distribution(params, case, small)
     dists["table"] = table_distribution(case, params)
     checks: dict = {}
     first = _first_diff_check(dists, (("brute", "semi"), ("brute", "table")))
@@ -220,16 +221,17 @@ def _verification_checks(
         system.jacobi_sum(i, n_ord - i) == -1 for i in range(1, n_ord)
     )
     big = math.lcm(tw.p, n_ord)
-    gauss_ok = True
-    for i in range(1, n_ord):
-        for j in range(1, n_ord):
-            if i + j == n_ord:
-                continue
-            k = (i + j - 1) % n_ord + 1
-            lhs = system.gauss_sum(k) * system.jacobi_sum(i, j).embed(big)
-            if lhs != system.gauss_sum(i) * system.gauss_sum(j):
-                gauss_ok = False
-    checks["gauss_jacobi_relation"] = gauss_ok
+    pairs = [(i, j) for i, j in product(range(1, n_ord), repeat=2) if (i + j) % n_ord]
+    checks["gauss_jacobi_relation"] = all(
+        system.gauss_sum(i + j) * system.jacobi_sum(i, j).embed(big)
+        == system.gauss_sum(i) * system.gauss_sum(j)
+        for i, j in pairs
+    )
+    k = tw.degree // small.tower.degree  # semi's Davenport-Hasse lift against the tower's sums
+    lifted_ok = lifted_gauss_sums(small, k) == [system.gauss_sum(i) for i in range(n_ord)]
+    checks["lifted_sums"] = lifted_ok and all(
+        -((-small.jacobi_sum(i, j)) ** k) == system.jacobi_sum(i, j) for i, j in pairs
+    )
     return checks, dists
 
 

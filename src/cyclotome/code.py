@@ -13,9 +13,10 @@ Two independent routes to the weight distribution live here:
   size; the orbit argument is trace linearity, periodicity and
   Tr(x**p) = Tr(x)**p, no character theory.  Each b, 0 included, takes one
   row walk over a, whose coordinates are strided slices of one doubled table;
-* ``semi_analytic_distribution`` assembles the histogram from one integer
-  table of Gaussian periods and the closed-form class counts f(c), with the
-  coset size for the vanishing term of a degenerate pair; no codeword.
+* ``semi_analytic_distribution`` assembles the histogram from the Gaussian
+  periods, lifted from the Gauss sums of GF(p**f) by Davenport-Hasse, and
+  the closed-form class counts f(c), with the coset size for the vanishing
+  term of a degenerate pair; no codeword and no table of GF(r).
 
 The bridge between them is the modified weight lambda(a, b); the Hamming
 weight is always h(r-1)/q - lambda(a, b).
@@ -31,7 +32,8 @@ from itertools import product
 from operator import ne
 from typing import TYPE_CHECKING
 
-from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_closed
+from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_closed, norm_degree
+from .charsums import lifted_gauss_sums, periods_from_gauss
 from .cycint import CycInt
 from .fields import ZERO, FieldElement, FieldTower
 
@@ -281,21 +283,28 @@ def semi_analytic_distribution(
     """Assemble the histogram from class data instead of codewords.
 
     Every weight is h(r-1)/q - (hN/3q) times the sum of the periods at
-    (a + beta**i b) g**i.  The N**3 coset-vector classes take their sizes
-    from the closed form f(c); pairs with a = -beta**t b, b != 0, form 3N
-    coset families of (r-1)/N, whose vanishing term reads the coset size.
-    Their other terms read beta**i - beta**t in coset 0: it lies in GF(q)*,
-    inside C_0 as N | (r-1)/(q-1).  The zero pair adds weight 0.
+    (a + beta**i b) g**i.  The periods come by Fourier inversion from the
+    Gauss sums of ``system``, order-N characters of a subfield GF(p**f),
+    lifted to GF(r) by Davenport-Hasse; the default f = ord_N(p) builds no
+    table of GF(r).  The small field's generator is Norm(alpha') for some
+    primitive alpha' = alpha**w of GF(r) (Norm maps generators onto
+    generators, and w may be moved by multiples of p**f - 1 to be prime to
+    r-1), so the lifted periods are labelled by alpha'.  alpha -> alpha**w
+    permutes the coordinates (i -> w*i mod n), which keeps the histogram,
+    and f(c) and g_log do not depend on the generator.  The N**3 coset-vector
+    classes take their sizes from the closed form f(c); pairs with
+    a = -beta**t b, b != 0, form 3N coset families of (r-1)/N, whose
+    vanishing term reads the coset size.  Their other terms read
+    beta**i - beta**t in coset 0: it lies in GF(q)*, inside C_0 as
+    N | (r-1)/(q-1).  The zero pair adds weight 0.
     """
     if params.e != 3:
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
     tw = params.tower
     n1, n_ord = tw.r - 1, params.N
     if system is None:
-        system = CharSystem(tw, n_ord)
-    eta = [system.gaussian_period(u).as_integer() for u in range(n_ord)]
-    if None in eta:
-        raise NonIntegerResultError(f"period at coset {eta.index(None)} is irrational")
+        system = CharSystem(FieldTower(tw.p, 1, norm_degree(tw.p, n_ord)), n_ord)
+    eta = periods_from_gauss(lifted_gauss_sums(system, tw.degree // system.tower.degree), n_ord)
     coef = Fraction(params.h * n_ord, 3 * tw.q)
     hist = Counter({0: 1})
     for c in product(range(n_ord), repeat=3):
@@ -305,7 +314,7 @@ def semi_analytic_distribution(
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
     for t, k in product(range(1, 4), range(n_ord)):
         periods = (
-            system.eta_zero if i == t else eta[(k + i * params.g_log) % n_ord]
+            n1 // n_ord if i == t else eta[(k + i * params.g_log) % n_ord]
             for i in range(1, 4)
         )
         hist[_weight(params, coef * sum(periods))] += n1 // n_ord

@@ -70,6 +70,11 @@ def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
         coeffs = folded
     else:
         coeffs = list(coeffs)
+    if n % 2 == 0:  # Phi_n divides x**(n/2) + 1: fold with x**(n/2) = -1, O(p) for n = 2p
+        half = n // 2
+        for i in range(half, len(coeffs)):
+            coeffs[i - half] -= coeffs[i]
+        del coeffs[half:]
     phi = cyclotomic_polynomial(n)
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
@@ -174,13 +179,11 @@ class CycInt:
     def __pow__(self, e: int) -> "CycInt":
         if e < 0:
             raise ValueError("negative powers not defined in Z[zeta]")
-        result = CycInt.from_int(self.order, 1)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
+        result = self if e else CycInt.from_int(self.order, 1)
+        for bit in bin(e)[3:]:  # left to right below the top bit: no product with 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __bool__(self) -> bool:

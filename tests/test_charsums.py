@@ -11,12 +11,17 @@ from naive_oracle import naive_f_table, naive_gauss_counts, naive_jacobi_counts,
 
 from cyclotome.charsums import (
     CharSystem,
+    InvariantError,
     NonIntegerResultError,
     _class_cosets,
     class_counts,
     f_charsum,
     f_closed,
     gaussian_period_closed,
+    lifted_gauss_sums,
+    norm_degree,
+    norm_system,
+    periods_from_gauss,
 )
 from cyclotome.code import build_code
 from cyclotome.cycint import CycInt
@@ -463,3 +468,46 @@ def test_orthogonality_relations(set1, set2):
             for j in range(1, n + 1):
                 total = total + CycInt.root_of_unity(n, j * k)
             assert total.as_integer() == (n if k % n == 0 else 0)
+
+
+# (p, s, m, N): f = ord_N(p) of 2, 1, 5 and 4 below d; the last has f = d, so k = 1
+@pytest.mark.parametrize(
+    "p, s, m, n", [(2, 2, 9, 3), (19, 1, 4, 6), (3, 2, 5, 11), (2, 1, 12, 5), (7, 1, 2, 16)]
+)
+def test_lifted_sums_match_tower(p, s, m, n):
+    # Davenport-Hasse from GF(p**f), generated by alpha**M, against the tower's own sums
+    tower = build_tower(p, s, m)
+    system, small = CharSystem(tower, n), norm_system(tower, n)
+    f = norm_degree(p, n)
+    k = tower.degree // f
+    assert small.tower.degree == f and (p**f - 1) % n == 0
+    if k == 1:
+        assert small.tower.defining_polynomial == tower.defining_polynomial
+    assert lifted_gauss_sums(small, k) == [system.gauss_sum(i) for i in range(n)]
+    for i, j in product(range(1, n), repeat=2):
+        if (i + j) % n:
+            assert -((-small.jacobi_sum(i, j)) ** k) == system.jacobi_sum(i, j), (i, j)
+
+
+@pytest.mark.parametrize("p, s, m, n", [(2, 1, 6, 7), (2, 1, 12, 7), (2, 1, 10, 31), (3, 1, 6, 13)])
+def test_lifted_periods_match_tower(p, s, m, n):
+    # N | (r-1)/(p-1) makes every period an integer; no p**j = -1 mod N, so eta_u != eta_-u
+    tower = build_tower(p, s, m)
+    small = norm_system(tower, n)
+    periods = [CharSystem(tower, n).gaussian_period(u).as_integer() for u in range(n)]
+    assert periods != periods[:1] + periods[:0:-1]
+    lifted = lifted_gauss_sums(small, tower.degree // small.tower.degree)
+    assert periods_from_gauss(lifted, n) == periods
+
+
+def test_periods_from_gauss_rejects_a_fractional_period():
+    # G(chi**0) = 1 and the rest 0 give N eta_u = 1: rational, but not divisible by N = 3
+    sums = [CycInt.from_int(6, 1), CycInt.zero(6), CycInt.zero(6)]
+    with pytest.raises(NonIntegerResultError, match=r"period at coset 0 is 1/3$"):
+        periods_from_gauss(sums, 3)
+
+
+def test_norm_system_rejects_a_root_set_not_closed_under_frobenius():
+    # ord_7(2) = 3 does not divide 4: x - alpha**(2 * 2**j), j < 3, miss the conjugate alpha
+    with pytest.raises(InvariantError, match="is not over GF"):
+        norm_system(build_tower(2, 1, 4), 7)

@@ -63,6 +63,20 @@ def test_compute_semi_builds_no_log_or_zech_table(runner, monkeypatch, method):
     assert not {"_log_packed", "zech", "trace_q_coords"} & vars(towers[0]).keys()
 
 
+@pytest.mark.parametrize("pssm", [("19", "1", "4"), ("2", "2", "9")])
+def test_semi_builds_no_r_sized_tower(runner, monkeypatch, pssm):
+    # the periods are lifted from GF(p**f): GF(r) is not even given a defining polynomial
+    towers = []
+    build = fields.build_tower
+    monkeypatch.setattr(cli, "build_tower", lambda *a, **kw: towers.append(build(*a, **kw)) or towers[-1])
+    p, s, m = pssm
+    result, report = _invoke_json(
+        runner, "compute", "--p", p, "--s", s, "--m", m, "--h", "3", "--method", "semi"
+    )
+    assert result.exit_code == 0 and report["distribution"]
+    assert not {"defining_polynomial", "_pow_packed", "trace_p_table"} & vars(towers[0]).keys()
+
+
 def test_compute_brute_matches_table(runner):
     _, table = _invoke_json(
         runner, "compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--method", "table"
@@ -245,8 +259,9 @@ def test_broken_invariant_exits_1(runner, monkeypatch):
 
 
 def test_inexact_sum_exits_1(runner, monkeypatch):
-    # an irrational Gaussian period: NonIntegerResultError, not a traceback
-    monkeypatch.setattr(CharSystem, "gaussian_period", lambda self, u: CycInt.root_of_unity(self.p, 1))
+    # lifted Gauss sums that give semi an irrational period: NonIntegerResultError, not a traceback
+    zeta = CycInt.root_of_unity(14, 1)  # lcm(p, N) = 14 at (7,1,2,3)
+    monkeypatch.setattr(code, "lifted_gauss_sums", lambda system, k: [zeta] * system.order)
     result = runner.invoke(main, ["verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3"])
     assert result.exit_code == 1
     assert result.output == "error: period at coset 0 is irrational\n"
@@ -272,6 +287,31 @@ def test_verify_flags_corrupted_jacobi_sums(runner, monkeypatch):
     checks = out["checks"]
     assert checks["f_triple_equal"] is False and checks["gauss_jacobi_relation"] is False
     assert checks["f_first_diff"] == {"c": [0, 0, 0], "counts": [189, 203, 189]}
+
+
+def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
+    # G(chi**i) zeta_N**i are the Gauss sums of x -> psi(x / alpha): the periods rotate by
+    # one coset, which leaves semi's histogram as it is, so only lifted_sums sees the bad lift
+    real = code.lifted_gauss_sums
+
+    def rotated(system, k):
+        sums = real(system, k)
+        return [g * CycInt.root_of_unity(g.order, i * g.order // len(sums)) for i, g in enumerate(sums)]
+
+    monkeypatch.setattr(code, "lifted_gauss_sums", rotated)
+    monkeypatch.setattr(cli, "lifted_gauss_sums", rotated)
+    result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
+    assert result.exit_code == 1 and out["verdict"] == "FAIL"
+    assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums"]
+
+
+def test_verify_flags_a_wrong_subfield_jacobi_sum(runner, monkeypatch):
+    # only GF(4)'s Jacobi sums are off: the Gauss sums still lift and every check on the tower holds
+    real = CharSystem.jacobi_sum
+    monkeypatch.setattr(CharSystem, "jacobi_sum", lambda self, i, j: real(self, i, j) + (1 if self.r == 4 else 0))
+    result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
+    assert result.exit_code == 1
+    assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums"]
 
 
 def test_verify_non_integral_jacobi_count_exits_1(runner, monkeypatch):

@@ -4,10 +4,12 @@ import pytest
 
 from conftest import DIST1, DIST2
 
+import cyclotome.fields as fields
+
 from cyclotome.charsums import CharSystem, gaussian_period_closed
 from cyclotome.cli import _sweep_candidates
 from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
-from cyclotome.fields import build_tower
+from cyclotome.fields import FieldTower, build_tower
 from cyclotome.theorem import (
     NotApplicable,
     NotApplicableError,
@@ -140,3 +142,20 @@ def test_table_equals_semi_at_r4096():
     semi = semi_analytic_distribution(params, case)
     assert table == semi
     table.validate(params)
+
+
+@pytest.mark.parametrize("p, s, m, h", [(2, 2, 30, 3), (2, 4, 15, 15), (11, 2, 12, 3)])
+def test_lifted_semi_equals_table_above_the_cap(monkeypatch, p, s, m, h):
+    # r = 2**60, 2**60 and 11**24 (N = 12): semi lifts from GF(4), GF(4) and GF(121); a
+    # polynomial search for GF(r) fails the test before any table of GF(r) is built
+    search = fields.find_primitive_polynomial
+
+    def small_search(p, degree, index=0):
+        if p**degree > fields.DEFAULT_FIELD_CAP:
+            raise AssertionError(f"searched GF({p}**{degree})")
+        return search(p, degree, index)
+
+    monkeypatch.setattr(fields, "find_primitive_polynomial", small_search)
+    params = build_code(FieldTower(p, s, m), h, 3)
+    case = classify(params)
+    assert semi_analytic_distribution(params, case) == table_distribution(case, params)
