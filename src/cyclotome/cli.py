@@ -7,9 +7,9 @@ for scripting: 0 success, 1 verification mismatch or internal failure (a
 broken invariant or an inexact sum), 2 invalid parameters, 3 work budget
 exceeded.
 
-Output and errors go through ``print``, not ``click.echo``: click keeps
-every stream it has written to alive, so an in-process caller capturing
-each run in a fresh StringIO would keep every capture in memory.
+Output and errors go through ``print`` or ``sys.stdout``, not ``click.echo``:
+click keeps every stream it has written to alive, so an in-process caller
+capturing each run in a fresh StringIO would keep every capture in memory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
 import click
 
@@ -38,7 +38,7 @@ from .code import (
     semi_analytic_distribution,
     validate_e,
 )
-from .fields import BadPolynomialError, build_tower, is_prime
+from .fields import BadPolynomialError, build_tower
 from .theorem import NotApplicable, TheoremCase, classify, table_distribution
 
 EXIT_OK = 0
@@ -48,6 +48,8 @@ EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 500_000_000
 DEFAULT_SWEEP_BUDGET = 10_000_000
+
+_to_json = json.JSONEncoder(sort_keys=True).encode  # one encoder: the bytes of json.dumps(obj, sort_keys=True)
 
 
 @dataclass
@@ -66,7 +68,7 @@ class RunReport:
         return dict(vars(self))  # shallow: asdict would deep-copy the distribution
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return _to_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
@@ -182,7 +184,9 @@ def _verification_checks(
     r, n_ord = tw.r, params.N
     dists = {"brute": brute_distribution(params, budget=budget)}
     system, small = CharSystem(tw, n_ord), norm_system(tw, n_ord)
-    dists["semi"] = semi_analytic_distribution(params, case, small)
+    k = tw.degree // small.tower.degree  # semi's Davenport-Hasse lift, checked against the tower's sums
+    lifted = lifted_gauss_sums(small, k)
+    dists["semi"] = semi_analytic_distribution(params, case, lifted)
     dists["table"] = table_distribution(case, params)
     checks: dict = {}
     first = _first_diff_check(dists, (("brute", "semi"), ("brute", "table")))
@@ -227,8 +231,7 @@ def _verification_checks(
         == system.gauss_sum(i) * system.gauss_sum(j)
         for i, j in pairs
     )
-    k = tw.degree // small.tower.degree  # semi's Davenport-Hasse lift against the tower's sums
-    lifted_ok = lifted_gauss_sums(small, k) == [system.gauss_sum(i) for i in range(n_ord)]
+    lifted_ok = lifted == [system.gauss_sum(i) for i in range(n_ord)]
     checks["lifted_sums"] = lifted_ok and all(
         -((-small.jacobi_sum(i, j)) ** k) == system.jacobi_sum(i, j) for i, j in pairs
     )
@@ -261,7 +264,7 @@ def _emit_report(report: RunReport, fmt: str) -> None:
             for w, f in report.distribution:
                 print(f"{w:>{width}}  {f}")
         if report.checks:
-            print(f"checks: {json.dumps(report.checks, sort_keys=True)}")
+            print(f"checks: {_to_json(report.checks)}")
         if report.verdict:
             print(f"verdict: {report.verdict}")
 
@@ -349,10 +352,12 @@ def verify(p, s, m, h, e, poly, budget, fmt) -> None:
 
 
 def _sweep_candidates(max_r: int, e: int):
-    """All (p, s, m, h) with 3 <= q = p**s, r = q**m <= max_r, e | h | q-1."""
-    for p in range(2, max_r + 1):
-        if not is_prime(p):
-            continue
+    """All (p, s, m, h) with 3 <= q = p**s, r = q**m <= max_r, e | h | q-1, in tuple order."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (max_r - 1)  # of Eratosthenes: sieve[p] == 1 iff p is prime
+    for d in range(2, math.isqrt(max_r) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, max_r + 1, d)))
+    for p in compress(range(max_r + 1), sieve):
         s = 1
         while p**s <= max_r:
             q = p**s
@@ -380,12 +385,11 @@ def _sweep_item(p: int, s: int, m: int, h: int, e: int, budget: int) -> dict:
     except ValueError as exc:  # FieldTooLargeError: --max-r is above the field cap
         row.update(status="error", reason=str(exc))
         return row
-    row.update(q=params.tower.q, r=params.tower.r, n=params.n, N=params.N)
-    case = classify(params)
-    if isinstance(case, NotApplicable):
-        row.update(case="", status="not_applicable", reason=case.reason)
-    else:
-        row.update(case=case.label, status="PASS", reason="")
+    tw, case = params.tower, classify(params)
+    applicable = isinstance(case, TheoremCase)
+    label, status, reason = (case.label, "PASS", "") if applicable else ("", "not_applicable", case.reason)
+    row.update(q=tw.q, r=tw.r, n=params.n, N=params.N, case=label, status=status, reason=reason)
+    if applicable:
         try:
             checks, _ = _verification_checks(params, case, budget)
         except BudgetExceededError:
@@ -419,7 +423,7 @@ def sweep(max_r, e, budget, fmt) -> None:
         if max_r < 2:
             raise BadParametersError("--max-r must be at least 2")
         validate_e(e)
-    rows = [_sweep_item(p, s, m, h, e, budget) for p, s, m, h in sorted(_sweep_candidates(max_r, e))]
+    rows = [_sweep_item(p, s, m, h, e, budget) for p, s, m, h in _sweep_candidates(max_r, e)]
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_SWEEP_COLUMNS)
@@ -432,8 +436,7 @@ def sweep(max_r, e, budget, fmt) -> None:
                 ).rstrip()
             )
     else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+        sys.stdout.writelines(_to_json(row) + "\n" for row in rows)
 
 
 if __name__ == "__main__":

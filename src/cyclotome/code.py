@@ -278,15 +278,16 @@ def codeword_weight_from_lambda(
 
 
 def semi_analytic_distribution(
-    params: CodeParams, case: "TheoremCase", system: "CharSystem | None" = None
+    params: CodeParams, case: "TheoremCase", gauss: "list[CycInt] | None" = None
 ) -> WeightDistribution:
     """Assemble the histogram from class data instead of codewords.
 
     Every weight is h(r-1)/q - (hN/3q) times the sum of the periods at
-    (a + beta**i b) g**i.  The periods come by Fourier inversion from the
-    Gauss sums of ``system``, order-N characters of a subfield GF(p**f),
-    lifted to GF(r) by Davenport-Hasse; the default f = ord_N(p) builds no
-    table of GF(r).  The small field's generator is Norm(alpha') for some
+    (a + beta**i b) g**i.  The periods come by Fourier inversion from
+    ``gauss``, the GF(r) Gauss sums G(chi**i), i < N, of an order-N
+    character.  By default they are those of the subfield GF(p**f),
+    f = ord_N(p), lifted to GF(r) by Davenport-Hasse, which builds no table
+    of GF(r).  The small field's generator is Norm(alpha') for some
     primitive alpha' = alpha**w of GF(r) (Norm maps generators onto
     generators, and w may be moved by multiples of p**f - 1 to be prime to
     r-1), so the lifted periods are labelled by alpha'.  alpha -> alpha**w
@@ -302,9 +303,10 @@ def semi_analytic_distribution(
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
     tw = params.tower
     n1, n_ord = tw.r - 1, params.N
-    if system is None:
-        system = CharSystem(FieldTower(tw.p, 1, norm_degree(tw.p, n_ord)), n_ord)
-    eta = periods_from_gauss(lifted_gauss_sums(system, tw.degree // system.tower.degree), n_ord)
+    if gauss is None:
+        f = norm_degree(tw.p, n_ord)
+        gauss = lifted_gauss_sums(CharSystem(FieldTower(tw.p, 1, f), n_ord), tw.degree // f)
+    eta = periods_from_gauss(gauss, n_ord)
     coef = Fraction(params.h * n_ord, 3 * tw.q)
     hist = Counter({0: 1})
     for c in product(range(n_ord), repeat=3):

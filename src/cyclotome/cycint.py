@@ -14,6 +14,7 @@ Phi_n; since Phi_n divides x**n - 1 the two quotients commute.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 
@@ -43,10 +44,15 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, constant first, computed by exact division
-    of x**n - 1 by the Phi_d over all proper divisors d of n."""
+    """Coefficients of Phi_n, constant first: 1 + x + ... + x**(n-1) for prime n,
+    Phi_m(-x) for n = 2m with m > 1 odd, else x**n - 1 divided exactly by the
+    Phi_d over all proper divisors d of n."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n % 4 == 2 and n > 2:
+        return tuple(-c if k % 2 else c for k, c in enumerate(cyclotomic_polynomial(n // 2)))
+    if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)):
+        return (1,) * n
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:

@@ -261,7 +261,7 @@ def test_broken_invariant_exits_1(runner, monkeypatch):
 def test_inexact_sum_exits_1(runner, monkeypatch):
     # lifted Gauss sums that give semi an irrational period: NonIntegerResultError, not a traceback
     zeta = CycInt.root_of_unity(14, 1)  # lcm(p, N) = 14 at (7,1,2,3)
-    monkeypatch.setattr(code, "lifted_gauss_sums", lambda system, k: [zeta] * system.order)
+    monkeypatch.setattr(cli, "lifted_gauss_sums", lambda system, k: [zeta] * system.order)  # verify lifts once
     result = runner.invoke(main, ["verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3"])
     assert result.exit_code == 1
     assert result.output == "error: period at coset 0 is irrational\n"
@@ -394,6 +394,30 @@ def test_sweep_small(runner):
     assert by_params[(2, 2, 3, 3)]["status"] == "PASS"
     assert by_params[(7, 1, 2, 6)]["status"] == "not_applicable"
     assert list(by_params) == sorted(by_params)
+    # one object per line, json.dumps separators, keys sorted
+    assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in result.output.splitlines())
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("max_r", [2, 3, 4, 5, 8, 9, 25, 49, 121, 1000, 5000])
+def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
+    got = list(_sweep_candidates(max_r, e))
+    bits = max_r.bit_length()
+    want = [
+        (p, s, m, h)
+        for p in range(2, max_r + 1)
+        if fields.is_prime(p)
+        for s in range(1, bits + 1)
+        if p**s <= max_r
+        for m in range(1, bits + 1)
+        if p ** (s * m) <= max_r
+        for h in range(e, p**s, e)
+        if (p**s - 1) % h == 0
+    ]
+    assert got == want
+    assert got == sorted(got)
+    if (max_r, e) == (5000, 3):
+        assert len(got) == 3913
 
 
 def test_sweep_internal_failure_is_a_fail_row(runner, monkeypatch):

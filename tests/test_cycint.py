@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cyclotome.cycint as cycint
 from cyclotome.cycint import (
     CycInt,
     NotDivisibleError,
@@ -17,6 +18,36 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 201):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_cyclotomic_polynomial_prime_and_twice_odd_need_no_division(monkeypatch):
+    def no_division(num, den):
+        raise AssertionError("exact division used")
+
+    monkeypatch.setattr(cycint, "_poly_divmod_exact", no_division)
+    cyclotomic_polynomial.cache_clear()
+    try:
+        assert cyclotomic_polynomial(1021) == (1,) * 1021
+        assert cyclotomic_polynomial(2042) == tuple((-1) ** k for k in range(1021))
+    finally:
+        cyclotomic_polynomial.cache_clear()
 
 
 def test_root_of_unity_vanishes_on_its_polynomial():
