@@ -33,10 +33,8 @@ from .cycint import CycInt, NotDivisibleError, OrderMismatchError, cyclotomic_po
 from .fields import (
     BadModulusError,
     BadPolynomialError,
-    FieldElement,
     FieldTooLargeError,
     FieldTower,
-    LogOfZeroError,
     NonPrimeError,
     build_tower,
     find_primitive_polynomial,

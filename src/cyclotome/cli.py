@@ -38,7 +38,7 @@ from .code import (
     semi_analytic_distribution,
     validate_e,
 )
-from .fields import BadPolynomialError, build_tower
+from .fields import DEFAULT_FIELD_CAP, BadPolynomialError, FieldTooLargeError, build_tower
 from .theorem import NotApplicable, TheoremCase, classify, table_distribution
 
 EXIT_OK = 0
@@ -380,11 +380,7 @@ def _cached_tower(p: int, s: int, m: int):
 def _sweep_item(p: int, s: int, m: int, h: int, e: int, budget: int) -> dict:
     t0 = time.monotonic()
     row = {"p": p, "s": s, "m": m, "h": h, "e": e}
-    try:
-        params = build_code(_cached_tower(p, s, m), h, e)
-    except ValueError as exc:  # FieldTooLargeError: --max-r is above the field cap
-        row.update(status="error", reason=str(exc))
-        return row
+    params = build_code(_cached_tower(p, s, m), h, e)
     tw, case = params.tower, classify(params)
     applicable = isinstance(case, TheoremCase)
     label, status, reason = (case.label, "PASS", "") if applicable else ("", "not_applicable", case.reason)
@@ -422,6 +418,8 @@ def sweep(max_r, e, budget, fmt) -> None:
     with _exit_on_error():
         if max_r < 2:
             raise BadParametersError("--max-r must be at least 2")
+        if max_r > DEFAULT_FIELD_CAP:
+            raise FieldTooLargeError(f"--max-r = {max_r} exceeds cap {DEFAULT_FIELD_CAP}")
         validate_e(e)
     rows = [_sweep_item(p, s, m, h, e, budget) for p, s, m, h in _sweep_candidates(max_r, e)]
     if fmt == "csv":

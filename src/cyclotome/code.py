@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_closed, norm_degree
 from .charsums import lifted_gauss_sums, periods_from_gauss
 from .cycint import CycInt
-from .fields import ZERO, FieldElement, FieldTower
+from .fields import ZERO, FieldTower
 
 if TYPE_CHECKING:
     from .theorem import TheoremCase
@@ -146,24 +146,23 @@ class WeightDistribution:
         return f"WeightDistribution({dict(self.items())})"
 
 
-def codeword(params: CodeParams, a: FieldElement, b: FieldElement) -> list[FieldElement]:
-    """The length-n vector of traces of a g**i + b (beta g)**i."""
+def codeword(params: CodeParams, a: int, b: int) -> list[int]:
+    """Indices of the length-n vector of traces of a g**i + b (beta g)**i, for indices a and b."""
     tw = params.tower
     n1 = tw.r - 1
     dg, dbg = params.g_log, (params.beta_log + params.g_log) % n1
     out = []
-    ai, bi = a.index, b.index
     for _ in range(params.n):
-        out.append(tw.trace_to_q(FieldElement(tw, tw.add(ai, bi))))
-        if ai != ZERO:
-            ai = (ai + dg) % n1
-        if bi != ZERO:
-            bi = (bi + dbg) % n1
+        out.append(tw.trace_to_q(tw.add(a, b)))
+        if a != ZERO:
+            a = (a + dg) % n1
+        if b != ZERO:
+            b = (b + dbg) % n1
     return out
 
 
-def hamming_weight(word: list[FieldElement]) -> int:
-    return sum(1 for x in word if x.index != ZERO)
+def hamming_weight(word: list[int]) -> int:
+    return sum(1 for x in word if x != ZERO)
 
 
 def _cycles(modulus: int, mult: int, add: int = 0):
@@ -236,10 +235,8 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     return WeightDistribution(hist)
 
 
-def lambda_weight(
-    params: CodeParams, system: CharSystem, a: FieldElement, b: FieldElement
-) -> Fraction:
-    """Modified weight: (hN/eq) times the sum of periods at (a + beta**i b) g**i.
+def lambda_weight(params: CodeParams, system: CharSystem, a: int, b: int) -> Fraction:
+    """Modified weight: (hN/eq) times the sum of periods at (a + beta**i b) g**i, a and b indices.
 
     The period at argument 0 is the coset size (r-1)/N.  The sum of the e
     periods is always a rational integer even when single periods are not.
@@ -249,8 +246,8 @@ def lambda_weight(
     acc = CycInt.zero(tw.p)
     const = 0
     for i in range(1, params.e + 1):
-        bb = ZERO if b.index == ZERO else (b.index + i * params.beta_log) % n1
-        t = tw.add(a.index, bb)
+        bb = ZERO if b == ZERO else (b + i * params.beta_log) % n1
+        t = tw.add(a, bb)
         if t == ZERO:
             const += system.eta_zero
         else:
@@ -270,10 +267,8 @@ def _weight(params: CodeParams, lam: Fraction) -> int:
     return int(w)
 
 
-def codeword_weight_from_lambda(
-    params: CodeParams, system: CharSystem, a: FieldElement, b: FieldElement
-) -> int:
-    """Hamming weight via h(r-1)/q minus the modified weight."""
+def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, b: int) -> int:
+    """Hamming weight of the pair of indices (a, b) via h(r-1)/q minus the modified weight."""
     return _weight(params, lambda_weight(params, system, a, b))
 
 

@@ -30,6 +30,7 @@ import itertools
 from array import array
 from functools import cached_property, reduce
 
+# An index is not a truth value: index 0 is the element 1, and ZERO = -1 is the zero element.
 ZERO = -1
 
 DEFAULT_FIELD_CAP = 1 << 24
@@ -51,16 +52,8 @@ class BadPolynomialError(ValueError):
     """A user-supplied defining polynomial is malformed or not primitive."""
 
 
-class LogOfZeroError(ValueError):
-    """Discrete logarithm of the zero element requested."""
-
-
 class BadModulusError(ValueError):
     """Coset modulus N does not divide the group order r-1."""
-
-
-class TowerMismatchError(ValueError):
-    """Operands belong to different field towers."""
 
 
 def is_prime(n: int) -> bool:
@@ -177,59 +170,6 @@ def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int,
     raise NoPrimitivePolynomialError(f"no primitive polynomial of degree {degree} over GF({p})")
 
 
-class FieldElement:
-    """Element of a :class:`FieldTower`, stored as a dlog index or ZERO."""
-
-    __slots__ = ("tower", "index")
-
-    def __init__(self, tower: "FieldTower", index: int):
-        self.tower = tower
-        self.index = index
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.tower is not self.tower:
-            raise TowerMismatchError("operands belong to different towers")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.tower is self.tower
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.tower), self.index))
-
-    def __bool__(self) -> bool:
-        return self.index != ZERO
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.add(self.index, other.index))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.sub(self.index, other.index))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, self.tower.neg(self.index))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.mul(self.index, other.index))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.tower.mul(self.index, self.tower.inv(other.index)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.tower, self.tower.pow(self.index, e))
-
-    def __repr__(self) -> str:
-        body = "0" if self.index == ZERO else f"a^{self.index}"
-        return f"<GF({self.tower.r}) {body}>"
-
-
 class FieldTower:
     """GF(p) < GF(q) < GF(r) with exp/log/Zech tables over a fixed generator.
 
@@ -330,49 +270,15 @@ class FieldTower:
     def neg(self, i: int) -> int:
         return ZERO if i == ZERO else (i + self.neg_shift) % self._n1
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
-
     def mul(self, i: int, j: int) -> int:
         if i == ZERO or j == ZERO:
             return ZERO
         return (i + j) % self._n1
 
-    def inv(self, i: int) -> int:
-        if i == ZERO:
-            raise LogOfZeroError("zero has no inverse")
-        return (-i) % self._n1
-
-    def pow(self, i: int, e: int) -> int:
-        if i == ZERO:
-            if e <= 0:
-                raise LogOfZeroError("0**e undefined for e <= 0")
-            return ZERO
-        return (i * e) % self._n1
-
-    # -- public element API --------------------------------------------------
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, ZERO)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def alpha(self) -> FieldElement:
-        """The distinguished generator of GF(r)*."""
-        return FieldElement(self, 1 % self._n1)
-
-    def element(self, index: int) -> FieldElement:
-        """alpha**index, or zero for index == ZERO."""
-        if index != ZERO:
-            index %= self._n1
-        return FieldElement(self, index)
-
     def elements(self):
-        """Iterate over all r elements (zero first)."""
-        yield self.zero()
-        for k in range(self._n1):
-            yield FieldElement(self, k)
+        """Iterate over the indices of all r elements: ZERO first, then 0 .. r-2."""
+        yield ZERO
+        yield from range(self._n1)
 
     # -- traces --------------------------------------------------------------
 
@@ -407,10 +313,11 @@ class FieldTower:
             coords = array("i", (c + t * w for c, t in zip(coords, rotated)))
         return coords
 
-    def trace_to_q(self, x: FieldElement) -> FieldElement:
-        """Relative trace sum of x**(q**i) for i < m; lands in GF(q)."""
-        terms = (self.pow(x.index, self.q**i) for i in range(self.m))
-        return FieldElement(self, reduce(self.add, terms))
+    def trace_to_q(self, x: int) -> int:
+        """Index of the relative trace: the sum of x**(q**i) for i < m; lands in GF(q)."""
+        if x == ZERO:
+            return ZERO
+        return reduce(self.add, (x * self.q**i % self._n1 for i in range(self.m)))
 
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, s={self.s}, m={self.m}, r={self.r})"

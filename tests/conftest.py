@@ -5,23 +5,23 @@ import pytest
 from cyclotome import (
     CharSystem,
     CodeParams,
-    FieldElement,
     FieldTower,
     TheoremCase,
     build_code,
     build_tower,
     classify,
 )
+from cyclotome.fields import ZERO
 
 
-def trace_p(tower: FieldTower, x) -> int:
-    """Absolute trace of x into GF(p), read off the tower's table (0 at zero)."""
-    return 0 if not x else tower.trace_p_table[x.index]
+def trace_p(tower: FieldTower, x: int) -> int:
+    """Absolute trace of the element of index x into GF(p), read off the tower's table (0 at zero)."""
+    return 0 if x == ZERO else tower.trace_p_table[x]
 
 
-def packed(tower: FieldTower, x) -> int:
-    """GF(p) coefficient vector of x packed as a base-p integer (0 at zero)."""
-    return 0 if not x else tower._pow_packed[x.index]
+def packed(tower: FieldTower, x: int) -> int:
+    """GF(p) coefficient vector of the element of index x packed as a base-p integer (0 at zero)."""
+    return 0 if x == ZERO else tower._pow_packed[x]
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,12 @@ class DeskSet:
     system: CharSystem
 
     @property
-    def g(self) -> FieldElement:
-        return self.tower.element(self.params.g_log)
+    def g(self) -> int:
+        return self.params.g_log
 
     @property
-    def beta(self) -> FieldElement:
-        return self.tower.element(self.params.beta_log)
+    def beta(self) -> int:
+        return self.params.beta_log
 
 
 def _desk(p: int, s: int, m: int, h: int) -> DeskSet:

@@ -9,6 +9,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+import cyclotome
 import cyclotome.cli as cli
 import cyclotome.code as code
 import cyclotome.fields as fields
@@ -16,7 +17,6 @@ import cyclotome.theorem as theorem
 from cyclotome.charsums import CharSystem
 from cyclotome.cli import RunReport, _sweep_candidates, main
 from cyclotome.cycint import CycInt
-from cyclotome.fields import FieldElement
 
 EXPECTED1 = [[0, "1"], [12, "72"], [16, "72"], [18, "264"], [20, "864"], [22, "864"], [24, "264"]]
 
@@ -152,12 +152,14 @@ def test_oversized_field_rejected_without_computing_r(runner):
     assert result.output == f"error: r = p**(s*m) = 3**4000000 exceeds cap {fields.DEFAULT_FIELD_CAP}\n"
 
 
-def test_routes_and_checks_build_no_field_element(runner, monkeypatch):
-    # every route and verify check runs on discrete-log indices; elements are for reference code only
-    def refuse(self, tower, index):
-        raise AssertionError("a FieldElement was built")
+def test_routes_and_checks_call_no_reference_helper(runner, monkeypatch):
+    # every route and verify check runs on the tables; the codeword and lambda helpers are for reference only
+    def refuse(*args):
+        raise AssertionError("a reference helper was called")
 
-    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    monkeypatch.setattr(fields.FieldTower, "trace_to_q", refuse)
+    for name in ("codeword", "hamming_weight", "lambda_weight", "codeword_weight_from_lambda"):
+        monkeypatch.setattr(code, name, refuse)
     expected = {
         ("verify", "7", "1", "2", "3"): EXPECTED1,
         ("verify", "2", "2", "3", "3"): [
@@ -498,6 +500,11 @@ def test_sweep_rejects_bad_bound(runner):
     result = runner.invoke(main, ["sweep", "--max-r", "1"])
     assert result.exit_code == 2
     assert result.output == "error: --max-r must be at least 2\n"
+    # above the field cap no candidate could build its tower; rejected before the sieve is allocated
+    too_big = fields.DEFAULT_FIELD_CAP + 1
+    result = runner.invoke(main, ["sweep", "--max-r", str(too_big)])
+    assert result.exit_code == 2
+    assert result.output == f"error: --max-r = {too_big} exceeds cap {fields.DEFAULT_FIELD_CAP}\n"
 
 
 @pytest.mark.parametrize("e", [0, 1, -3])
@@ -506,3 +513,17 @@ def test_sweep_rejects_e_below_2_like_compute(runner, e):
         result = runner.invoke(main, [*argv, "--e", str(e)])
         assert result.exit_code == 2
         assert result.output == f"error: e = {e} must exceed 1\n"
+
+
+def test_public_names_are_pinned():
+    assert sorted(cyclotome.__all__) == [
+        "BadModulusError", "BadParametersError", "BadPolynomialError", "BudgetExceededError",
+        "CharSystem", "CodeParams", "CycInt", "FieldTooLargeError", "FieldTower", "InvariantError",
+        "NonIntegerFrequencyError", "NonIntegerResultError", "NonPrimeError", "NotApplicable",
+        "NotApplicableError", "NotDivisibleError", "OrderMismatchError", "TheoremCase",
+        "WeightDistribution", "brute_distribution", "build_code", "build_tower", "charsums",
+        "class_counts", "classify", "code", "codeword", "codeword_weight_from_lambda", "cycint",
+        "cyclotomic_polynomial", "f_charsum", "f_closed", "fields", "find_primitive_polynomial",
+        "gaussian_period_closed", "hamming_weight", "instantiate_table", "lambda_weight",
+        "semi_analytic_distribution", "table_distribution", "theorem",
+    ]

@@ -27,7 +27,7 @@ from cyclotome.code import (
     semi_analytic_distribution,
 )
 from cyclotome.cli import _sweep_candidates
-from cyclotome.fields import FieldTower, build_tower, find_primitive_polynomial, prime_factors
+from cyclotome.fields import ZERO, FieldTower, build_tower, find_primitive_polynomial, prime_factors
 from cyclotome.theorem import TheoremCase, classify, table_distribution
 
 
@@ -61,14 +61,15 @@ def test_build_code_requires_beta_and_minus_one_nth_powers(monkeypatch):
 def test_generator_orders(set1, set2):
     for desk in (set1, set2):
         t, params = desk.tower, desk.params
-        g, gb = desk.g, desk.g * desk.beta
-        assert g**params.n == t.one()
-        assert gb**params.n == t.one()
-        assert all(g**k != t.one() for k in range(1, params.n))
+        n1 = t.r - 1
+        g, gb = desk.g, t.mul(desk.g, desk.beta)
+        assert g * params.n % n1 == 0
+        assert gb * params.n % n1 == 0
+        assert all(g * k % n1 != 0 for k in range(1, params.n))
 
 
 def test_codeword_zero_pair(set1):
-    word = codeword(set1.params, set1.tower.zero(), set1.tower.zero())
+    word = codeword(set1.params, ZERO, ZERO)
     assert len(word) == set1.params.n
     assert hamming_weight(word) == 0
 
@@ -80,8 +81,8 @@ def test_codeword_linearity(set1, set2):
         xs = list(t.elements())
         for _ in range(10):
             a, b, a2, b2 = (rng.choice(xs) for _ in range(4))
-            lhs = codeword(params, a + a2, b + b2)
-            rhs = [u + v for u, v in zip(codeword(params, a, b), codeword(params, a2, b2))]
+            lhs = codeword(params, t.add(a, a2), t.add(b, b2))
+            rhs = [t.add(u, v) for u, v in zip(codeword(params, a, b), codeword(params, a2, b2))]
             assert lhs == rhs
 
 
@@ -92,7 +93,7 @@ def test_codewords_are_distinct(set1, set2):
         seen = set()
         for a in t.elements():
             for b in t.elements():
-                seen.add(tuple(x.index for x in codeword(params, a, b)))
+                seen.add(tuple(codeword(params, a, b)))
         assert len(seen) == t.r**2
 
 
@@ -224,7 +225,7 @@ def test_weight_equals_lambda_complement(set1, set2):
 def test_lambda_zero_pair(set1, set2):
     for desk in (set1, set2):
         t, params = desk.tower, desk.params
-        lam = lambda_weight(params, desk.system, t.zero(), t.zero())
+        lam = lambda_weight(params, desk.system, ZERO, ZERO)
         assert lam == Fraction(params.h * (t.r - 1), t.q)
 
 
@@ -232,17 +233,17 @@ def test_lambda_degenerate_pairs(set1, set2):
     # a = -beta**t b: two period terms plus the coset-size constant
     for desk in (set1, set2):
         t, params, sys_ = desk.tower, desk.params, desk.system
-        n = params.N
+        n, n1 = params.N, t.r - 1
         for t_exp in (1, 2, 3):
-            for k in (0, 1, 2):
-                b = t.element(k)
-                a = -(desk.beta**t_exp) * b
+            for b in (0, 1, 2):
+                a = t.neg(t.mul(desk.beta * t_exp % n1, b))
                 expected = Fraction(sys_.eta_zero)
                 for i in range(1, 4):
                     if i == t_exp:
                         continue
-                    arg = b * desk.g**i * (desk.beta**i - desk.beta**t_exp)
-                    expected += sys_.gaussian_period(arg.index % n).as_integer()
+                    diff = t.add(desk.beta * i % n1, t.neg(desk.beta * t_exp % n1))
+                    arg = t.mul(t.mul(b, desk.g * i % n1), diff)
+                    expected += sys_.gaussian_period(arg % n).as_integer()
                 expected *= Fraction(params.h * n, 3 * t.q)
                 assert lambda_weight(params, sys_, a, b) == expected
 
@@ -253,11 +254,11 @@ def test_lambda_depends_only_on_coset_vector(set1):
     classes = {}
     rng = random.Random(21)
     for _ in range(300):
-        a, b = t.element(rng.randrange(n1)), t.element(rng.randrange(n1))
-        terms = [a + set1.beta**i * b for i in (1, 2, 3)]
-        if not all(terms):
+        a, b = rng.randrange(n1), rng.randrange(n1)
+        terms = [t.add(a, t.mul(set1.beta * i % n1, b)) for i in (1, 2, 3)]
+        if ZERO in terms:
             continue  # degenerate pair, not in any class
-        vec = tuple((-x.index - i * params.g_log) % n for i, x in zip((1, 2, 3), terms))
+        vec = tuple((-x - i * params.g_log) % n for i, x in zip((1, 2, 3), terms))
         lam = lambda_weight(params, sys_, a, b)
         classes.setdefault(vec, lam)
         assert classes[vec] == lam
@@ -299,7 +300,8 @@ def test_beta_power_differences_lie_in_coset_zero():
         sets += 1
         tw, n1, beta_log = params.tower, params.tower.r - 1, params.beta_log
         for i, t in permutations(range(1, 4), 2):
-            assert tw.sub(i * beta_log % n1, t * beta_log % n1) % params.N == 0, (p, s, m, h, i, t)
+            diff = tw.add(i * beta_log % n1, tw.neg(t * beta_log % n1))
+            assert diff % params.N == 0, (p, s, m, h, i, t)
     assert sets == 36
 
 

@@ -15,10 +15,8 @@ from cyclotome.fields import (
     BadPolynomialError,
     FieldTooLargeError,
     FieldTower,
-    LogOfZeroError,
     NonPrimeError,
     NoPrimitivePolynomialError,
-    TowerMismatchError,
     _is_primitive,
     build_tower,
     find_primitive_polynomial,
@@ -31,12 +29,11 @@ from cyclotome.theorem import classify, instantiate_table, table_distribution
 def test_build_tower_examples():
     t = build_tower(7, 1, 2)
     assert (t.q, t.r) == (7, 49)
-    a = t.alpha()
-    assert a ** (t.r - 1) == t.one()
-    assert all(a**k != t.one() for k in range(1, t.r - 1))
+    # alpha has order r-1: its powers alpha**k, k < r-1, are r-1 distinct nonzero vectors
+    assert sorted(t._pow_packed) == list(range(1, t.r))
     t2 = build_tower(2, 2, 3)
     assert (t2.q, t2.r) == (4, 64)
-    assert all(t2.alpha() ** k != t2.one() for k in range(1, 63))
+    assert sorted(t2._pow_packed) == list(range(1, 64))
 
 
 def test_build_tower_rejects_bad_input():
@@ -74,19 +71,18 @@ def test_primes_helpers():
 def test_exp_log_roundtrip(set1):
     t = set1.tower
     for k in range(t.r - 1):
-        x = t.element(k)
-        assert x.index == k
-        assert t._log_packed[packed(t, x)] == k
+        assert t._log_packed[packed(t, k)] == k
     # the nonzero elements pack to exactly the nonzero vectors; zero packs to 0
     assert sorted(t._pow_packed) == list(range(1, t.r))
-    assert packed(t, t.zero()) == 0
+    assert packed(t, ZERO) == 0
 
 
 def test_dlog_examples(set1):
     t = set1.tower
-    assert t.alpha().index == 1
-    assert t.one().index == 0
-    assert (t.element(5) * t.element(7)).index == 12
+    # index 1 is alpha, the vector x; index 0 is one, the constant 1
+    assert packed(t, 1) == t.p
+    assert packed(t, 0) == 1
+    assert t.mul(5, 7) == 12
 
 
 def test_dlog_is_homomorphism(set1, set2):
@@ -95,24 +91,17 @@ def test_dlog_is_homomorphism(set1, set2):
         t = desk.tower
         for _ in range(200):
             i, j = rng.randrange(t.r - 1), rng.randrange(t.r - 1)
-            assert (t.element(i) * t.element(j)).index == (i + j) % (t.r - 1)
-
-
-def test_zero_element_errors(set1):
-    t = set1.tower
-    with pytest.raises(LogOfZeroError):
-        t.one() / t.zero()
+            assert t.mul(i, j) == (i + j) % (t.r - 1)
 
 
 def test_coset_examples(set1, set2):
     for desk in (set1, set2):
         t, n = desk.tower, desk.params.N
-        assert (t.alpha() ** n).index % n == 0
-        assert t.alpha().index % n == 1 % n
+        assert 1 * n % (t.r - 1) % n == 0  # alpha**n lies in coset 0
         # beta and the whole middle subfield GF(q)* are N-th powers
         assert desk.params.beta_log % n == 0
         for k in range(0, t.r - 1, t.subfield_step):
-            assert t.element(k).index % n == 0
+            assert k % n == 0
     with pytest.raises(BadModulusError):
         CharSystem(set1.tower, 5)
 
@@ -121,11 +110,11 @@ def test_trace_to_q_matches_power_and_add(set1, set2):
     for desk in (set1, set2):
         t = desk.tower
         for x in t.elements():
-            expected = t.zero()
+            expected = ZERO
             for i in range(t.m):
-                expected = expected + x ** (t.q**i) if x else expected
+                expected = t.add(expected, x * t.q**i % (t.r - 1)) if x != ZERO else expected
             assert t.trace_to_q(x) == expected
-            assert not expected or expected.index % t.subfield_step == 0
+            assert expected == ZERO or expected % t.subfield_step == 0
 
 
 def test_trace_additive_and_q_linear(set1):
@@ -134,11 +123,11 @@ def test_trace_additive_and_q_linear(set1):
     xs = list(t.elements())
     for x in xs:
         for y in xs:
-            assert t.trace_to_q(x + y) == t.trace_to_q(x) + t.trace_to_q(y)
-    subfield = [t.zero()] + [t.element(k) for k in range(0, t.r - 1, t.subfield_step)]
+            assert t.trace_to_q(t.add(x, y)) == t.add(t.trace_to_q(x), t.trace_to_q(y))
+    subfield = [ZERO, *range(0, t.r - 1, t.subfield_step)]
     for a in subfield:
         for x in xs:
-            assert t.trace_to_q(a * x) == a * t.trace_to_q(x)
+            assert t.trace_to_q(t.mul(a, x)) == t.mul(a, t.trace_to_q(x))
 
 
 def test_trace_fibers_have_size_r_over_q(set1, set2):
@@ -146,8 +135,8 @@ def test_trace_fibers_have_size_r_over_q(set1, set2):
         t = desk.tower
         fibers = {}
         for x in t.elements():
-            fibers.setdefault(t.trace_to_q(x).index, 0)
-            fibers[t.trace_to_q(x).index] += 1
+            fibers.setdefault(t.trace_to_q(x), 0)
+            fibers[t.trace_to_q(x)] += 1
         assert len(fibers) == t.q
         assert set(fibers.values()) == {t.r // t.q}
 
@@ -166,9 +155,9 @@ def test_trace_transitivity(set1, set2):
         t = desk.tower
         for x in t.elements():
             y = t.trace_to_q(x)
-            outer = t.zero()
+            outer = ZERO
             for i in range(t.s):
-                outer = outer + y ** (t.p**i) if y else outer
+                outer = t.add(outer, y * t.p**i % (t.r - 1)) if y != ZERO else outer
             # an element of GF(p) packs to its own residue
             assert packed(t, outer) == trace_p(t, x)
 
@@ -176,34 +165,34 @@ def test_trace_transitivity(set1, set2):
 def test_subfield_is_fixed_field_and_closed(set1, set2):
     for desk in (set1, set2):
         t = desk.tower
-        fixed = [x for x in t.elements() if x**t.q == x or not x]
+        fixed = [x for x in t.elements() if x == ZERO or x * t.q % (t.r - 1) == x]
         assert len(fixed) == t.q
         for x in fixed:
             for y in fixed:
-                assert (x + y) in fixed
-                assert (x * y) in fixed
+                assert t.add(x, y) in fixed
+                assert t.mul(x, y) in fixed
 
 
 def test_beta_cube_relations(set1, set2):
     for desk in (set1, set2):
         t, beta = desk.tower, desk.beta
-        assert beta**3 == t.one()
-        assert t.one() + beta + beta**2 == t.zero()
+        assert beta * 3 % (t.r - 1) == 0
+        assert t.add(t.add(0, beta), beta * 2 % (t.r - 1)) == ZERO
 
 
 def test_negation_and_subtraction(set1):
     t = set1.tower
-    minus_one = -t.one()
-    assert t.one() + minus_one == t.zero()
-    assert minus_one.index == t.neg_shift
-    x, y = t.element(17), t.element(30)
-    assert (x - y) + y == x
+    minus_one = t.neg(0)
+    assert t.add(0, minus_one) == ZERO
+    assert minus_one == t.neg_shift
+    x, y = 17, 30
+    assert t.add(t.add(x, t.neg(y)), y) == x
 
 
 def test_char2_negation(set2):
     t = set2.tower
-    assert -t.alpha() == t.alpha()
-    assert t.alpha() + t.alpha() == t.zero()
+    assert t.neg(1) == 1
+    assert t.add(1, 1) == ZERO
 
 
 def test_primitive_polynomial_search_is_deterministic():
@@ -252,12 +241,11 @@ def test_trace_tables_match_frobenius_sums(psm):
         assert getattr(t, name).typecode == "i"
     relatives = []
     for k in range(t.r - 1):
-        x = t.element(k)
-        relative, absolute = t.zero(), t.zero()
+        relative, absolute = ZERO, ZERO
         for i in range(t.m):
-            relative = relative + x ** (t.q**i)
+            relative = t.add(relative, k * t.q**i % (t.r - 1))
         for i in range(t.degree):
-            absolute = absolute + x ** (t.p**i)
+            absolute = t.add(absolute, k * t.p**i % (t.r - 1))
         relatives.append(packed(t, relative))
         assert packed(t, absolute) == t.trace_p_table[k]
     assert_encodes_relative_trace(t.trace_q_coords, relatives)
@@ -272,19 +260,14 @@ def test_polynomial_override_validation():
         build_tower(7, 1, 2, poly=(1, 0, 1))  # irreducible but not primitive: x has order 4
     alt = build_tower(7, 1, 2, poly=(3, 2, 1))
     assert alt.defining_polynomial == (3, 2, 1)
-    assert alt.alpha() ** 48 == alt.one()
-
-
-def test_tower_mismatch_rejected(set1, set2):
-    with pytest.raises(TowerMismatchError):
-        set1.tower.one() + set2.tower.one()
+    assert sorted(alt._pow_packed) == list(range(1, 49))  # alpha has order 48
 
 
 def test_prime_field_edge_case():
     t = build_tower(5, 1, 1)
     assert t.r == 5 and t.degree == 1
     assert {trace_p(t, x) for x in t.elements()} == set(range(5))
-    assert t.alpha() ** 4 == t.one()
+    assert sorted(t._pow_packed) == [1, 2, 3, 4]  # alpha has order 4
 
 
 def _pow_packed_by_digits(tower) -> list[int]:
@@ -358,11 +341,10 @@ def test_char_system_buckets_match_naive_loop(psm, poly_index):
         periods = [[0] * p for _ in range(order)]
         pairs = [[0] * order for _ in range(order)]
         for k in range(tower.r - 1):
-            x = tower.element(k)
-            periods[k % order][trace_p(tower, x)] += 1
-            one_minus = tower.one() - x
-            if one_minus:
-                pairs[k % order][one_minus.index % order] += 1
+            periods[k % order][trace_p(tower, k)] += 1
+            one_minus = tower.add(0, tower.neg(k))
+            if one_minus != ZERO:
+                pairs[k % order][one_minus % order] += 1
         system = CharSystem(tower, order)
         assert system.period_counts == periods
         assert system.pair_counts == pairs
