@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import click
 
@@ -195,12 +197,15 @@ def _verification_checks(
         checks["first_diff"] = first
 
     counts = class_counts(params)
+    # f(c) reads c only through (c1 - c3, c2 - c3): both identities once per pair, every class compared
+    diffs = list(product(range(n_ord), repeat=2))
+    charsum = {d: f_charsum(params, system, (*d, 0)) for d in diffs}
+    closed = {d: f_closed(params, case, (*d, 0)) for d in diffs}
     f_total = 0
     f_ok = True
     for c in product(range(n_ord), repeat=3):
-        fe = counts.get(c, 0)
-        fc = f_charsum(params, system, c)
-        fl = f_closed(params, case, c)
+        d = ((c[0] - c[2]) % n_ord, (c[1] - c[2]) % n_ord)
+        fe, fc, fl = counts.get(c, 0), charsum[d], closed[d]
         f_total += fe
         if not fe == fc == fl:
             f_ok = False
@@ -379,29 +384,60 @@ def _cached_tower(p: int, s: int, m: int):
 
 def _sweep_item(p: int, s: int, m: int, h: int, e: int, budget: int) -> dict:
     t0 = time.monotonic()
-    row = {"p": p, "s": s, "m": m, "h": h, "e": e}
     params = build_code(_cached_tower(p, s, m), h, e)
     tw, case = params.tower, classify(params)
-    applicable = isinstance(case, TheoremCase)
-    label, status, reason = (case.label, "PASS", "") if applicable else ("", "not_applicable", case.reason)
-    row.update(q=tw.q, r=tw.r, n=params.n, N=params.N, case=label, status=status, reason=reason)
-    if applicable:
+    failed = []
+    if not isinstance(case, TheoremCase):
+        label, status, reason = "", "not_applicable", case.reason
+    else:
+        label, status, reason = case.label, "PASS", ""
         try:
             checks, _ = _verification_checks(params, case, budget)
         except BudgetExceededError:
-            row.update(status="skipped_budget")
-            checks = {}
+            status = "skipped_budget"
         except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
-            row.update(status="FAIL", reason=f"{type(exc).__name__}: {exc}")
-            checks = {}
-        failed = sorted(k for k, v in checks.items() if v is False)
-        if failed:
-            row.update(status="FAIL", failed_checks=failed)
-    row["seconds"] = round(time.monotonic() - t0, 6)
+            status, reason = "FAIL", f"{type(exc).__name__}: {exc}"
+        else:
+            failed = sorted(k for k, v in checks.items() if v is False)
+            if failed:
+                status = "FAIL"
+    row = {
+        "p": p, "s": s, "m": m, "h": h, "e": e, "q": tw.q, "r": tw.r, "n": params.n, "N": params.N,
+        "case": label, "status": status, "reason": reason, "seconds": round(time.monotonic() - t0, 6),
+    }
+    if failed:
+        row["failed_checks"] = failed
     return row
 
 
 _SWEEP_COLUMNS = ["p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds"]
+_TEXT_COLUMNS = ("case", "reason", "status")
+
+
+def _row_slot(key: str) -> str:
+    """The template text for one key of a JSON sweep row, in json.dumps's separators."""
+    if key == "failed_checks":  # optional: the whole '"failed_checks": [...], ' or nothing
+        return "%(failed_checks)s"
+    spec = "s" if key in _TEXT_COLUMNS else "r" if key == "seconds" else "d"
+    return f"{encode_basestring_ascii(key)}: %({key}){spec}, "
+
+
+# One JSON object per sweep row, keys sorted: the bytes of json.dumps(row, sort_keys=True).
+# Text goes through json's own escaper, ints through %d and the float seconds through
+# %r, which is float.__repr__ as in json.
+_ROW_TEMPLATE = "{" + "".join(map(_row_slot, sorted([*_SWEEP_COLUMNS, "failed_checks"])))[:-2] + "}\n"
+
+
+def _row_json(row: dict) -> str:
+    """One JSON sweep row and its newline, from the template."""
+    failed = row.get("failed_checks")
+    return _ROW_TEMPLATE % {
+        **row,
+        "case": encode_basestring_ascii(row["case"]),
+        "reason": encode_basestring_ascii(row["reason"]),
+        "status": encode_basestring_ascii(row["status"]),
+        "failed_checks": f'"failed_checks": [{", ".join(map(encode_basestring_ascii, failed))}], ' if failed else "",
+    }
 
 
 @main.command()
@@ -425,16 +461,12 @@ def sweep(max_r, e, budget, fmt) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_SWEEP_COLUMNS)
-        writer.writerows([row.get(col, "") for col in _SWEEP_COLUMNS] for row in rows)
+        writer.writerows(map(itemgetter(*_SWEEP_COLUMNS), rows))
     elif fmt == "pretty":
         for row in rows:
-            print(
-                "p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".format(
-                    **{col: row.get(col, "") for col in _SWEEP_COLUMNS}
-                ).rstrip()
-            )
+            print("p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".format(**row).rstrip())
     else:
-        sys.stdout.writelines(_to_json(row) + "\n" for row in rows)
+        sys.stdout.writelines(map(_row_json, rows))
 
 
 if __name__ == "__main__":

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import ne
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_closed, norm_degree
 from .charsums import lifted_gauss_sums, periods_from_gauss
@@ -49,9 +48,8 @@ class BudgetExceededError(RuntimeError):
     """Brute-force enumeration would exceed the configured work budget."""
 
 
-@dataclass(frozen=True, eq=False)
-class CodeParams:
-    """Validated code parameters over a fixed tower."""
+class CodeParams(NamedTuple):
+    """Validated code parameters over a fixed tower: immutable, compared by value."""
 
     tower: FieldTower
     h: int
@@ -288,11 +286,13 @@ def semi_analytic_distribution(
     r-1), so the lifted periods are labelled by alpha'.  alpha -> alpha**w
     permutes the coordinates (i -> w*i mod n), which keeps the histogram,
     and f(c) and g_log do not depend on the generator.  The N**3 coset-vector
-    classes take their sizes from the closed form f(c); pairs with
+    classes take their sizes from the closed form f(c), which reads c only
+    through c1 - c3 and c2 - c3, so it is evaluated N**2 times; pairs with
     a = -beta**t b, b != 0, form 3N coset families of (r-1)/N, whose
     vanishing term reads the coset size.  Their other terms read
     beta**i - beta**t in coset 0: it lies in GF(q)*, inside C_0 as
-    N | (r-1)/(q-1).  The zero pair adds weight 0.
+    N | (r-1)/(q-1).  The zero pair adds weight 0.  Each distinct period sum
+    is turned into a weight once.
     """
     if params.e != 3:
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
@@ -302,19 +302,23 @@ def semi_analytic_distribution(
         f = norm_degree(tw.p, n_ord)
         gauss = lifted_gauss_sums(CharSystem(FieldTower(tw.p, 1, f), n_ord), tw.degree // f)
     eta = periods_from_gauss(gauss, n_ord)
-    coef = Fraction(params.h * n_ord, 3 * tw.q)
-    hist = Counter({0: 1})
-    for c in product(range(n_ord), repeat=3):
-        freq = f_closed(params, case, c)
+    sums: Counter = Counter()  # period sum -> number of pairs whose weight it gives
+    for d1, d2 in product(range(n_ord), repeat=2):  # the classes (d1 + c3, d2 + c3, c3)
+        freq = f_closed(params, case, (d1, d2, 0))
         if freq:
-            hist[_weight(params, coef * sum(eta[(-ci) % n_ord] for ci in c))] += freq
+            for c3 in range(n_ord):
+                sums[eta[-(d1 + c3) % n_ord] + eta[-(d2 + c3) % n_ord] + eta[-c3 % n_ord]] += freq
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
     for t, k in product(range(1, 4), range(n_ord)):
         periods = (
             n1 // n_ord if i == t else eta[(k + i * params.g_log) % n_ord]
             for i in range(1, 4)
         )
-        hist[_weight(params, coef * sum(periods))] += n1 // n_ord
+        sums[sum(periods)] += n1 // n_ord
+    coef = Fraction(params.h * n_ord, 3 * tw.q)
+    hist = Counter({0: 1})
+    for total, freq in sums.items():
+        hist[_weight(params, coef * total)] += freq
     dist = WeightDistribution(hist)
     dist.validate(params)
     return dist

@@ -319,6 +319,26 @@ def test_f_label_normalization(set1, set2):
         assert f_closed(params, desk.case, (n, 1 + n, 1)) == f_closed(params, desk.case, (0, 1, 1))
 
 
+def test_f_unchanged_by_diagonal_shift(set1, set2):
+    # f(c) reads c only through c1 - c3 and c2 - c3, which semi and verify evaluate once per pair
+    for desk in (set1, set2):
+        n, params, counts = desk.params.N, desk.params, class_counts(desk.params)
+        for c in product(range(n), repeat=3):
+            shifted = [tuple((ci + j) % n for ci in c) for j in range(1, n)]
+            assert {f_charsum(params, desk.system, d) for d in shifted} == {f_charsum(params, desk.system, c)}
+            assert {f_closed(params, desk.case, d) for d in shifted} == {f_closed(params, desk.case, c)}
+            assert {counts.get(d, 0) for d in shifted} == {counts.get(c, 0)}
+    # N = 5 at r = 2**20 in closed form, which builds no table
+    tower = build_tower(2, 4, 5)
+    params = build_code(tower, 3, 3)
+    case = classify(params)
+    assert params.N == 5
+    for c in product(range(5), repeat=3):
+        values = {f_closed(params, case, tuple((ci + j) % 5 for ci in c)) for j in range(5)}
+        assert len(values) == 1
+    assert not _TOWER_TABLES & vars(tower).keys()
+
+
 def test_f_charsum_equals_enumeration(set1, set2):
     for desk in (set1, set2):
         n, counts = desk.params.N, class_counts(desk.params)

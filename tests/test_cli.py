@@ -400,6 +400,25 @@ def test_sweep_small(runner):
     assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in result.output.splitlines())
 
 
+def test_sweep_row_template_is_json_dumps(runner):
+    # the template must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
+    rows = [cli._sweep_item(p, s, m, h, 3, cli.DEFAULT_SWEEP_BUDGET) for p, s, m, h in _sweep_candidates(300, 3)]
+    assert {row["status"] for row in rows} == {"PASS", "not_applicable"}
+    base = dict(rows[0], seconds=0.25)
+    rows += [
+        dict(base, status="FAIL", failed_checks=["f_partition", "three_way_equal"], seconds=1e-06),
+        dict(base, status="FAIL", reason='InvariantError: "a\\b"\nq = 4 \u2260 5', seconds=12.5),
+        dict(base, status="skipped_budget", case="2.1", seconds=0.0),
+        dict(base, p=2, s=12, m=2, h=4095, n=1 << 30, N=24, seconds=123456.789012),
+    ]
+    for row in rows:
+        assert cli._row_json(row) == json.dumps(row, sort_keys=True) + "\n"
+    result = runner.invoke(main, ["sweep", "--max-r", "300"], catch_exceptions=False)
+    lines = result.output.splitlines(keepends=True)
+    assert len(lines) == len(rows) - 4
+    assert all(line == json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
+
+
 @pytest.mark.parametrize("e", [2, 3])
 @pytest.mark.parametrize("max_r", [2, 3, 4, 5, 8, 9, 25, 49, 121, 1000, 5000])
 def test_sweep_candidates_match_prime_test_enumeration(max_r, e):

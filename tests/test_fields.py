@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from array import array
 from dataclasses import replace
@@ -61,9 +62,23 @@ def test_classification_and_table_build_no_field_table():
     assert not [name for name in built if isinstance(vars(tower)[name], array)]
 
 
+def _by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def test_primes_helpers():
     assert [n for n in range(2, 40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert not is_prime(1) and not is_prime(7919 * 7927)
+    # the least strong pseudoprimes to bases 2, 3 and 2, 3, 5 need the fourth base;
+    # the least to bases 2, 3, 5, 7 is where the four-base shortcut stops
+    assert not is_prime(1_373_653) and not is_prime(25_326_001)
+    assert 151 * 751 * 28351 == 3_215_031_751 and not is_prime(3_215_031_751)
+    assert is_prime(3_215_031_749) and not is_prime(3_215_031_753)
+    assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if _by_trial_division(n)]
+    # near the field cap 2**24
+    near_cap = range(16_777_150, 1 << 24)
+    assert [n for n in near_cap if is_prime(n)] == [n for n in near_cap if _by_trial_division(n)]
+    assert [n for n in near_cap if is_prime(n)] == [16_777_153, 16_777_183, 16_777_199, 16_777_213]
     assert prime_factors(48) == [2, 3]
     assert prime_factors(2**6 - 1) == [3, 7]
 
