@@ -140,7 +140,7 @@ def norm_system(tower: FieldTower, n: int) -> CharSystem:
     for j in range(f):
         root = tower.neg(big_m * p**j % n1)
         poly = [tower.add(a, tower.mul(b, root)) for a, b in zip([ZERO, *poly], [*poly, ZERO])]
-    coeffs = tuple(0 if c == ZERO else tower._pow_packed[c] for c in poly)  # GF(p): one digit
+    coeffs = tuple(0 if c == ZERO else tower._pow_packed[c] for c in poly)  # GF(p) packs to its residues
     if max(coeffs) >= p:
         raise InvariantError(f"minimal polynomial {coeffs} of alpha**{big_m} is not over GF({p})")
     return CharSystem(FieldTower(p, 1, f, coeffs), n)

@@ -207,18 +207,6 @@ class CycInt:
             out[k * step] = c
         return CycInt(new_order, out)
 
-    def conjugate(self) -> "CycInt":
-        """Apply zeta -> zeta**-1 (complex conjugation on every embedding)."""
-        n = self.order
-        out = [0] * n
-        for k, c in enumerate(self.coeffs):
-            out[(n - k) % n] += c
-        return CycInt(n, out)
-
-    def conj_norm(self) -> "CycInt":
-        """self times its conjugate; rational for the sums used here."""
-        return self * self.conjugate()
-
     def as_integer(self) -> "int | None":
         """The value as a rational integer, or None if it is irrational."""
         if any(self.coeffs[1:]):

@@ -1,27 +1,29 @@
 """Arithmetic in the tower GF(p) < GF(q) < GF(r) with q = p**s, r = q**m.
 
 The extension GF(r) is built in one step as GF(p)[x]/(f) for a primitive
-polynomial f of degree s*m, so the residue of x is a generator ``alpha`` of
-the multiplicative group.  Nonzero elements are represented by their
+polynomial f of degree d = s*m, so the residue of x is a generator ``alpha``
+of the multiplicative group.  Nonzero elements are represented by their
 discrete logarithm base alpha (an int in ``[0, r-2]``); zero is the
 sentinel ``ZERO = -1``.  With this representation multiplication is index
 addition mod r-1 and addition uses a precomputed Zech logarithm table
 ``zech[k] = dlog(1 + alpha**k)``.
 
-The exp table takes two lookups per step for every p: with d = s*m and
-h = ceil(d/2), alpha*v is read from tables of p**h and p**(d-h+1)
-entries, at most 2*r**(3/4) for d >= 3 (see ``FieldTower._pow_packed``).
+Every table comes from one linear recurring sequence u_k = Tr(c alpha**k),
+c the element with (u_0, ..., u_{d-1}) the unit vector: alpha**d =
+-sum f_j alpha**j gives u_{k+d} = -sum f_j u_{k+j}.  Its length-d windows
+are the exp table; as f is primitive they run through every nonzero
+vector exactly once (an m-sequence: Lidl & Niederreiter, *Finite Fields*,
+ch. 8).  The log table inverts it, the Zech table adds 1 to digit 0, and
+the absolute trace is digit 0 read on from the window of 1/c, the power
+sums (Tr(alpha**j))_{j<d} that Newton's identities give from f.
 
 The intermediate field GF(q) is the subfield fixed by the map
 ``x -> x**q``; its nonzero elements are exactly the indices divisible by
-(r-1)/(q-1).  The absolute trace is a table built by additivity from the
-traces of the two halves of every coefficient vector, which Newton's
-identities give from the defining polynomial, with no log or Zech table.
-By trace duality, s rotations of it give the relative trace's coordinates
-over GF(p).  Every table, and the default defining polynomial (whose
-search skips constant terms that cannot be primitive), is built on first
-use, so multiplication, powers, cosets and everything that reads only
-(p, s, m, q, r) never build one.
+(r-1)/(q-1).  By trace duality, s rotations of the absolute trace give
+the relative trace's coordinates over GF(p).  Every table, and the
+default defining polynomial (whose search skips constant terms that
+cannot be primitive), is built on first use, so multiplication, powers,
+cosets and everything that reads only (p, s, m, q, r) never build one.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class FieldTooLargeError(ValueError):
     """Requested field order exceeds the table-size cap."""
 
 
-class NoPrimitivePolynomialError(RuntimeError):
-    """Exhausted the search space without a primitive polynomial (internal bug)."""
+class NoPrimitivePolynomialError(ArithmeticError):
+    """No primitive polynomial found, or tables built on one that is not primitive (internal bug)."""
 
 
 class BadPolynomialError(ValueError):
@@ -180,12 +182,12 @@ def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int,
 
 
 class FieldTower:
-    """GF(p) < GF(q) < GF(r) with exp/log/Zech tables over a fixed generator.
+    """GF(p) < GF(q) < GF(r) with exp/log/Zech and trace tables over a fixed generator.
 
     Construction stores integers only (and a caller-supplied defining
-    polynomial).  The default polynomial search, the exp/log arrays, the
-    Zech table, the absolute-trace table and the relative-trace coordinates
-    read off it are cached properties, each computed on first use.
+    polynomial).  The default polynomial search, the exp array of trace
+    windows, its inverse log array, the Zech table, the absolute trace and
+    the relative-trace coordinates are cached properties, built on first use.
     Logically immutable: every operation is a pure read.
     """
 
@@ -212,56 +214,48 @@ class FieldTower:
 
     @cached_property
     def _pow_packed(self) -> array:
-        """k -> coefficient vector of alpha**k, packed as a base-p integer.
+        """k -> the trace window (Tr(c alpha**(k+j)))_{j<d}, packed as a base-p integer.
 
-        alpha*v is p*v with its overflow digit d (the lead of v) folded back:
-        digit i becomes (digit i of p*v - lead*f_i) mod p.  With h = ceil(d/2),
-        digits 0..h-1 of alpha*v read only digits 0..h-2 of v and the lead,
-        and digits h..d-1 only digits h-1..d-1 of v, the lead among them, so
-        each step is two lookups into tables of p**h and p**(d-h+1) entries.
+        GF(p)-linear and injective, the trace form being nondegenerate; 1 packs
+        to 1 and GF(p) to its residues.  Each step drops digit 0 and appends
+        the feedback -sum f_j digit_j: a GF(p)-linear map, so the sum of two
+        half tables, of the low d//2 digits and of the rest, whose one carry,
+        out of the new top digit, ``% r`` drops.
         """
-        p, d = self.p, self.degree
-        h = (d + 1) // 2
-        split, top = p ** (h - 1), p ** (d - 1)
-        low = self._times_alpha_digits(range(0, p ** (h + 1), p), 0, h)
-        high = self._times_alpha_digits(range(0, p ** (d + 1), p**h), h, d)
+        p, d, f, r = self.p, self.degree, self.defining_polynomial, self.r
+        split, top = p ** (d // 2), p ** (d - 1)
+
+        def half(first: int, last: int) -> array:
+            # the step on digits first..last-1 alone: shifted down a digit, their feedback on top
+            feedback = [0]
+            for j in range(first, last):
+                feedback = [(t - c * f[j]) % p for c in range(p) for t in feedback]
+            return array("i", (i * p**first // p + t * top for i, t in enumerate(feedback)))
+
+        low, high = half(0, d // 2), half(d // 2, d)
         pow_packed = array("i", bytes(4 * self._n1))
         v = 1
         for k in range(self._n1):
             pow_packed[k] = v
-            v = low[v % split + v // top * split] + high[v // split]
-        if v != 1:
-            raise NoPrimitivePolynomialError("generator power table corrupt")
+            v = (low[v % split] + high[v // split]) % r
+        # back at 1 after r-1 steps and not before: every nonzero window once, so f is primitive
+        if v != 1 or pow_packed.count(1) != 1:
+            raise NoPrimitivePolynomialError(f"{f} is not primitive")
         return pow_packed
-
-    def _times_alpha_digits(self, shifted: range, first: int, last: int) -> array:
-        """Digits first..last-1 of alpha*v for each p*v in ``shifted``, lead at digit ``last``.
-
-        32-bit, one pass per digit: for d <= 2 the tables hold about r entries.
-        """
-        p, f, top = self.p, self.defining_polynomial, self.p**last
-        tab = array("i", bytes(4 * len(shifted)))
-        for i in range(first, last):
-            w, f_i = p**i, f[i]
-            tab = array("i", (t + (s // w - s // top * f_i) % p * w for s, t in zip(shifted, tab)))
-        return tab
 
     @cached_property
     def _log_packed(self) -> array:
-        """Packed coefficient vector -> dlog (inverse of ``_pow_packed``)."""
+        """Packed trace window -> dlog (inverse of ``_pow_packed``)."""
         log_packed = array("i", bytes(4 * self.r))
         for k, packed in enumerate(self._pow_packed):
             log_packed[packed] = k
-        # only zero and alpha**0 may hold 0; another 0 is a vector alpha never reached
-        if log_packed.count(0) != 2:
-            raise NoPrimitivePolynomialError(f"{self.defining_polynomial} is not primitive")
         return log_packed
 
     @cached_property
     def zech(self) -> array:
         """k -> dlog(1 + alpha**k), ZERO where alpha**k = -1."""
         p, log_packed = self.p, self._log_packed
-        bump = [1] * (p - 1) + [1 - p]  # adds 1 to the constant digit mod p
+        bump = [1] * (p - 1) + [1 - p]  # 1 is the unit window: add 1 to digit 0 mod p
         zech = array("i", (log_packed[v + bump[v % p]] for v in self._pow_packed))
         zech[self.neg_shift] = ZERO
         return zech
@@ -293,17 +287,21 @@ class FieldTower:
 
     @cached_property
     def trace_p_table(self) -> array:
-        """index -> absolute trace into GF(p), as an integer residue, by GF(p)-linearity."""
+        """index -> absolute trace into GF(p), as an integer residue: digit 0 of a window.
+
+        The window of 1/c is (Tr(alpha**j))_{j<d}, the power sums of the roots
+        of f by Newton's identities; from its index on, digit 0 runs through Tr(alpha**k).
+        """
         p, d, f = self.p, self.degree, self.defining_polynomial
-        # Tr(alpha**k), k < d, is the power sum s_k of the roots of f: Newton's identities
-        sums, low, high = [d % p], [0], [0]
+        sums = [d % p]
         for k in range(1, d):
             sums.append(-(k * f[d - k] + sum(f[d - i] * sums[k - i] for i in range(1, k))) % p)
-        for k, s_k in enumerate(sums):  # low, high: digit_k * s_k summed below d//2, and from it
-            half = low if k < d // 2 else high
-            half[:] = [(t + c * s_k) % p for c in range(p) for t in half]
-        split = p ** (d // 2)
-        return array("i", ((low[v % split] + high[v // split]) % p for v in self._pow_packed))
+        try:
+            start = self._pow_packed.index(sum(s_k * p**k for k, s_k in enumerate(sums)))
+        except ValueError:
+            raise NoPrimitivePolynomialError(f"{f} is not primitive") from None
+        windows = memoryview(self._pow_packed)  # read on from start: a rotation, not a copy
+        return array("i", (v % p for v in itertools.chain(windows[start:], windows[:start])))
 
     @cached_property
     def trace_q_coords(self) -> array:

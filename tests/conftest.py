@@ -20,7 +20,10 @@ def trace_p(tower: FieldTower, x: int) -> int:
 
 
 def packed(tower: FieldTower, x: int) -> int:
-    """GF(p) coefficient vector of the element of index x packed as a base-p integer (0 at zero)."""
+    """The trace window of the element of index x packed as a base-p integer (0 at zero).
+
+    GF(p)-linear and injective; 1 packs to 1 and GF(p) to its residues.
+    """
     return 0 if x == ZERO else tower._pow_packed[x]
 
 

@@ -323,6 +323,39 @@ def test_verify_non_integral_jacobi_count_exits_1(runner, monkeypatch):
     assert result.output == "error: count for (0, 0, 0) is not a nonnegative integer: 5166/27\n"
 
 
+@pytest.fixture()
+def non_primitive_64(monkeypatch):
+    """Make x**6 + x**3 + 1, irreducible but with x of order 9, the default polynomial of degree 6 over GF(2)."""
+    search = fields.find_primitive_polynomial
+    monkeypatch.setattr(
+        fields, "find_primitive_polynomial",
+        lambda p, degree, *a: (1, 0, 0, 1, 0, 0, 1) if (p, degree) == (2, 6) else search(p, degree, *a),
+    )
+    cli._cached_tower.cache_clear()
+    yield
+    cli._cached_tower.cache_clear()
+
+
+@pytest.mark.parametrize("command", [["verify"], ["compute", "--method", "brute"]])
+def test_non_primitive_polynomial_exits_1(runner, non_primitive_64, command):
+    # brute reads no log table: the exp-table walk itself must refuse the polynomial
+    result = runner.invoke(main, [*command, "--p", "2", "--s", "2", "--m", "3", "--h", "3"], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert len(result.output.splitlines()) == 1
+    assert result.output.startswith("error: ") and result.output.endswith(" is not primitive\n")
+
+
+def test_sweep_on_a_non_primitive_polynomial_fails_one_row(runner, non_primitive_64):
+    result = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
+    assert result.exit_code == 0
+    rows = [json.loads(line) for line in result.output.strip().splitlines()]
+    by_params = {(r["p"], r["s"], r["m"], r["h"]): r for r in rows}
+    assert list(by_params) == sorted(_sweep_candidates(100, 3))
+    assert by_params[(2, 2, 3, 3)]["status"] == "FAIL"
+    assert by_params[(2, 2, 3, 3)]["reason"].startswith("NoPrimitivePolynomialError:")
+    assert by_params[(7, 1, 2, 3)]["status"] == "PASS"
+
+
 def test_verify_pretty_format(runner):
     result = runner.invoke(
         main,

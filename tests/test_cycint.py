@@ -109,15 +109,6 @@ def test_as_integer():
     assert CycInt.from_int(12, -7).as_integer() == -7
 
 
-def test_conj_norm():
-    for n in (2, 3, 5, 8):
-        for k in range(n):
-            assert CycInt.root_of_unity(n, k).conj_norm() == 1
-    assert CycInt.zero(6).conj_norm() == 0
-    z5 = CycInt.root_of_unity(5)
-    assert (1 + z5).conj_norm() == 2 + z5 + z5.conjugate()
-
-
 def test_order_mismatch_rejected():
     with pytest.raises(OrderMismatchError):
         CycInt.root_of_unity(3) + CycInt.root_of_unity(4)

@@ -94,8 +94,9 @@ def test_exp_log_roundtrip(set1):
 
 def test_dlog_examples(set1):
     t = set1.tower
-    # index 1 is alpha, the vector x; index 0 is one, the constant 1
-    assert packed(t, 1) == t.p
+    # index 0 is one, the unit window; alpha**((r-1)/(p-1)) is Norm(alpha) = (-1)**d f_0, a residue
+    p, d, f = t.p, t.degree, t.defining_polynomial
+    assert packed(t, (t.r - 1) // (p - 1) % (t.r - 1)) == (-1) ** d * f[0] % p
     assert packed(t, 0) == 1
     assert t.mul(5, 7) == 12
 
@@ -286,7 +287,7 @@ def test_prime_field_edge_case():
 
 
 def _pow_packed_by_digits(tower) -> list[int]:
-    """alpha**k packed for k < r-1, by the per-digit walk the two-lookup step replaced."""
+    """The coefficient vector of alpha**k packed base p, k < r-1, by a per-digit walk of alpha*v."""
     p, d = tower.p, tower.degree
     f_low = tower.defining_polynomial[:d]
     out, vec, weights = [], [1] + [0] * (d - 1), [p**i for i in range(d)]
@@ -302,7 +303,7 @@ def _pow_packed_by_digits(tower) -> list[int]:
 
 
 def _reference_tables(tower) -> dict[str, list[int]]:
-    """The tower tables and the relative trace by the per-digit walk and coefficient arithmetic."""
+    """Coefficient vectors, the Zech and trace tables and the relative trace by coefficient arithmetic."""
     p, d, n1 = tower.p, tower.degree, tower.r - 1
     pow_ref = _pow_packed_by_digits(tower)
     log_ref = [0] * tower.r
@@ -324,8 +325,7 @@ def _reference_tables(tower) -> dict[str, list[int]]:
 
     one_plus = [v - c + (c + 1) % p for v, c in zip(pow_ref, digit[0])]
     return {
-        "_pow_packed": pow_ref,
-        "_log_packed": log_ref,
+        "coefficients": pow_ref,
         "zech": [log_ref[v] if v else ZERO for v in one_plus],
         # the relative trace packed as an element of GF(r); trace_q_coords only has to encode it
         "relative_trace": linear_trace(tower.q, tower.m),
@@ -337,13 +337,27 @@ def _reference_tables(tower) -> dict[str, list[int]]:
 @pytest.mark.parametrize(
     "psm, poly_index",
     [((101, 1, 1), 0), ((251, 1, 2), 0), ((7, 1, 3), 0), ((3, 1, 5), 0), ((2, 2, 6), 0),
-     ((19, 1, 4), 0), ((13, 2, 2), 0), ((7, 1, 3), 1), ((2, 2, 6), 1)],
+     ((19, 1, 4), 0), ((13, 2, 2), 0), ((7, 1, 3), 1), ((2, 2, 6), 1), ((2, 1, 1), 0), ((3, 1, 1), 0),
+     ((2, 4, 2), 0)],
 )
 def test_tables_match_per_digit_reference(psm, poly_index):
     p, s, m = psm
-    tower = build_tower(*psm, poly=find_primitive_polynomial(p, s * m, poly_index))
+    d = s * m
+    tower = build_tower(*psm, poly=find_primitive_polynomial(p, d, poly_index))
     reference = _reference_tables(tower)
     assert_encodes_relative_trace(tower.trace_q_coords, reference.pop("relative_trace"))
+    windows = tower._pow_packed.tolist()
+
+    def digits(v: int) -> list[int]:
+        return [v // p**j % p for j in range(d)]
+
+    # the windows are the GF(p)-linear image of the coefficient vectors, x**i going to alpha**i's window
+    basis = [digits(w) for w in windows[:d]]
+    for k, coeffs in enumerate(reference.pop("coefficients")):
+        image = [sum(c * b[j] for c, b in zip(digits(coeffs), basis)) % p for j in range(d)]
+        assert windows[k] == sum(x * p**j for j, x in enumerate(image)), k
+    assert windows[0] == 1
+    assert [tower._log_packed[v] for v in windows] == list(range(tower.r - 1))
     for name, table in reference.items():
         assert getattr(tower, name).tolist() == table, name
 
@@ -370,3 +384,14 @@ def test_non_primitive_polynomial_is_caught():
     tower = FieldTower(2, 1, 4, poly=(1, 1, 1, 1, 1))
     with pytest.raises(NoPrimitivePolynomialError):
         tower._log_packed
+    # the walk itself refuses it, so brute and semi, which build no log table, refuse it too
+    with pytest.raises(NoPrimitivePolynomialError):
+        tower.trace_p_table
+
+
+def test_missing_newton_window_is_an_internal_failure():
+    # a walk without the window (Tr(alpha**j))_{j<4} = 8 of 1/c exits 1 like any internal failure, never 2
+    tower = FieldTower(2, 1, 4, poly=(1, 1, 0, 0, 1))
+    tower._pow_packed = array("i", [1])
+    with pytest.raises(NoPrimitivePolynomialError):
+        tower.trace_p_table
