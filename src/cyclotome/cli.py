@@ -21,10 +21,8 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import click
 
@@ -40,7 +38,7 @@ from .code import (
     semi_analytic_distribution,
     validate_e,
 )
-from .fields import DEFAULT_FIELD_CAP, BadPolynomialError, FieldTooLargeError, build_tower
+from .fields import DEFAULT_FIELD_CAP, BadPolynomialError, FieldTooLargeError, FieldTower, build_tower
 from .theorem import NotApplicable, TheoremCase, classify, table_distribution
 
 EXIT_OK = 0
@@ -356,8 +354,12 @@ def verify(p, s, m, h, e, poly, budget, fmt) -> None:
         sys.exit(EXIT_MISMATCH)
 
 
-def _sweep_candidates(max_r: int, e: int):
-    """All (p, s, m, h) with 3 <= q = p**s, r = q**m <= max_r, e | h | q-1, in tuple order."""
+def _sweep_towers(max_r: int, e: int):
+    """Each tower (p, s, m) with 3 <= q = p**s, r = q**m <= max_r, once, in tuple order.
+
+    Yields (p, s, m, hs), hs the sorted h with e | h | q-1; a tower with no
+    such h is left out.
+    """
     sieve = bytearray([0, 0]) + bytearray([1]) * (max_r - 1)  # of Eratosthenes: sieve[p] == 1 iff p is prime
     for d in range(2, math.isqrt(max_r) + 1):
         if sieve[d]:
@@ -366,27 +368,33 @@ def _sweep_candidates(max_r: int, e: int):
         s = 1
         while p**s <= max_r:
             q = p**s
-            m = 1
-            while q ** (m + 1) <= max_r:
-                m += 1
             low = [d for d in range(1, math.isqrt(q - 1) + 1) if (q - 1) % d == 0]
             hs = sorted({h for d in low for h in (d, (q - 1) // d) if h % e == 0})
-            for mm in range(1, m + 1):
-                for h in hs:
-                    yield (p, s, mm, h)
+            m = 1
+            while hs and q**m <= max_r:
+                yield (p, s, m, hs)
+                m += 1
             s += 1
 
 
-@lru_cache(maxsize=32)
-def _cached_tower(p: int, s: int, m: int):
-    return build_tower(p, s, m)
+def _sweep_candidates(max_r: int, e: int):
+    """All (p, s, m, h) with 3 <= q = p**s, r = q**m <= max_r, e | h | q-1, in tuple order."""
+    for p, s, m, hs in _sweep_towers(max_r, e):
+        for h in hs:
+            yield (p, s, m, h)
 
 
-def _sweep_item(p: int, s: int, m: int, h: int, e: int, budget: int) -> dict:
+def _sweep_item(tower: FieldTower, h: int, e: int, budget: int) -> tuple:
+    """One sweep row: its values in _SWEEP_COLUMNS order, then the names of the failed checks.
+
+    The names are a sorted tuple, empty unless a check failed.  ``seconds``
+    covers build_code, classification and verification, so the lazy tables
+    of a tower are built, and timed, inside its first verified row.
+    """
     t0 = time.monotonic()
-    params = build_code(_cached_tower(p, s, m), h, e)
-    tw, case = params.tower, classify(params)
-    failed = []
+    params = build_code(tower, h, e)
+    case = classify(params)
+    failed = ()
     if not isinstance(case, TheoremCase):
         label, status, reason = "", "not_applicable", case.reason
     else:
@@ -398,28 +406,25 @@ def _sweep_item(p: int, s: int, m: int, h: int, e: int, budget: int) -> dict:
         except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
             status, reason = "FAIL", f"{type(exc).__name__}: {exc}"
         else:
-            failed = sorted(k for k, v in checks.items() if v is False)
+            failed = tuple(sorted(k for k, v in checks.items() if v is False))
             if failed:
                 status = "FAIL"
-    row = {
-        "p": p, "s": s, "m": m, "h": h, "e": e, "q": tw.q, "r": tw.r, "n": params.n, "N": params.N,
-        "case": label, "status": status, "reason": reason, "seconds": round(time.monotonic() - t0, 6),
-    }
-    if failed:
-        row["failed_checks"] = failed
-    return row
+    return (
+        tower.p, tower.s, tower.m, h, e, tower.q, tower.r, params.n, params.N,
+        label, status, reason, round(time.monotonic() - t0, 6), failed,
+    )
 
 
-_SWEEP_COLUMNS = ["p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds"]
+_SWEEP_COLUMNS = ("p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds")
 _TEXT_COLUMNS = ("case", "reason", "status")
 
 
 def _row_slot(key: str) -> str:
     """The template text for one key of a JSON sweep row, in json.dumps's separators."""
     if key == "failed_checks":  # optional: the whole '"failed_checks": [...], ' or nothing
-        return "%(failed_checks)s"
+        return "%s"
     spec = "s" if key in _TEXT_COLUMNS else "r" if key == "seconds" else "d"
-    return f"{encode_basestring_ascii(key)}: %({key}){spec}, "
+    return f"{encode_basestring_ascii(key)}: %{spec}, "
 
 
 # One JSON object per sweep row, keys sorted: the bytes of json.dumps(row, sort_keys=True).
@@ -428,21 +433,17 @@ def _row_slot(key: str) -> str:
 _ROW_TEMPLATE = "{" + "".join(map(_row_slot, sorted([*_SWEEP_COLUMNS, "failed_checks"])))[:-2] + "}\n"
 
 
-def _row_json(row: dict) -> str:
-    """One JSON sweep row and its newline, from the template."""
-    failed = row.get("failed_checks")
-    return _ROW_TEMPLATE % {
-        **row,
-        "case": encode_basestring_ascii(row["case"]),
-        "reason": encode_basestring_ascii(row["reason"]),
-        "status": encode_basestring_ascii(row["status"]),
-        "failed_checks": f'"failed_checks": [{", ".join(map(encode_basestring_ascii, failed))}], ' if failed else "",
-    }
+def _row_json(row: tuple) -> str:
+    """One JSON sweep row and its newline, from the template: the values go in sorted key order."""
+    p, s, m, h, e, q, r, n, N, case, status, reason, seconds, failed = row
+    esc = encode_basestring_ascii
+    failed_json = f'"failed_checks": [{", ".join(map(esc, failed))}], ' if failed else ""
+    return _ROW_TEMPLATE % (N, esc(case), e, failed_json, h, m, n, p, q, r, esc(reason), s, seconds, esc(status))
 
 
 @main.command()
 @click.option("--max-r", type=int, required=True, help="Upper bound on the big field size r.")
-@click.option("--e", "e", type=int, default=3, show_default=True)
+@click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (closed forms need 3).")
 @click.option("--budget", type=int, default=DEFAULT_SWEEP_BUDGET, show_default=True, help="Per-item brute-force cap in r^2*n units; larger items are classified only.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json", show_default=True)
 def sweep(max_r, e, budget, fmt) -> None:
@@ -457,14 +458,18 @@ def sweep(max_r, e, budget, fmt) -> None:
         if max_r > DEFAULT_FIELD_CAP:
             raise FieldTooLargeError(f"--max-r = {max_r} exceeds cap {DEFAULT_FIELD_CAP}")
         validate_e(e)
-    rows = [_sweep_item(p, s, m, h, e, budget) for p, s, m, h in _sweep_candidates(max_r, e)]
+    towers = ((build_tower(p, s, m), hs) for p, s, m, hs in _sweep_towers(max_r, e))
+    rows = (_sweep_item(tower, h, e, budget) for tower, hs in towers for h in hs)
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_SWEEP_COLUMNS)
-        writer.writerows(map(itemgetter(*_SWEEP_COLUMNS), rows))
+        writer.writerow([*_SWEEP_COLUMNS, "failed_checks"])
+        writer.writerows((*row[:-1], ";".join(row[-1])) for row in rows)
     elif fmt == "pretty":
         for row in rows:
-            print("p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".format(**row).rstrip())
+            cells = dict(zip(_SWEEP_COLUMNS, row))
+            if row[-1]:
+                cells["reason"] = "failed checks: " + ", ".join(row[-1])
+            print("p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".format(**cells).rstrip())
     else:
         sys.stdout.writelines(map(_row_json, rows))
 

@@ -82,15 +82,7 @@ def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
     if (q - 1) % h:
         raise BadParametersError(f"h = {h} does not divide q-1 = {q - 1}")
     n = h * (r - 1) // (q - 1)
-    params = CodeParams(
-        tower=tower,
-        h=h,
-        e=e,
-        n=n,
-        N=math.gcd(m, e * (q - 1) // h),
-        g_log=(q - 1) // h,
-        beta_log=(r - 1) // e,
-    )
+    params = CodeParams(tower, h, e, n, math.gcd(m, e * (q - 1) // h), (q - 1) // h, (r - 1) // e)
     # g must have order n and g*beta order n as well; both follow from the
     # divisibilities, so a failure here means the table build went wrong
     if (r - 1) // math.gcd(r - 1, params.g_log) != n:

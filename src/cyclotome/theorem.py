@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .code import CodeParams, WeightDistribution
 
@@ -63,8 +63,7 @@ class TheoremCase:
         return -1 if self.case_major == 1 else (-1) ** self.gamma
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(NamedTuple):
     """Returned by classify with the first failed hypothesis."""
 
     reason: str

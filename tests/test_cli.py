@@ -316,6 +316,25 @@ def test_verify_flags_a_wrong_subfield_jacobi_sum(runner, monkeypatch):
     assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums"]
 
 
+def test_sweep_names_failed_checks_in_every_format(runner, monkeypatch):
+    _corrupt_jacobi(monkeypatch, 3, {(1, 1), (2, 2)})
+    want = {
+        ("2", "2", "3", "3"): "f_triple_equal;gauss_jacobi_relation;lifted_sums",
+        ("7", "1", "2", "3"): "jacobi_boundary",
+    }
+    out = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False).output
+    rows = [json.loads(line) for line in out.splitlines()]
+    failed = {tuple(str(r[k]) for k in "psmh"): ";".join(r["failed_checks"]) for r in rows if "failed_checks" in r}
+    assert failed == want
+    assert all(r["status"] == "FAIL" for r in rows if "failed_checks" in r)
+    out = runner.invoke(main, ["sweep", "--max-r", "100", "--format", "csv"], catch_exceptions=False).output
+    header, *body = csv.reader(out.splitlines())
+    assert header[-1] == "failed_checks" and len(body) == len(rows)
+    assert {tuple(row[:4]): row[-1] for row in body if row[-1]} == want
+    out = runner.invoke(main, ["sweep", "--max-r", "100", "--format", "pretty"], catch_exceptions=False).output
+    assert "p=7 s=1 m=2 h=3: r=49 n=24 N=2 case=2.1 -> FAIL failed checks: jacobi_boundary\n" in out
+
+
 def test_verify_non_integral_jacobi_count_exits_1(runner, monkeypatch):
     _corrupt_jacobi(monkeypatch, 1, {(1, 1)})
     result = runner.invoke(main, ["verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3"])
@@ -331,9 +350,6 @@ def non_primitive_64(monkeypatch):
         fields, "find_primitive_polynomial",
         lambda p, degree, *a: (1, 0, 0, 1, 0, 0, 1) if (p, degree) == (2, 6) else search(p, degree, *a),
     )
-    cli._cached_tower.cache_clear()
-    yield
-    cli._cached_tower.cache_clear()
 
 
 @pytest.mark.parametrize("command", [["verify"], ["compute", "--method", "brute"]])
@@ -354,6 +370,15 @@ def test_sweep_on_a_non_primitive_polynomial_fails_one_row(runner, non_primitive
     assert by_params[(2, 2, 3, 3)]["status"] == "FAIL"
     assert by_params[(2, 2, 3, 3)]["reason"].startswith("NoPrimitivePolynomialError:")
     assert by_params[(7, 1, 2, 3)]["status"] == "PASS"
+
+
+def test_sweep_state_does_not_outlive_an_invocation(runner, request):
+    # a second in-process sweep builds its towers afresh: the patched polynomial reaches (2,2,3,3)
+    runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
+    request.getfixturevalue("non_primitive_64")
+    result = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
+    by_params = {(r["p"], r["s"], r["m"], r["h"]): r for r in map(json.loads, result.output.splitlines())}
+    assert by_params[(2, 2, 3, 3)]["status"] == "FAIL"
 
 
 def test_verify_pretty_format(runner):
@@ -435,26 +460,38 @@ def test_sweep_small(runner):
 
 def test_sweep_row_template_is_json_dumps(runner):
     # the template must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
-    rows = [cli._sweep_item(p, s, m, h, 3, cli.DEFAULT_SWEEP_BUDGET) for p, s, m, h in _sweep_candidates(300, 3)]
-    assert {row["status"] for row in rows} == {"PASS", "not_applicable"}
-    base = dict(rows[0], seconds=0.25)
+    rows = [
+        cli._sweep_item(fields.build_tower(p, s, m), h, 3, cli.DEFAULT_SWEEP_BUDGET)
+        for p, s, m, hs in cli._sweep_towers(300, 3)
+        for h in hs
+    ]
+    assert {row[10] for row in rows} == {"PASS", "not_applicable"}
+
+    def variant(**changes):
+        cells = {**dict(zip(cli._SWEEP_COLUMNS, rows[0])), "seconds": 0.25, "failed_checks": (), **changes}
+        return tuple(cells.values())
+
     rows += [
-        dict(base, status="FAIL", failed_checks=["f_partition", "three_way_equal"], seconds=1e-06),
-        dict(base, status="FAIL", reason='InvariantError: "a\\b"\nq = 4 \u2260 5', seconds=12.5),
-        dict(base, status="skipped_budget", case="2.1", seconds=0.0),
-        dict(base, p=2, s=12, m=2, h=4095, n=1 << 30, N=24, seconds=123456.789012),
+        variant(status="FAIL", failed_checks=("f_partition", "three_way_equal"), seconds=1e-06),
+        variant(status="FAIL", reason='InvariantError: "a\\b"\nq = 4 \u2260 5', seconds=12.5),
+        variant(status="skipped_budget", case="2.1", seconds=0.0),
+        variant(p=2, s=12, m=2, h=4095, n=1 << 30, N=24, seconds=123456.789012),
     ]
     for row in rows:
-        assert cli._row_json(row) == json.dumps(row, sort_keys=True) + "\n"
+        obj = dict(zip(cli._SWEEP_COLUMNS, row))
+        if row[-1]:
+            obj["failed_checks"] = list(row[-1])
+        assert cli._row_json(row) == json.dumps(obj, sort_keys=True) + "\n"
     result = runner.invoke(main, ["sweep", "--max-r", "300"], catch_exceptions=False)
     lines = result.output.splitlines(keepends=True)
     assert len(lines) == len(rows) - 4
     assert all(line == json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("e", [2, 3])
-@pytest.mark.parametrize("max_r", [2, 3, 4, 5, 8, 9, 25, 49, 121, 1000, 5000])
+@pytest.mark.parametrize("e", [2, 3, 4, 6])
+@pytest.mark.parametrize("max_r", [2, 3, 4, 5, 8, 9, 25, 49, 121, 1000, 2187, 4096, 5000])
 def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
+    # 2187 = 3**7 and 4096 = 2**12 are the r of several towers: the bound is inclusive
     got = list(_sweep_candidates(max_r, e))
     bits = max_r.bit_length()
     want = [
@@ -470,6 +507,9 @@ def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
     ]
     assert got == want
     assert got == sorted(got)
+    towers = list(cli._sweep_towers(max_r, e))
+    assert len({(p, s, m) for p, s, m, _ in towers}) == len(towers)
+    assert all(hs and hs == sorted(hs) for *_, hs in towers)
     if (max_r, e) == (5000, 3):
         assert len(got) == 3913
 
@@ -513,9 +553,9 @@ def test_sweep_includes_larger_sets(runner):
     assert "skipped_budget" in body
     # not-applicable rows carry the failed condition
     assert "N = 1 < 2" in body
-    # reasons with commas are quoted: every row parses to the 13 columns
+    # reasons with commas are quoted: every row parses to the 14 columns
     rows = list(csv.reader(lines))
-    assert {len(row) for row in rows} == {13}
+    assert {len(row) for row in rows} == {14}
     by_params = {tuple(row[:4]): row for row in rows[1:]}
     assert by_params[("7", "1", "3", "3")][11] == "no j with p**j = -1 mod N (p = 7, N = 3)"
 

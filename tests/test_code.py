@@ -53,7 +53,7 @@ def test_build_code_requires_beta_and_minus_one_nth_powers(monkeypatch):
     # leaves beta = alpha**21 outside C_0, N = 16 at (7,1,2) leaves -1 = alpha**24 outside
     real = code.CodeParams
     for (p, s, m), forced_n in (((2, 2, 3), 2), ((7, 1, 2), 16)):
-        monkeypatch.setattr(code, "CodeParams", lambda forced_n=forced_n, **kw: real(**{**kw, "N": forced_n}))
+        monkeypatch.setattr(code, "CodeParams", lambda *args, forced_n=forced_n: real(*args)._replace(N=forced_n))
         with pytest.raises(InvariantError, match="beta or -1 is not an N-th power"):
             build_code(FieldTower(p, s, m), 3, 3)
 
