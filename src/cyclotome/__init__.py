@@ -23,9 +23,7 @@ from .code import (
     WeightDistribution,
     brute_distribution,
     build_code,
-    codeword,
     codeword_weight_from_lambda,
-    hamming_weight,
     lambda_weight,
     semi_analytic_distribution,
 )

@@ -83,12 +83,6 @@ def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
         raise BadParametersError(f"h = {h} does not divide q-1 = {q - 1}")
     n = h * (r - 1) // (q - 1)
     params = CodeParams(tower, h, e, n, math.gcd(m, e * (q - 1) // h), (q - 1) // h, (r - 1) // e)
-    # g must have order n and g*beta order n as well; both follow from the
-    # divisibilities, so a failure here means the table build went wrong
-    if (r - 1) // math.gcd(r - 1, params.g_log) != n:
-        raise InvariantError(f"g = alpha**{params.g_log} does not have order n = {n}")
-    if (params.g_log + params.beta_log) * n % (r - 1):
-        raise InvariantError(f"(g*beta)**n != 1 for n = {n}")
     # GF(q)* must lie in C_0: the class cosets drop beta and -1, the semi families beta**i - beta**t
     if e == 3 and tower.subfield_step % params.N:
         raise InvariantError(f"beta or -1 is not an N-th power for N = {params.N}")
@@ -134,25 +128,6 @@ class WeightDistribution:
 
     def __repr__(self) -> str:
         return f"WeightDistribution({dict(self.items())})"
-
-
-def codeword(params: CodeParams, a: int, b: int) -> list[int]:
-    """Indices of the length-n vector of traces of a g**i + b (beta g)**i, for indices a and b."""
-    tw = params.tower
-    n1 = tw.r - 1
-    dg, dbg = params.g_log, (params.beta_log + params.g_log) % n1
-    out = []
-    for _ in range(params.n):
-        out.append(tw.trace_to_q(tw.add(a, b)))
-        if a != ZERO:
-            a = (a + dg) % n1
-        if b != ZERO:
-            b = (b + dbg) % n1
-    return out
-
-
-def hamming_weight(word: list[int]) -> int:
-    return sum(1 for x in word if x != ZERO)
 
 
 def _cycles(modulus: int, mult: int, add: int = 0):

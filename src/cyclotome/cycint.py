@@ -162,9 +162,6 @@ class CycInt:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "CycInt":
-        return (-self) + other
-
     def __mul__(self, other) -> "CycInt":
         if isinstance(other, int):
             return CycInt(self.order, tuple(other * a for a in self.coeffs), reduced=True)

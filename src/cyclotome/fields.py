@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import cached_property, reduce
+from functools import cached_property
 
 # An index is not a truth value: index 0 is the element 1, and ZERO = -1 is the zero element.
 ZERO = -1
@@ -58,37 +58,13 @@ class BadModulusError(ValueError):
     """Coset modulus N does not divide the group order r-1."""
 
 
-# The least strong pseudoprime to the bases 2, 3, 5 and 7, 151 * 751 * 28351 (Jaeschke 1993)
-_FOUR_BASES_BOUND = 3_215_031_751
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the field cap.
+    """Primality by trial division, for n up to about the field cap 2**24 (at most 2048 odd divisors).
 
-    Below 3,215,031,751 (so for every p up to the cap) the bases 2, 3, 5, 7
-    suffice; larger n run all twelve bases up to 37.
+    ``build_tower`` checks the cap before it calls this, so no larger p
+    reaches it from there; a caller that lifts the cap must keep p <= 2**24 ahead of it.
     """
-    if n < 2:
-        return False
-    for small in _SMALL_PRIMES:
-        if n % small == 0:
-            return n == small
-    d, twos = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    for a in (2, 3, 5, 7) if n < _FOUR_BASES_BOUND else _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -320,12 +296,6 @@ class FieldTower:
             coords = array("i", (c + t * w for c, t in zip(coords, rotated)))
         return coords
 
-    def trace_to_q(self, x: int) -> int:
-        """Index of the relative trace: the sum of x**(q**i) for i < m; lands in GF(q)."""
-        if x == ZERO:
-            return ZERO
-        return reduce(self.add, (x * self.q**i % self._n1 for i in range(self.m)))
-
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, s={self.s}, m={self.m}, r={self.r})"
 
@@ -343,18 +313,16 @@ def build_tower(
     all derived tables) are reproducible; it is searched for on first use.
     A caller-supplied ``poly`` (constant-first coefficients, monic, length
     s*m + 1) is checked here and must be primitive.  Fields above
-    DEFAULT_FIELD_CAP raise FieldTooLargeError.
+    DEFAULT_FIELD_CAP raise FieldTooLargeError before p is tested for primality.
     """
-    if not is_prime(p):
-        raise NonPrimeError(f"p = {p} is not prime")
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
-    # p >= 2, so p**(s*m) >= 2**(s*m) > the cap here; r is never computed
-    if s * m >= DEFAULT_FIELD_CAP.bit_length():
+    # the cap before primality, so is_prime sees p <= 2**24 only; for p >= 2 a large
+    # s*m alone exceeds it, so p**(s*m) is never formed then
+    if p > 1 and (s * m >= DEFAULT_FIELD_CAP.bit_length() or p ** (s * m) > DEFAULT_FIELD_CAP):
         raise FieldTooLargeError(f"r = p**(s*m) = {p}**{s * m} exceeds cap {DEFAULT_FIELD_CAP}")
-    r = p ** (s * m)
-    if r > DEFAULT_FIELD_CAP:
-        raise FieldTooLargeError(f"r = {r} exceeds cap {DEFAULT_FIELD_CAP}")
+    if not is_prime(p):
+        raise NonPrimeError(f"p = {p} is not prime")
     if poly is None:
         return FieldTower(p, s, m)
     poly_t = tuple(c % p for c in poly)
@@ -362,6 +330,6 @@ def build_tower(
         raise BadPolynomialError(f"polynomial must have degree {s * m} (got {len(poly_t) - 1})")
     if poly_t[-1] != 1:
         raise BadPolynomialError("polynomial must be monic")
-    if not _is_primitive(list(poly_t), p, prime_factors(r - 1)):
+    if not _is_primitive(list(poly_t), p, prime_factors(p ** (s * m) - 1)):
         raise BadPolynomialError(f"{poly_t} is not primitive over GF({p})")
     return FieldTower(p, s, m, poly_t)

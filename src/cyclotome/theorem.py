@@ -81,9 +81,7 @@ def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
     if j is None:
         return NotApplicable(f"no j with p**j = -1 mod N (p = {p}, N = {n_ord})")
     sm = tw.degree
-    if sm % (2 * j):
-        return NotApplicable(f"2j = {2 * j} does not divide s*m = {sm}")
-    gamma = sm // (2 * j)
+    gamma = sm // (2 * j)  # an integer: N | q-1 puts 2j = ord_N(p) | s for N > 2, and N = 2 divides m
     major = 1 if gamma % 2 and p % 2 and ((p**j + 1) // n_ord) % 2 else 2
     minor = 1 if ((tw.q - 1) // params.h) % n_ord == 0 else 2
     return TheoremCase(

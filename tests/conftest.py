@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from functools import reduce
 
 import pytest
 
@@ -12,6 +13,32 @@ from cyclotome import (
     classify,
 )
 from cyclotome.fields import ZERO
+
+
+def trace_to_q(tower: FieldTower, x: int) -> int:
+    """Index of the relative trace of the element of index x: the sum of x**(q**i) for i < m; lands in GF(q)."""
+    if x == ZERO:
+        return ZERO
+    return reduce(tower.add, (x * tower.q**i % (tower.r - 1) for i in range(tower.m)))
+
+
+def codeword(params: CodeParams, a: int, b: int) -> list[int]:
+    """Indices of the length-n vector of traces of a g**i + b (beta g)**i, for indices a and b."""
+    tw = params.tower
+    n1 = tw.r - 1
+    dg, dbg = params.g_log, (params.beta_log + params.g_log) % n1
+    out = []
+    for _ in range(params.n):
+        out.append(trace_to_q(tw, tw.add(a, b)))
+        if a != ZERO:
+            a = (a + dg) % n1
+        if b != ZERO:
+            b = (b + dbg) % n1
+    return out
+
+
+def hamming_weight(word: list[int]) -> int:
+    return sum(1 for x in word if x != ZERO)
 
 
 def trace_p(tower: FieldTower, x: int) -> int:

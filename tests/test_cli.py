@@ -152,13 +152,58 @@ def test_oversized_field_rejected_without_computing_r(runner):
     assert result.output == f"error: r = p**(s*m) = 3**4000000 exceeds cap {fields.DEFAULT_FIELD_CAP}\n"
 
 
+@pytest.mark.parametrize(
+    "p, s, m, h, e",
+    [
+        ("5", "1", "11", "4", "2"),  # r = 48828125 with s*m = 11, below the bit-length shortcut
+        ("618970019642690137449562111", "1", "1", "3", "3"),  # 2**89 - 1, a prime: trial division would hang
+        ("1" + "0" * 24, "1", "1", "3", "3"),  # composite, but above the cap first
+    ],
+)
+def test_field_cap_is_checked_before_primality(runner, monkeypatch, p, s, m, h, e):
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) ran above the cap")
+
+    monkeypatch.setattr(fields, "is_prime", refuse)
+    start = time.monotonic()
+    result = runner.invoke(main, ["compute", "--p", p, "--s", s, "--m", m, "--h", h, "--e", e])
+    assert time.monotonic() - start < 0.5
+    assert result.exit_code == 2
+    assert result.output == f"error: r = p**(s*m) = {p}**{int(s) * int(m)} exceeds cap {fields.DEFAULT_FIELD_CAP}\n"
+
+
+def test_compute_reports_disagreeing_routes(runner, monkeypatch):
+    # a table with one pair moved from weight 12 to 16: no distribution is printed, and the exit is 1
+    real = cli.table_distribution
+
+    def moved(case, params):
+        counts = real(case, params).counts
+        return code.WeightDistribution({**counts, 12: counts[12] - 1, 16: counts[16] + 1})
+
+    monkeypatch.setattr(cli, "table_distribution", moved)
+    result, report = _invoke_json(runner, "compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
+    assert result.exit_code == 1
+    assert report["checks"]["methods_agree"] is False
+    assert report["checks"]["first_diff"] == {"methods": ["semi", "table"], "weight_freqs": [12, "72", "71"]}
+    assert report["distribution"] is None
+
+
+def test_compute_pretty_names_why_not_applicable(runner):
+    # (2,2,2,3): q = 4, r = 16 and N = gcd(2, 3) = 1
+    result = runner.invoke(
+        main, ["compute", "--p", "2", "--s", "2", "--m", "2", "--h", "3", "--format", "pretty"],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1] == "classification: not applicable (N = 1 < 2)"
+
+
 def test_routes_and_checks_call_no_reference_helper(runner, monkeypatch):
-    # every route and verify check runs on the tables; the codeword and lambda helpers are for reference only
+    # every route and verify check runs on the tables; the lambda helpers are for reference only
     def refuse(*args):
         raise AssertionError("a reference helper was called")
 
-    monkeypatch.setattr(fields.FieldTower, "trace_to_q", refuse)
-    for name in ("codeword", "hamming_weight", "lambda_weight", "codeword_weight_from_lambda"):
+    for name in ("lambda_weight", "codeword_weight_from_lambda"):
         monkeypatch.setattr(code, name, refuse)
     expected = {
         ("verify", "7", "1", "2", "3"): EXPECTED1,
@@ -614,8 +659,8 @@ def test_public_names_are_pinned():
         "NonIntegerFrequencyError", "NonIntegerResultError", "NonPrimeError", "NotApplicable",
         "NotApplicableError", "NotDivisibleError", "OrderMismatchError", "TheoremCase",
         "WeightDistribution", "brute_distribution", "build_code", "build_tower", "charsums",
-        "class_counts", "classify", "code", "codeword", "codeword_weight_from_lambda", "cycint",
+        "class_counts", "classify", "code", "codeword_weight_from_lambda", "cycint",
         "cyclotomic_polynomial", "f_charsum", "f_closed", "fields", "find_primitive_polynomial",
-        "gaussian_period_closed", "hamming_weight", "instantiate_table", "lambda_weight",
+        "gaussian_period_closed", "instantiate_table", "lambda_weight",
         "semi_analytic_distribution", "table_distribution", "theorem",
     ]

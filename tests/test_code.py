@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DIST1, DIST2
+from conftest import DIST1, DIST2, codeword, hamming_weight
 from naive_oracle import naive_weight_distribution
 
 import cyclotome.charsums as charsums
@@ -20,9 +20,7 @@ from cyclotome.code import (
     WeightDistribution,
     brute_distribution,
     build_code,
-    codeword,
     codeword_weight_from_lambda,
-    hamming_weight,
     lambda_weight,
     semi_analytic_distribution,
 )

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import packed, trace_p
+from conftest import packed, trace_p, trace_to_q
 
 from cyclotome.charsums import CharSystem, f_closed, gaussian_period_closed
 from cyclotome.code import build_code
@@ -46,6 +46,18 @@ def test_build_tower_rejects_bad_input():
         build_tower(7, 0, 2)
 
 
+def test_find_primitive_polynomial_rejects_composite_p():
+    with pytest.raises(NonPrimeError, match="p = 4 is not prime"):
+        find_primitive_polynomial(4, 2)
+
+
+def test_p_below_2_is_not_prime_at_any_degree():
+    # the cap's shortcut on s*m holds for p >= 2, so p <= 1 keeps its own error
+    for p in (1, 0, -1, -2):
+        with pytest.raises(NonPrimeError, match=f"p = {p} is not prime"):
+            build_tower(p, 1, 30)
+
+
 def test_classification_and_table_build_no_field_table():
     # the closed forms read only integers, so they too leave the tower bare
     tower = build_tower(13, 2, 2)
@@ -69,8 +81,7 @@ def _by_trial_division(n: int) -> bool:
 def test_primes_helpers():
     assert [n for n in range(2, 40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert not is_prime(1) and not is_prime(7919 * 7927)
-    # the least strong pseudoprimes to bases 2, 3 and 2, 3, 5 need the fourth base;
-    # the least to bases 2, 3, 5, 7 is where the four-base shortcut stops
+    # the least strong pseudoprimes to the Miller-Rabin bases 2, 3; 2, 3, 5; and 2, 3, 5, 7
     assert not is_prime(1_373_653) and not is_prime(25_326_001)
     assert 151 * 751 * 28351 == 3_215_031_751 and not is_prime(3_215_031_751)
     assert is_prime(3_215_031_749) and not is_prime(3_215_031_753)
@@ -129,7 +140,7 @@ def test_trace_to_q_matches_power_and_add(set1, set2):
             expected = ZERO
             for i in range(t.m):
                 expected = t.add(expected, x * t.q**i % (t.r - 1)) if x != ZERO else expected
-            assert t.trace_to_q(x) == expected
+            assert trace_to_q(t, x) == expected
             assert expected == ZERO or expected % t.subfield_step == 0
 
 
@@ -139,11 +150,11 @@ def test_trace_additive_and_q_linear(set1):
     xs = list(t.elements())
     for x in xs:
         for y in xs:
-            assert t.trace_to_q(t.add(x, y)) == t.add(t.trace_to_q(x), t.trace_to_q(y))
+            assert trace_to_q(t, t.add(x, y)) == t.add(trace_to_q(t, x), trace_to_q(t, y))
     subfield = [ZERO, *range(0, t.r - 1, t.subfield_step)]
     for a in subfield:
         for x in xs:
-            assert t.trace_to_q(t.mul(a, x)) == t.mul(a, t.trace_to_q(x))
+            assert trace_to_q(t, t.mul(a, x)) == t.mul(a, trace_to_q(t, x))
 
 
 def test_trace_fibers_have_size_r_over_q(set1, set2):
@@ -151,8 +162,8 @@ def test_trace_fibers_have_size_r_over_q(set1, set2):
         t = desk.tower
         fibers = {}
         for x in t.elements():
-            fibers.setdefault(t.trace_to_q(x), 0)
-            fibers[t.trace_to_q(x)] += 1
+            fibers.setdefault(trace_to_q(t, x), 0)
+            fibers[trace_to_q(t, x)] += 1
         assert len(fibers) == t.q
         assert set(fibers.values()) == {t.r // t.q}
 
@@ -170,7 +181,7 @@ def test_trace_transitivity(set1, set2):
     for desk in (set1, set2):
         t = desk.tower
         for x in t.elements():
-            y = t.trace_to_q(x)
+            y = trace_to_q(t, x)
             outer = ZERO
             for i in range(t.s):
                 outer = t.add(outer, y * t.p**i % (t.r - 1)) if y != ZERO else outer
