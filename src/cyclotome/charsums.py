@@ -13,8 +13,8 @@ The pair count f(c) for a coset vector c = (c1, c2, c3) is the number of
 (a, b) in GF(r)**2 with (a + beta**i b) * g**i * alpha**(c_i) an N-th
 power for i = 1, 2, 3.  It is computed by direct enumeration (one pass
 over GF(r), spread over GF(r)**2 by scaling) and by one Jacobi-sum
-identity, fed either the tower's Jacobi sums or the semiprimitive value
--sg*sqrt(r), which makes it the closed form.
+identity, fed the tower's Jacobi sums, a subfield's lifted to GF(r), or
+the semiprimitive value -sg*sqrt(r), which makes it the closed form.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class CharSystem:
     trace t, and ``pair_counts[u][v]`` counts solutions of a + b = 1 with
     a in coset u and b in coset v; Gauss and Jacobi sums are one bucket sum
     over them.  The periods and Gauss sums are built with the system, the
-    pair counts on first use; Jacobi sums are memoized and feed the f(c)
-    identity, which the closed form feeds the semiprimitive value instead.
+    pair counts on first use; Jacobi sums are memoized.
     """
 
     def __init__(self, tower: FieldTower, order: int):
@@ -131,8 +130,8 @@ def norm_system(tower: FieldTower, n: int) -> CharSystem:
 
     M = (r-1)/(p**f - 1).  The small tower's polynomial is the product of
     x - alpha**(M p**j) over j < f, multiplied out with ``add`` and ``mul``;
-    its chi o Norm is the tower's chi, so ``lifted_gauss_sums`` of this
-    system are the tower's Gauss sums, index for index.
+    its chi o Norm is the tower's chi, so ``lifted_sums`` of this system
+    are the tower's Gauss and Jacobi sums, index for index.
     """
     p, f, n1 = tower.p, norm_degree(tower.p, n), tower.r - 1
     big_m = n1 // (p**f - 1)
@@ -146,14 +145,20 @@ def norm_system(tower: FieldTower, n: int) -> CharSystem:
     return CharSystem(FieldTower(p, 1, f, coeffs), n)
 
 
-def lifted_gauss_sums(system: CharSystem, k: int) -> list[CycInt]:
-    """G(chi**i o Norm), i < N, over the degree-k extension of the system's field.
+def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[int, int], CycInt]]:
+    """Gauss sums G(chi**i o Norm), i < N, and Jacobi sums {(i, j): J(i, j)}, 0 < i, j < N,
+    i + j != N, over the degree-k extension of the system's field; k = 1 gives its own sums.
 
     Davenport-Hasse (Lidl & Niederreiter, *Finite Fields*, Thm 5.14):
     -G(chi o Norm) = (-G(chi))**k, psi lifted through the trace; for the
-    principal character both sides are 1.
+    principal character both sides are 1.  J(i, j) = G(chi**i) G(chi**j) /
+    G(chi**(i+j)) lifts the same way where chi**i, chi**j, chi**(i+j) are nontrivial.
     """
-    return [-((-system.gauss_sum(i)) ** k) for i in range(system.order)]
+    n = system.order
+    pairs = [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
+    sums = [system.gauss_sum(i) for i in range(n)] + [system.jacobi_sum(i, j) for i, j in pairs]
+    lifted = [-((-x) ** k) for x in sums]
+    return lifted[:n], dict(zip(pairs, lifted[n:]))
 
 
 def periods_from_gauss(gauss: list[CycInt], n: int) -> list[int]:

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import click
 
 from .charsums import CharSystem, class_counts, f_charsum, f_closed, gaussian_period_closed
-from .charsums import lifted_gauss_sums, norm_system
+from .charsums import lifted_sums, norm_system
 from .code import (
     BadParametersError,
     BudgetExceededError,
@@ -148,7 +148,6 @@ def _compute_methods(
     checks: dict = {}
     dists: dict[str, WeightDistribution] = {}
     want = ["brute", "semi", "table"] if method == "all" else [method]
-    applicable = isinstance(case, TheoremCase)
     for name in want:
         if name == "brute":
             try:
@@ -157,12 +156,12 @@ def _compute_methods(
                 if method == "brute":
                     raise
                 checks["brute"] = f"skipped: {exc}"
-        elif not applicable:
-            checks[name] = f"not applicable: {case.reason}"
-        elif name == "semi":
-            dists["semi"] = semi_analytic_distribution(params, case)
-        else:
+        elif name == "semi" and params.e == 3:
+            dists["semi"] = semi_analytic_distribution(params)
+        elif name == "table" and isinstance(case, TheoremCase):
             dists["table"] = table_distribution(case, params)
+        else:
+            checks[name] = f"not applicable: {case.reason}"
     if len(dists) > 1:
         names = sorted(dists)
         first = _first_diff_check(dists, zip(names, names[1:]))
@@ -184,9 +183,8 @@ def _verification_checks(
     r, n_ord = tw.r, params.N
     dists = {"brute": brute_distribution(params, budget=budget)}
     system, small = CharSystem(tw, n_ord), norm_system(tw, n_ord)
-    k = tw.degree // small.tower.degree  # semi's Davenport-Hasse lift, checked against the tower's sums
-    lifted = lifted_gauss_sums(small, k)
-    dists["semi"] = semi_analytic_distribution(params, case, lifted)
+    lifted = lifted_sums(small, tw.degree // small.tower.degree)  # semi's, checked against the tower's sums
+    dists["semi"] = semi_analytic_distribution(params, lifted)
     dists["table"] = table_distribution(case, params)
     checks: dict = {}
     first = _first_diff_check(dists, (("brute", "semi"), ("brute", "table")))
@@ -234,10 +232,7 @@ def _verification_checks(
         == system.gauss_sum(i) * system.gauss_sum(j)
         for i, j in pairs
     )
-    lifted_ok = lifted == [system.gauss_sum(i) for i in range(n_ord)]
-    checks["lifted_sums"] = lifted_ok and all(
-        -((-small.jacobi_sum(i, j)) ** k) == system.jacobi_sum(i, j) for i, j in pairs
-    )
+    checks["lifted_sums"] = lifted == lifted_sums(system, 1)
     return checks, dists
 
 

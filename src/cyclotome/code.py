@@ -14,9 +14,10 @@ Two independent routes to the weight distribution live here:
   Tr(x**p) = Tr(x)**p, no character theory.  Each b, 0 included, takes one
   row walk over a, whose coordinates are strided slices of one doubled table;
 * ``semi_analytic_distribution`` assembles the histogram from the Gaussian
-  periods, lifted from the Gauss sums of GF(p**f) by Davenport-Hasse, and
-  the closed-form class counts f(c), with the coset size for the vanishing
-  term of a degenerate pair; no codeword and no table of GF(r).
+  periods and class counts f(c) of the Gauss and Jacobi sums of GF(p**f),
+  lifted by Davenport-Hasse, with the coset size for the vanishing term of a
+  degenerate pair; no codeword, no table of GF(r) and no closed form, so it
+  runs on every e = 3 set, semiprimitive or not.
 
 The bridge between them is the modified weight lambda(a, b); the Hamming
 weight is always h(r-1)/q - lambda(a, b).
@@ -29,15 +30,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import ne
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_closed, norm_degree
-from .charsums import lifted_gauss_sums, periods_from_gauss
+from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_identity, lifted_sums
+from .charsums import norm_degree, periods_from_gauss
 from .cycint import CycInt
 from .fields import ZERO, FieldTower
-
-if TYPE_CHECKING:
-    from .theorem import TheoremCase
 
 
 class BadParametersError(ValueError):
@@ -238,23 +236,24 @@ def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, 
 
 
 def semi_analytic_distribution(
-    params: CodeParams, case: "TheoremCase", gauss: "list[CycInt] | None" = None
+    params: CodeParams, lifted: "tuple[list, dict] | None" = None
 ) -> WeightDistribution:
-    """Assemble the histogram from class data instead of codewords.
+    """Assemble the histogram of any e = 3 set from class data instead of codewords.
 
     Every weight is h(r-1)/q - (hN/3q) times the sum of the periods at
-    (a + beta**i b) g**i.  The periods come by Fourier inversion from
-    ``gauss``, the GF(r) Gauss sums G(chi**i), i < N, of an order-N
-    character.  By default they are those of the subfield GF(p**f),
-    f = ord_N(p), lifted to GF(r) by Davenport-Hasse, which builds no table
-    of GF(r).  The small field's generator is Norm(alpha') for some
-    primitive alpha' = alpha**w of GF(r) (Norm maps generators onto
-    generators, and w may be moved by multiples of p**f - 1 to be prime to
-    r-1), so the lifted periods are labelled by alpha'.  alpha -> alpha**w
-    permutes the coordinates (i -> w*i mod n), which keeps the histogram,
-    and f(c) and g_log do not depend on the generator.  The N**3 coset-vector
-    classes take their sizes from the closed form f(c), which reads c only
-    through c1 - c3 and c2 - c3, so it is evaluated N**2 times; pairs with
+    (a + beta**i b) g**i.  ``lifted`` holds the GF(r) Gauss and Jacobi sums
+    of an order-N character, as ``lifted_sums`` returns them; by default
+    those of GF(p**f), f = ord_N(p), lifted by Davenport-Hasse, which builds
+    no table of GF(r).  As N | q-1, f divides s: that field is at most GF(q).
+    Its generator is Norm(alpha') for some primitive alpha' = alpha**w of
+    GF(r) (Norm maps generators onto generators, and w may be moved by
+    multiples of p**f - 1 to be prime to r-1), so the lifted sums are
+    labelled by alpha'.  alpha -> alpha**w permutes the coordinates
+    (i -> w*i mod n), which keeps the histogram, and g_log does not depend
+    on the generator.  The periods come from the Gauss sums by Fourier
+    inversion.  The N**3 coset-vector classes are sized by the Jacobi-sum
+    identity for f(c) at the lifted Jacobi sums, which reads c only through
+    c1 - c3 and c2 - c3, so it is evaluated N**2 times.  Pairs with
     a = -beta**t b, b != 0, form 3N coset families of (r-1)/N, whose
     vanishing term reads the coset size.  Their other terms read
     beta**i - beta**t in coset 0: it lies in GF(q)*, inside C_0 as
@@ -265,22 +264,20 @@ def semi_analytic_distribution(
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
     tw = params.tower
     n1, n_ord = tw.r - 1, params.N
-    if gauss is None:
+    if lifted is None:
         f = norm_degree(tw.p, n_ord)
-        gauss = lifted_gauss_sums(CharSystem(FieldTower(tw.p, 1, f), n_ord), tw.degree // f)
+        lifted = lifted_sums(CharSystem(FieldTower(tw.p, 1, f), n_ord), tw.degree // f)
+    gauss, jacobi = lifted
     eta = periods_from_gauss(gauss, n_ord)
     sums: Counter = Counter()  # period sum -> number of pairs whose weight it gives
     for d1, d2 in product(range(n_ord), repeat=2):  # the classes (d1 + c3, d2 + c3, c3)
-        freq = f_closed(params, case, (d1, d2, 0))
+        freq = _f_identity(n_ord, tw.r, params.g_log, (d1, d2, 0), lambda i, j: jacobi[i, j])
         if freq:
             for c3 in range(n_ord):
                 sums[eta[-(d1 + c3) % n_ord] + eta[-(d2 + c3) % n_ord] + eta[-c3 % n_ord]] += freq
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
     for t, k in product(range(1, 4), range(n_ord)):
-        periods = (
-            n1 // n_ord if i == t else eta[(k + i * params.g_log) % n_ord]
-            for i in range(1, 4)
-        )
+        periods = (n1 // n_ord if i == t else eta[(k + i * params.g_log) % n_ord] for i in range(1, 4))
         sums[sum(periods)] += n1 // n_ord
     coef = Fraction(params.h * n_ord, 3 * tw.q)
     hist = Counter({0: 1})

@@ -166,9 +166,9 @@ def instantiate_table(case: TheoremCase, params: CodeParams) -> WeightDistributi
     """Evaluate the table of ``case.case_minor`` at ``case.sign`` and ``case.sqrt_r``.
 
     No hypothesis checking here beyond integrality; this is the raw
-    substitution used both by ``table_distribution``, which re-classifies
-    first, and by the check that the two N = 2 tables coincide, which
-    passes the case with its major bit swapped.
+    substitution used by ``table_distribution``, which re-classifies
+    first.  Only the tests check that the two N = 2 tables coincide,
+    passing the case with its major bit swapped.
     """
     tw = params.tower
     hist: dict[int, int] = {0: 1}

@@ -14,7 +14,7 @@ import cyclotome.cli as cli
 import cyclotome.code as code
 import cyclotome.fields as fields
 import cyclotome.theorem as theorem
-from cyclotome.charsums import CharSystem
+from cyclotome.charsums import CharSystem, norm_degree
 from cyclotome.cli import RunReport, _sweep_candidates, main
 from cyclotome.cycint import CycInt
 
@@ -127,6 +127,18 @@ def test_compute_not_applicable_is_clean(runner):
     assert report["classification"] == {"applicable": False, "reason": "N = 1 < 2"}
     assert report["distribution"] is None
     assert "not applicable" in report["checks"]["table"]
+
+
+@pytest.mark.parametrize("p, s, m, h", [(7, 1, 3, 3), (2, 2, 4, 3)])
+def test_compute_runs_semi_outside_the_semiprimitive_regime(runner, p, s, m, h):
+    # no p**j = -1 mod N = 3, and N = 1: only the table is not applicable, semi agrees with brute
+    argv = ["compute", "--p", str(p), "--s", str(s), "--m", str(m), "--h", str(h)]
+    result, report = _invoke_json(runner, *argv)
+    assert result.exit_code == 0 and report["classification"]["applicable"] is False
+    assert report["checks"] == {"methods_agree": True, "table": f"not applicable: {report['classification']['reason']}"}
+    result, semi = _invoke_json(runner, *argv, "--method", "semi")
+    assert result.exit_code == 0 and semi["checks"] is None
+    assert semi["distribution"] == report["distribution"]
 
 
 def test_compute_table_builds_no_field(runner, no_search):
@@ -297,7 +309,7 @@ def test_verify_detects_wrong_class_count(runner, monkeypatch):
 
 def test_broken_invariant_exits_1(runner, monkeypatch):
     # a semi route whose class counts vanish: its histogram fails validate
-    monkeypatch.setattr(code, "f_closed", lambda params, case, c: 0)
+    monkeypatch.setattr(code, "_f_identity", lambda *args: 0)
     result = runner.invoke(
         main, ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--method", "semi"]
     )
@@ -308,19 +320,23 @@ def test_broken_invariant_exits_1(runner, monkeypatch):
 def test_inexact_sum_exits_1(runner, monkeypatch):
     # lifted Gauss sums that give semi an irrational period: NonIntegerResultError, not a traceback
     zeta = CycInt.root_of_unity(14, 1)  # lcm(p, N) = 14 at (7,1,2,3)
-    monkeypatch.setattr(cli, "lifted_gauss_sums", lambda system, k: [zeta] * system.order)  # verify lifts once
+    monkeypatch.setattr(cli, "lifted_sums", lambda system, k: ([zeta] * system.order, {}))  # verify lifts once
     result = runner.invoke(main, ["verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3"])
     assert result.exit_code == 1
     assert result.output == "error: period at coset 0 is irrational\n"
 
 
 def _corrupt_jacobi(monkeypatch, delta, keys):
-    """Add delta to the tower's Jacobi sums J(i, j) at the given (i, j)."""
+    """Add delta to the tower's Jacobi sums J(i, j) at the given (i, j).
+
+    GF(p**f), f = ord_N(p), the subfield whose sums semi lifts, keeps its true sums.
+    """
     real = CharSystem.jacobi_sum
 
     def jacobi_sum(self, i, j):
         value = real(self, i, j)
-        return value + delta if (i % self.order, j % self.order) in keys else value
+        on_tower = self.tower.degree > norm_degree(self.p, self.order)
+        return value + delta if on_tower and (i % self.order, j % self.order) in keys else value
 
     monkeypatch.setattr(CharSystem, "jacobi_sum", jacobi_sum)
 
@@ -339,26 +355,29 @@ def test_verify_flags_corrupted_jacobi_sums(runner, monkeypatch):
 def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
     # G(chi**i) zeta_N**i are the Gauss sums of x -> psi(x / alpha): the periods rotate by
     # one coset, which leaves semi's histogram as it is, so only lifted_sums sees the bad lift
-    real = code.lifted_gauss_sums
+    real = code.lifted_sums
 
     def rotated(system, k):
-        sums = real(system, k)
-        return [g * CycInt.root_of_unity(g.order, i * g.order // len(sums)) for i, g in enumerate(sums)]
+        gauss, jacobi = real(system, k)
+        if k == 1:  # the tower's own sums, which the lift is checked against
+            return gauss, jacobi
+        return [g * CycInt.root_of_unity(g.order, i * g.order // len(gauss)) for i, g in enumerate(gauss)], jacobi
 
-    monkeypatch.setattr(code, "lifted_gauss_sums", rotated)
-    monkeypatch.setattr(cli, "lifted_gauss_sums", rotated)
+    monkeypatch.setattr(code, "lifted_sums", rotated)
+    monkeypatch.setattr(cli, "lifted_sums", rotated)
     result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
     assert result.exit_code == 1 and out["verdict"] == "FAIL"
     assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums"]
 
 
 def test_verify_flags_a_wrong_subfield_jacobi_sum(runner, monkeypatch):
-    # only GF(4)'s Jacobi sums are off: the Gauss sums still lift and every check on the tower holds
+    # only GF(4)'s Jacobi sums are off: semi sizes its classes from their lift, so its
+    # f(0, 0, 0) comes out fractional and verify stops there, before any check on the tower
     real = CharSystem.jacobi_sum
     monkeypatch.setattr(CharSystem, "jacobi_sum", lambda self, i, j: real(self, i, j) + (1 if self.r == 4 else 0))
-    result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
+    result = runner.invoke(main, ["verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3"])
     assert result.exit_code == 1
-    assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums"]
+    assert result.output == "error: count for (0, 0, 0) is not a nonnegative integer: 7497/27\n"
 
 
 def test_sweep_names_failed_checks_in_every_format(runner, monkeypatch):
@@ -561,7 +580,7 @@ def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
 
 def test_sweep_internal_failure_is_a_fail_row(runner, monkeypatch):
     # a semi route whose class counts vanish fails validate inside the two verified items
-    monkeypatch.setattr(code, "f_closed", lambda params, case, c: 0)
+    monkeypatch.setattr(code, "_f_identity", lambda *args: 0)
     result = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
     assert result.exit_code == 0
     rows = [json.loads(line) for line in result.output.strip().splitlines()]

@@ -13,7 +13,7 @@ from naive_oracle import naive_weight_distribution
 
 import cyclotome.charsums as charsums
 import cyclotome.code as code
-from cyclotome.charsums import CharSystem, InvariantError
+from cyclotome.charsums import CharSystem, InvariantError, lifted_sums
 from cyclotome.code import (
     BadParametersError,
     BudgetExceededError,
@@ -125,9 +125,12 @@ def test_brute_matches_naive_oracle_outside_the_theorem(p, s, m, h, e, step):
 
 @pytest.mark.parametrize("p, s, m, h", [(19, 1, 2, 3), (2, 2, 4, 3), (7, 1, 3, 3), (5, 2, 2, 3)])
 def test_brute_matches_naive_oracle_beyond_the_desk(p, s, m, h):
+    # (7,1,3,3) is not semiprimitive and (2,2,4,3) has N = 1: semi needs no closed form
     tower = build_tower(p, s, m)
+    params = build_code(tower, h, 3)
     oracle = naive_weight_distribution(p, s, m, h, 3, tower.defining_polynomial)
-    assert brute_distribution(build_code(tower, h, 3)).counts == oracle
+    assert brute_distribution(params).counts == oracle
+    assert semi_analytic_distribution(params).counts == oracle
 
 
 # distributions recorded by the walk over every a against one b per coset of <alpha**step>
@@ -264,27 +267,26 @@ def test_lambda_depends_only_on_coset_vector(set1):
 
 def test_semi_analytic_matches_brute(set1, set2):
     for desk in (set1, set2):
-        gauss = [desk.system.gauss_sum(i) for i in range(desk.params.N)]
-        semi = semi_analytic_distribution(desk.params, desk.case, gauss)
+        semi = semi_analytic_distribution(desk.params, lifted_sums(desk.system, 1))
         assert semi == brute_distribution(desk.params)
 
 
 def test_semi_analytic_frozen(set1, set2):
-    assert semi_analytic_distribution(set1.params, set1.case).counts == DIST1
-    assert semi_analytic_distribution(set2.params, set2.case).counts == DIST2
+    assert semi_analytic_distribution(set1.params).counts == DIST1
+    assert semi_analytic_distribution(set2.params).counts == DIST2
 
 
-def test_semi_analytic_requires_case_and_e3(set1):
+def test_semi_analytic_requires_e3(set1):
     params_e2 = build_code(set1.tower, 2, 2)
     with pytest.raises(BadParametersError):
-        semi_analytic_distribution(params_e2, set1.case)
+        semi_analytic_distribution(params_e2)
 
 
 @pytest.mark.parametrize("p, s, m", [(19, 1, 4), (2, 2, 6)])
 def test_semi_analytic_builds_no_log_or_zech_table(p, s, m):
     tower = build_tower(p, s, m)
     params = build_code(tower, 3)
-    semi_analytic_distribution(params, classify(params)).validate(params)
+    semi_analytic_distribution(params).validate(params)
     assert not {"_log_packed", "zech", "trace_q_coords"} & vars(tower).keys()
 
 
@@ -318,8 +320,7 @@ def test_distribution_invariant_under_defining_polynomial(set1):
     alt_tower = build_tower(t.p, t.s, t.m, poly=alt_poly)
     alt_params = build_code(alt_tower, set1.params.h, 3)
     assert brute_distribution(alt_params).counts == DIST1
-    case = classify(alt_params)
-    assert semi_analytic_distribution(alt_params, case).counts == DIST1
+    assert semi_analytic_distribution(alt_params).counts == DIST1
 
 
 def test_general_e_brute_force():
@@ -363,6 +364,7 @@ def test_routes_agree_under_any_defining_polynomial(pssmh, draw):
     params = build_code(build_tower(p, s, m, poly=poly), h, 3)
     brute = brute_distribution(params)
     assert brute == brute_distribution(build_code(build_tower(p, s, m), h, 3))
+    assert semi_analytic_distribution(params) == brute
     case = classify(params)
     if isinstance(case, TheoremCase):
-        assert semi_analytic_distribution(params, case) == brute == table_distribution(case, params)
+        assert table_distribution(case, params) == brute

@@ -6,7 +6,7 @@ from conftest import DIST1, DIST2
 
 import cyclotome.fields as fields
 
-from cyclotome.charsums import CharSystem, gaussian_period_closed
+from cyclotome.charsums import CharSystem, gaussian_period_closed, lifted_sums
 from cyclotome.cli import _sweep_candidates
 from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
 from cyclotome.fields import FieldTower, build_tower
@@ -66,7 +66,7 @@ def test_table_total_is_r_squared(set1, set2, set3):
 
 def test_three_routes_agree_on_major_case_1(set3):
     table = table_distribution(set3.case, set3.params)
-    semi = semi_analytic_distribution(set3.params, set3.case)
+    semi = semi_analytic_distribution(set3.params)
     brute = brute_distribution(set3.params)
     assert table == semi == brute
 
@@ -119,7 +119,7 @@ def test_semi_equals_table_across_small_sweep():
             continue
         system = CharSystem(params.tower, params.N)
         table = table_distribution(case, params)
-        semi = semi_analytic_distribution(params, case, [system.gauss_sum(i) for i in range(params.N)])
+        semi = semi_analytic_distribution(params, lifted_sums(system, 1))
         assert table == semi, (p, s, m, h)
         table.validate(params)
         # enumerated periods against the closed form the case sign selects
@@ -139,7 +139,7 @@ def test_table_equals_semi_at_r4096():
     case = classify(params)
     assert (case.label, case.gamma) == ("2.2", 6)
     table = table_distribution(case, params)
-    semi = semi_analytic_distribution(params, case)
+    semi = semi_analytic_distribution(params)
     assert table == semi
     table.validate(params)
 
@@ -158,4 +158,4 @@ def test_lifted_semi_equals_table_above_the_cap(monkeypatch, p, s, m, h):
     monkeypatch.setattr(fields, "find_primitive_polynomial", small_search)
     params = build_code(FieldTower(p, s, m), h, 3)
     case = classify(params)
-    assert semi_analytic_distribution(params, case) == table_distribution(case, params)
+    assert semi_analytic_distribution(params) == table_distribution(case, params)
