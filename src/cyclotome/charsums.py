@@ -49,7 +49,7 @@ class CharSystem:
     ``period_counts[u][t]`` counts field elements in coset u with absolute
     trace t, and ``pair_counts[u][v]`` counts solutions of a + b = 1 with
     a in coset u and b in coset v; Gauss and Jacobi sums are one bucket sum
-    over them.  The periods and Gauss sums are built with the system, the
+    over them.  The Gauss sums are built with the system, the periods and
     pair counts on first use; Jacobi sums are memoized.
     """
 
@@ -63,7 +63,6 @@ class CharSystem:
         trace_p = memoryview(tower.trace_p_table)  # strided views, no copies
         buckets = (Counter(trace_p[u::order]) for u in range(order))
         self.period_counts = [[b[t] for t in range(self.p)] for b in buckets]
-        self._periods = [CycInt(self.p, row) for row in self.period_counts]
         m = math.lcm(self.p, order)
         self._gauss = [
             _bucket_sum(self.period_counts, m, m // order * i, m // self.p) for i in range(order)
@@ -74,6 +73,10 @@ class CharSystem:
     def eta_zero(self) -> int:
         """Period at argument 0: the coset size (r-1)/N."""
         return (self.r - 1) // self.order
+
+    @cached_property
+    def _periods(self) -> list[CycInt]:
+        return [CycInt(self.p, row) for row in self.period_counts]
 
     def gaussian_period(self, u_coset: int) -> CycInt:
         """Sum of psi over the coset alpha**u_coset * C, in Z[zeta_p]."""
@@ -197,28 +200,27 @@ def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
     alpha**k (y, 1) for exactly one k < r-1 and y in GF(r), and the factor
     alpha**k adds k to every log t_i.  So one pass over the r + 1
     representatives gives the histogram H at k = 0, and
-    f(c) = (r-1)/N * sum of H(c + (j, j, j)) over j < N.  Classes that no
-    pair reaches are absent.
+    f(c) = (r-1)/N * sum of H(c + (j, j, j)) over j < N, a sum that reads c
+    only through (c1 - c3, c2 - c3).  Classes that no pair reaches are absent.
     """
     tw, n = params.tower, params.N
-    n1, zech, g = tw.r - 1, tw.zech, params.g_log
-    hist = [0] * n**3  # class c at flat index (c1 * N + c2) * N + c3
-
-    def flat(v1: int, v2: int, v3: int) -> int:
-        return (v1 % n * n + v2 % n) * n + v3 % n
-
-    b1, b2, b3 = (i * params.beta_log % n1 for i in (1, 2, 3))  # logs of beta**i
-    u1, u2, u3 = -(b1 + g), -(b2 + 2 * g), -(b3 + 3 * g)
-    hist[flat(-g, -2 * g, -3 * g)] += 1  # (1, 0)
-    hist[flat(u1, u2, u3)] += 1  # (0, 1)
-    for x in range(n1):  # (alpha**x, 1): log t_i = b_i + zech[x - b_i]; negative indices wrap
-        z1, z2, z3 = zech[x - b1], zech[x - b2], zech[x - b3]
-        if z1 != ZERO and z2 != ZERO and z3 != ZERO:
-            hist[flat(u1 - z1, u2 - z2, u3 - z3)] += 1
+    n1, g = tw.r - 1, params.g_log
+    b = [i * params.beta_log % n1 for i in (1, 2, 3)]  # logs of beta**i
+    u = [-(b_i + i * g) for i, b_i in zip((1, 2, 3), b)]
+    residues = list(map(n.__rmod__, tw.zech))  # ZERO lands on N - 1: its readers are taken out below
+    # (alpha**x, 1): log t_i = b_i + zech[x - b_i], so t_i reads the residues rotated by b_i
+    reads = [residues[n1 - b_i :] + residues[: n1 - b_i] for b_i in b]
+    hist = Counter(zip(*reads))  # zech residues (z1, z2, z3) -> pairs; their class is c_i = u_i - z_i
+    for x in {(b_i + tw.neg_shift) % n1 for b_i in b}:  # zech[x - b_i] is ZERO: some t_i = 0
+        hist[reads[0][x], reads[1][x], reads[2][x]] -= 1
+    hist[0, 0, 0] += 1  # (0, 1)
+    hist[-b[0] % n, -b[1] % n, -b[2] % n] += 1  # (1, 0): log t_i = 0
+    diag = Counter()  # (c1 - c3, c2 - c3) mod N -> the sum of H over its N classes
+    for (z1, z2, z3), k in hist.items():
+        diag[(u[0] - z1 - u[2] + z3) % n, (u[1] - z2 - u[2] + z3) % n] += k
     counts = {}
     for c1, c2, c3 in product(range(n), repeat=3):
-        f = sum(hist[flat(c1 + j, c2 + j, c3 + j)] for j in range(n))
-        if f:
+        if f := diag[(c1 - c3) % n, (c2 - c3) % n]:
             counts[c1, c2, c3] = f * (n1 // n)
     return counts
 

@@ -178,17 +178,22 @@ def _verification_checks(
 
     Returns (checks, route name -> distribution).  Brute runs first, so a
     set over ``budget`` raises BudgetExceededError before any table is built.
+    A semi route that raises ArithmeticError is left out of the distributions
+    and reported as ``checks["semi"]``; three_way_equal is then false.
     """
     tw = params.tower
     r, n_ord = tw.r, params.N
     dists = {"brute": brute_distribution(params, budget=budget)}
     system, small = CharSystem(tw, n_ord), norm_system(tw, n_ord)
     lifted = lifted_sums(small, tw.degree // small.tower.degree)  # semi's, checked against the tower's sums
-    dists["semi"] = semi_analytic_distribution(params, lifted)
-    dists["table"] = table_distribution(case, params)
     checks: dict = {}
-    first = _first_diff_check(dists, (("brute", "semi"), ("brute", "table")))
-    checks["three_way_equal"] = first is None
+    try:
+        dists["semi"] = semi_analytic_distribution(params, lifted)
+    except ArithmeticError as exc:  # a wrong lift: the checks below still run, lifted_sums among them
+        checks["semi"] = f"failed: {exc}"
+    dists["table"] = table_distribution(case, params)
+    first = _first_diff_check(dists, [("brute", name) for name in ("semi", "table") if name in dists])
+    checks["three_way_equal"] = "semi" in dists and first is None
     if first:
         checks["first_diff"] = first
 
@@ -403,7 +408,7 @@ def _sweep_item(tower: FieldTower, h: int, e: int, budget: int) -> tuple:
         else:
             failed = tuple(sorted(k for k, v in checks.items() if v is False))
             if failed:
-                status = "FAIL"
+                status, reason = "FAIL", f"semi {checks['semi']}" if "semi" in checks else ""
     return (
         tower.p, tower.s, tower.m, h, e, tower.q, tower.r, params.n, params.N,
         label, status, reason, round(time.monotonic() - t0, 6), failed,

@@ -222,17 +222,12 @@ def lambda_weight(params: CodeParams, system: CharSystem, a: int, b: int) -> Fra
     return Fraction(params.h * params.N * (val + const), params.e * tw.q)
 
 
-def _weight(params: CodeParams, lam: Fraction) -> int:
-    """Hamming weight h(r-1)/q minus the modified weight lam; it must be an integer."""
-    w = Fraction(params.h * (params.tower.r - 1), params.tower.q) - lam
+def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, b: int) -> int:
+    """Hamming weight of the pair of indices (a, b) via h(r-1)/q minus the modified weight."""
+    w = Fraction(params.h * (params.tower.r - 1), params.tower.q) - lambda_weight(params, system, a, b)
     if w.denominator != 1:
         raise NonIntegerResultError(f"weight {w} is not an integer")
     return int(w)
-
-
-def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, b: int) -> int:
-    """Hamming weight of the pair of indices (a, b) via h(r-1)/q minus the modified weight."""
-    return _weight(params, lambda_weight(params, system, a, b))
 
 
 def semi_analytic_distribution(
@@ -241,10 +236,11 @@ def semi_analytic_distribution(
     """Assemble the histogram of any e = 3 set from class data instead of codewords.
 
     Every weight is h(r-1)/q - (hN/3q) times the sum of the periods at
-    (a + beta**i b) g**i.  ``lifted`` holds the GF(r) Gauss and Jacobi sums
-    of an order-N character, as ``lifted_sums`` returns them; by default
-    those of GF(p**f), f = ord_N(p), lifted by Davenport-Hasse, which builds
-    no table of GF(r).  As N | q-1, f divides s: that field is at most GF(q).
+    (a + beta**i b) g**i: h(3(r-1) - N*sum)/(3q), one exact division.
+    ``lifted`` holds the GF(r) Gauss and Jacobi sums of an order-N
+    character, as ``lifted_sums`` returns them; by default those of
+    GF(p**f), f = ord_N(p), lifted by Davenport-Hasse, which builds no
+    table of GF(r).  As N | q-1, f divides s: that field is at most GF(q).
     Its generator is Norm(alpha') for some primitive alpha' = alpha**w of
     GF(r) (Norm maps generators onto generators, and w may be moved by
     multiples of p**f - 1 to be prime to r-1), so the lifted sums are
@@ -279,10 +275,13 @@ def semi_analytic_distribution(
     for t, k in product(range(1, 4), range(n_ord)):
         periods = (n1 // n_ord if i == t else eta[(k + i * params.g_log) % n_ord] for i in range(1, 4))
         sums[sum(periods)] += n1 // n_ord
-    coef = Fraction(params.h * n_ord, 3 * tw.q)
     hist = Counter({0: 1})
     for total, freq in sums.items():
-        hist[_weight(params, coef * total)] += freq
+        num = params.h * (3 * n1 - n_ord * total)
+        weight, rem = divmod(num, 3 * tw.q)
+        if rem:
+            raise NonIntegerResultError(f"weight {Fraction(num, 3 * tw.q)} is not an integer")
+        hist[weight] += freq
     dist = WeightDistribution(hist)
     dist.validate(params)
     return dist

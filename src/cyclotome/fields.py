@@ -127,10 +127,11 @@ def _is_primitive(f: list[int], p: int, factors: list[int]) -> bool:
     nonzero residue, so the quotient ring is a field.
     """
     order = p ** (len(f) - 1) - 1
-    x = [0, 1] if len(f) > 2 else _poly_trim([(-f[0]) % p])
-    if _poly_powmod(x, order, f, p) != [1]:
+    if len(f) == 2:  # degree 1: x is the residue -f[0], so its powers are integer powers mod p
+        return pow(-f[0], order, p) == 1 and all(pow(-f[0], order // ell, p) != 1 for ell in factors)
+    if _poly_powmod([0, 1], order, f, p) != [1]:
         return False
-    return all(_poly_powmod(x, order // ell, f, p) != [1] for ell in factors)
+    return all(_poly_powmod([0, 1], order // ell, f, p) != [1] for ell in factors)
 
 
 def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int, ...]:

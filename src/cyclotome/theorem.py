@@ -17,9 +17,9 @@ closed form (the tables here, the Jacobi value and periods in
 only case input.
 
 Each table is encoded symbolically in (r, sqrt(r), N, h, q, sg), one
-(weight, frequency) formula pair per row, rather than as numbers;
-instantiation checks integrality of every entry, drops empty rows, and
-merges rows whose weights collide.
+(weight, frequency) pair per row, each an exact integer numerator and
+denominator; instantiation divides each once, checks every row's frequency
+and every nonempty row's weight, drops empty rows and merges colliding weights.
 """
 
 from __future__ import annotations
@@ -96,67 +96,68 @@ def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
 
 # ---------------------------------------------------------------------------
 # symbolic tables, one per minor case; each row maps (r, sr, N, h, q, sg) ->
-# (weight, frequency) where sr = sqrt(r) and sg is ``TheoremCase.sign``
+# ((weight numerator, denominator), (frequency numerator, denominator)) where
+# sr = sqrt(r) and sg is ``TheoremCase.sign``; every denominator is positive
 
-Row = Callable[[int, int, int, int, int, int], tuple[Fraction, Fraction]]
+Row = Callable[[int, int, int, int, int, int], tuple[tuple[int, int], tuple[int, int]]]
 
 _TABLES: dict[int, list[Row]] = {
     1: [
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (r + sg * sr * (N - 1)), q),
-            Fraction((r - 1) * (r - sg * sr * (N * N - 3 * N + 2) - 3 * N + 1), N**3),
+            (h * (r + sg * sr * (N - 1)), q),
+            ((r - 1) * (r - sg * sr * (N * N - 3 * N + 2) - 3 * N + 1), N**3),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (r - sg * sr), q),
-            Fraction(
+            (h * (r - sg * sr), q),
+            (
                 (r - 1) * (N - 1) * (r * (N - 1) ** 2 + sg * sr * (N - 2) - (N - 1) * (2 * N + 1)),
                 N**3,
             ),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (3 * r + sg * sr * (N - 3)), 3 * q),
-            Fraction(3 * (r - 1) * (N - 1) * (r * (N - 1) - sg * sr * (N - 2) - 1), N**3),
+            (h * (3 * r + sg * sr * (N - 3)), 3 * q),
+            (3 * (r - 1) * (N - 1) * (r * (N - 1) - sg * sr * (N - 2) - 1), N**3),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
-            Fraction(3 * (r - 1) * (N - 1) * (r + sg * sr * (N - 2) - N + 1), N**3),
+            (h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
+            (3 * (r - 1) * (N - 1) * (r + sg * sr * (N - 2) - N + 1), N**3),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(2 * h * (r + sg * sr * (N - 1)), 3 * q),
-            Fraction(3 * (r - 1), N),
+            (2 * h * (r + sg * sr * (N - 1)), 3 * q),
+            (3 * (r - 1), N),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(2 * h * (r - sg * sr), 3 * q),
-            Fraction(3 * (r - 1) * (N - 1), N),
+            (2 * h * (r - sg * sr), 3 * q),
+            (3 * (r - 1) * (N - 1), N),
         ),
     ],
     2: [
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (r + sg * sr * (N - 1)), q),
-            Fraction((r - 1) * (r - 2 * sg * sr + 1), N**3),
+            (h * (r + sg * sr * (N - 1)), q),
+            ((r - 1) * (r - 2 * sg * sr + 1), N**3),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (r - sg * sr), q),
-            Fraction(
+            (h * (r - sg * sr), q),
+            (
                 (r - 1) * (r * (N - 1) ** 3 + 2 * sg * sr - (N - 1) * (2 * N * N - 4 * N - 1)),
                 N**3,
             ),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (3 * r + sg * sr * (N - 3)), 3 * q),
-            Fraction(3 * (r - 1) * (r * (N - 1) ** 2 - 2 * sg * sr - 2 * N * N + 2 * N + 1), N**3),
+            (h * (3 * r + sg * sr * (N - 3)), 3 * q),
+            (3 * (r - 1) * (r * (N - 1) ** 2 - 2 * sg * sr - 2 * N * N + 2 * N + 1), N**3),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
-            Fraction(3 * (r - 1) * (r * (N - 1) + 2 * sg * sr - N - 1), N**3),
+            (h * (3 * r + sg * sr * (2 * N - 3)), 3 * q),
+            (3 * (r - 1) * (r * (N - 1) + 2 * sg * sr - N - 1), N**3),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(h * (2 * r + sg * sr * (N - 2)), 3 * q),
-            Fraction(6 * (r - 1), N),
+            (h * (2 * r + sg * sr * (N - 2)), 3 * q),
+            (6 * (r - 1), N),
         ),
         lambda r, sr, N, h, q, sg: (
-            Fraction(2 * h * (r - sg * sr), 3 * q),
-            Fraction(3 * (r - 1) * (N - 2), N),
+            (2 * h * (r - sg * sr), 3 * q),
+            (3 * (r - 1) * (N - 2), N),
         ),
     ],
 }
@@ -165,25 +166,25 @@ _TABLES: dict[int, list[Row]] = {
 def instantiate_table(case: TheoremCase, params: CodeParams) -> WeightDistribution:
     """Evaluate the table of ``case.case_minor`` at ``case.sign`` and ``case.sqrt_r``.
 
-    No hypothesis checking here beyond integrality; this is the raw
-    substitution used by ``table_distribution``, which re-classifies
+    Integrality and range are the only checks here, one division per value:
+    every row's frequency, then every nonempty row's weight.  This is the
+    raw substitution used by ``table_distribution``, which re-classifies
     first.  Only the tests check that the two N = 2 tables coincide,
     passing the case with its major bit swapped.
     """
     tw = params.tower
     hist: dict[int, int] = {0: 1}
     for row in _TABLES[case.case_minor]:
-        weight, freq = row(tw.r, case.sqrt_r, params.N, params.h, tw.q, case.sign)
-        if freq.denominator != 1 or freq < 0:
-            raise NonIntegerFrequencyError(
-                f"row frequency {freq} is not a nonnegative integer"
-            )
+        (w_num, w_den), (f_num, f_den) = row(tw.r, case.sqrt_r, params.N, params.h, tw.q, case.sign)
+        freq, rem = divmod(f_num, f_den)
+        if rem or freq < 0:
+            raise NonIntegerFrequencyError(f"row frequency {Fraction(f_num, f_den)} is not a nonnegative integer")
         if freq == 0:
             continue
-        if weight.denominator != 1 or not 0 <= weight <= params.n:
-            raise NonIntegerFrequencyError(f"row weight {weight} out of range")
-        w = int(weight)
-        hist[w] = hist.get(w, 0) + int(freq)
+        weight, rem = divmod(w_num, w_den)
+        if rem or not 0 <= weight <= params.n:
+            raise NonIntegerFrequencyError(f"row weight {Fraction(w_num, w_den)} out of range")
+        hist[weight] = hist.get(weight, 0) + freq
     return WeightDistribution(hist)
 
 

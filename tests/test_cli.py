@@ -283,8 +283,8 @@ def test_verify_detects_injected_table_corruption(runner, monkeypatch):
     original = rows[4]
 
     def off_by_one(r, sr, N, h, q, sg):
-        weight, freq = original(r, sr, N, h, q, sg)
-        return weight + 1, freq
+        (wn, wd), freq = original(r, sr, N, h, q, sg)
+        return (wn + wd, wd), freq
 
     rows[4] = off_by_one
     monkeypatch.setitem(theorem._TABLES, 1, rows)
@@ -318,12 +318,13 @@ def test_broken_invariant_exits_1(runner, monkeypatch):
 
 
 def test_inexact_sum_exits_1(runner, monkeypatch):
-    # lifted Gauss sums that give semi an irrational period: NonIntegerResultError, not a traceback
+    # lifted Gauss sums that give semi an irrational period: NonIntegerResultError, reported, not a traceback
     zeta = CycInt.root_of_unity(14, 1)  # lcm(p, N) = 14 at (7,1,2,3)
     monkeypatch.setattr(cli, "lifted_sums", lambda system, k: ([zeta] * system.order, {}))  # verify lifts once
-    result = runner.invoke(main, ["verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3"])
-    assert result.exit_code == 1
-    assert result.output == "error: period at coset 0 is irrational\n"
+    result, out = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
+    assert result.exit_code == 1 and out["verdict"] == "FAIL"
+    assert out["checks"]["semi"] == "failed: period at coset 0 is irrational"
+    assert [name for name, ok in out["checks"].items() if ok is False] == ["three_way_equal"]
 
 
 def _corrupt_jacobi(monkeypatch, delta, keys):
@@ -372,12 +373,15 @@ def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
 
 def test_verify_flags_a_wrong_subfield_jacobi_sum(runner, monkeypatch):
     # only GF(4)'s Jacobi sums are off: semi sizes its classes from their lift, so its
-    # f(0, 0, 0) comes out fractional and verify stops there, before any check on the tower
+    # f(0, 0, 0) comes out fractional; the report still runs every check, and lifted_sums
+    # names the bad lift while the tower's own checks hold
     real = CharSystem.jacobi_sum
     monkeypatch.setattr(CharSystem, "jacobi_sum", lambda self, i, j: real(self, i, j) + (1 if self.r == 4 else 0))
-    result = runner.invoke(main, ["verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3"])
-    assert result.exit_code == 1
-    assert result.output == "error: count for (0, 0, 0) is not a nonnegative integer: 7497/27\n"
+    result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
+    assert result.exit_code == 1 and out["verdict"] == "FAIL"
+    assert out["checks"]["semi"] == "failed: count for (0, 0, 0) is not a nonnegative integer: 7497/27"
+    assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums", "three_way_equal"]
+    assert "first_diff" not in out["checks"]  # brute and the table, the pair that ran, agree
 
 
 def test_sweep_names_failed_checks_in_every_format(runner, monkeypatch):
@@ -588,7 +592,8 @@ def test_sweep_internal_failure_is_a_fail_row(runner, monkeypatch):
     assert list(by_params) == sorted(_sweep_candidates(100, 3))
     for key in ((7, 1, 2, 3), (2, 2, 3, 3)):
         assert by_params[key]["status"] == "FAIL"
-        assert by_params[key]["reason"].startswith("InvariantError: frequencies sum to")
+        assert by_params[key]["failed_checks"] == ["three_way_equal"]
+        assert by_params[key]["reason"].startswith("semi failed: frequencies sum to")
     assert by_params[(7, 1, 2, 6)]["status"] == "not_applicable"
 
 

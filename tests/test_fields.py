@@ -254,6 +254,15 @@ def test_search_matches_plain_lexicographic_scan(p, degree):
                 find_primitive_polynomial(p, degree, index)
 
 
+def test_degree_one_primitivity_is_the_order_of_minus_c0():
+    # x mod (x + c0) is -c0 in GF(p): primitive iff -c0 has order p - 1
+    for p in filter(is_prime, range(100)):
+        factors = prime_factors(p - 1)
+        for c0 in range(p):
+            order = next((k for k in range(1, p) if pow(-c0, k, p) == 1), None)
+            assert _is_primitive([c0, 1], p, factors) == (order == p - 1), (p, c0)
+
+
 def assert_encodes_relative_trace(coords, reference):
     """coords agree where the packed reference traces agree, and are 0 where they are 0."""
     pairs = set(zip(coords, reference))

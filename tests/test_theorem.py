@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from cyclotome.cli import _sweep_candidates
 from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
 from cyclotome.fields import FieldTower, build_tower
 from cyclotome.theorem import (
+    NonIntegerFrequencyError,
     NotApplicable,
     NotApplicableError,
     TheoremCase,
@@ -93,6 +95,22 @@ def test_zero_frequency_rows_are_dropped(set1):
     dist = instantiate_table(replace(set1.case, case_minor=2), set1.params)
     assert all(freq > 0 for freq in dist.counts.values())
     assert len(dist.counts) == 6  # five surviving rows plus the zero weight
+
+
+@pytest.mark.parametrize(
+    "desk, changes, message",
+    [
+        ("set2", {"gamma": 2}, "row frequency 343/3 is not a nonnegative integer"),  # the sign flipped
+        ("set1", {"sqrt_r": -90, "case_minor": 2}, "row frequency -780 is not a nonnegative integer"),
+        ("set1", {"sqrt_r": 6}, "row weight 129/7 out of range"),
+        ("set1", {"sqrt_r": 14}, "row weight 27 out of range"),  # an integer above n = 24
+    ],
+)
+def test_mismatched_case_raises_on_a_bad_row(request, desk, changes, message):
+    # the raw substitution checks no hypothesis, so a hand-built case reaches the row checks
+    desk = request.getfixturevalue(desk)
+    with pytest.raises(NonIntegerFrequencyError, match=f"^{re.escape(message)}$"):
+        instantiate_table(replace(desk.case, **changes), desk.params)
 
 
 def test_n2_tables_coincide(set1, set3):
