@@ -112,12 +112,6 @@ class CycInt:
     def from_int(cls, order: int, value: int) -> "CycInt":
         return cls(order, [value])
 
-    @classmethod
-    def root_of_unity(cls, order: int, k: int = 1) -> "CycInt":
-        """zeta_order**k in canonical form."""
-        k %= order
-        return cls(order, [0] * k + [1])
-
     # -- ring structure --------------------------------------------------------
 
     def _coerce(self, other) -> "CycInt":

@@ -21,9 +21,12 @@ The intermediate field GF(q) is the subfield fixed by the map
 ``x -> x**q``; its nonzero elements are exactly the indices divisible by
 (r-1)/(q-1).  By trace duality, s rotations of the absolute trace give
 the relative trace's coordinates over GF(p).  Every table, and the
-default defining polynomial (whose search skips constant terms that
-cannot be primitive), is built on first use, so multiplication, powers,
-cosets and everything that reads only (p, s, m, q, r) never build one.
+default defining polynomial, is built on first use, so multiplication,
+powers, cosets and everything that reads only (p, s, m, q, r) never build
+one.  The search skips constant terms that cannot be primitive and, above
+degree 1, candidates with a root at 1 or -1; it tests the order of x on
+residues packed one coefficient per slot of a Python int, slots wide
+enough that no product carries between them.
 """
 
 from __future__ import annotations
@@ -82,56 +85,51 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over GF(p); coefficient lists, constant first
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    # f monic; remainder of a*b has degree < deg f
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    deg_f = len(f) - 1
-    for i in range(len(prod) - 1, deg_f - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(deg_f):
-                prod[i - deg_f + j] = (prod[i - deg_f + j] - c * f[j]) % p
-    return _poly_trim(prod)
-
-
-def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, f, p)
-        acc = _poly_mulmod(acc, acc, f, p)
-        e >>= 1
-    return result
-
-
 def _is_primitive(f: list[int], p: int, factors: list[int]) -> bool:
     """True iff x has order p**deg(f) - 1 (distinct prime factors ``factors``) modulo f.
 
     Succeeding forces f irreducible: the powers of x then exhaust every
-    nonzero residue, so the quotient ring is a field.
+    nonzero residue, so the quotient ring is a field.  Above degree 1 a
+    residue sum c_i x**i, each c_i in [0, p), is Kronecker-packed as the int
+    sum c_i << w*i (D. Harvey, *J. Symbolic Comput.* 44, 2009), so a product
+    is one int multiply; its high slots fold in as multiples of the packed
+    x**(d+j) mod f.  No slot then exceeds d**2 (p-1)**3 < 2**bound, so none
+    carries, and with mu = ceil(2**k / p) every slot v has v // p = v*mu >> k
+    (Granlund & Montgomery, PLDI 1994): one more multiply reduces them all mod p.
     """
-    order = p ** (len(f) - 1) - 1
-    if len(f) == 2:  # degree 1: x is the residue -f[0], so its powers are integer powers mod p
+    d = len(f) - 1
+    order = p**d - 1
+    if d == 1:  # x is the residue -f[0], so its powers are integer powers mod p
         return pow(-f[0], order, p) == 1 and all(pow(-f[0], order // ell, p) != 1 for ell in factors)
-    if _poly_powmod([0, 1], order, f, p) != [1]:
-        return False
-    return all(_poly_powmod([0, 1], order // ell, f, p) != [1] for ell in factors)
+    bound = (d * d * (p - 1) ** 3).bit_length()
+    k = bound + p.bit_length()
+    w = bound + k + 1
+    mu, slot, dw = -(-(1 << k) // p), (1 << w) - 1, d * w
+    low = (1 << dw) - 1
+    quot = ((1 << bound) - 1) * (low // slot)  # the low bound bits of each of the d slots
+
+    def mulmod(a: int, b: int) -> int:
+        prod = a * b
+        acc, high = prod & low, prod >> dw
+        for row in rows:  # slot d + j of the product is a multiple of x**(d+j) mod f
+            acc += (high & slot) * row
+            high >>= w
+        return acc - p * (acc * mu >> k & quot)
+
+    def power(base: int, e: int) -> int:
+        result = base
+        for bit in bin(e)[3:]:  # left to right below the top bit, as CycInt.__pow__
+            result = mulmod(result, result)
+            if bit == "1":
+                result = mulmod(result, base)
+        return result
+
+    rows = [sum(-c % p << w * i for i, c in enumerate(f[:d]))]  # x**d mod f, then x**(d+1), ...
+    while len(rows) < d - 1:
+        rows.append(mulmod(rows[-1], 1 << w))
+    # x**order as (x**(order/ell))**ell, ell = factors[0]: one power serves both of ell's tests
+    y = power(1 << w, order // factors[0])
+    return y != 1 and power(y, factors[0]) == 1 and all(power(1 << w, order // ell) != 1 for ell in factors[1:])
 
 
 def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int, ...]:
@@ -141,15 +139,23 @@ def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int,
     coefficient vector (c_0, ..., c_{degree-1}); index 0 is the deterministic
     default of ``build_tower``.  Returned constant-first, including the leading 1.
     """
+    if degree < 1:
+        raise ValueError("degree must be positive")
     if not is_prime(p):
         raise NonPrimeError(f"p = {p} is not prime")
     factors, unit_factors = prime_factors(p**degree - 1), prime_factors(p - 1)
+    sign = (-1) ** degree
     seen = 0
     for c0 in range(1, p):
         # c0 = (-1)**degree * N(alpha), and the norm of a generator generates GF(p)*
-        if any(pow((-1) ** degree * c0, (p - 1) // ell, p) == 1 for ell in unit_factors):
+        if any(pow(sign * c0, (p - 1) // ell, p) == 1 for ell in unit_factors):
             continue
         for high in itertools.product(range(p), repeat=degree - 1):
+            # a root at 1 or -1 is a linear factor, but in degree 1 x - 1 or x + 1 may be primitive
+            if degree > 1:
+                odd, even = sum(high[::2]), sum(high[1::2])  # coefficients of x, x**3, ... and x**2, x**4, ...
+                if (c0 + odd + even + 1) % p == 0 or (c0 - odd + even + sign) % p == 0:
+                    continue
             f = [c0, *high, 1]
             if _is_primitive(f, p, factors):
                 if seen == index:

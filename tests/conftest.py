@@ -12,7 +12,13 @@ from cyclotome import (
     build_tower,
     classify,
 )
+from cyclotome.cycint import CycInt
 from cyclotome.fields import ZERO
+
+
+def root_of_unity(order: int, k: int = 1) -> CycInt:
+    """zeta_order**k in canonical form."""
+    return CycInt(order, [0] * (k % order) + [1])
 
 
 def trace_to_q(tower: FieldTower, x: int) -> int:

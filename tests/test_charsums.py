@@ -6,7 +6,16 @@ from itertools import product
 
 import pytest
 
-from conftest import F_TABLE1, F_TABLE2, PERIOD_COUNTS1, PERIOD_COUNTS2, PERIODS1, PERIODS2, trace_p
+from conftest import (
+    F_TABLE1,
+    F_TABLE2,
+    PERIOD_COUNTS1,
+    PERIOD_COUNTS2,
+    PERIODS1,
+    PERIODS2,
+    root_of_unity,
+    trace_p,
+)
 from naive_oracle import naive_f_table, naive_gauss_counts, naive_jacobi_counts, naive_period_counts
 
 from cyclotome.charsums import (
@@ -33,8 +42,8 @@ def test_chi_has_exact_order_n(set1, set2):
     # chi(alpha**k) = zeta_N**k
     for desk in (set1, set2):
         n = desk.params.N
-        chi_alpha = CycInt.root_of_unity(n, 1)  # chi(alpha), alpha of index 1
-        assert chi_alpha == CycInt.root_of_unity(n)
+        chi_alpha = root_of_unity(n, 1)  # chi(alpha), alpha of index 1
+        assert chi_alpha == root_of_unity(n)
         powers = [chi_alpha**k for k in range(1, n)]
         assert all(p != 1 for p in powers)
         assert chi_alpha**n == 1
@@ -43,17 +52,17 @@ def test_chi_has_exact_order_n(set1, set2):
 def test_chi_trivial_on_beta_subfield_and_minus_one(set1, set2):
     for desk in (set1, set2):
         t, n = desk.tower, desk.params.N
-        assert CycInt.root_of_unity(n, desk.params.beta_log) == 1
+        assert root_of_unity(n, desk.params.beta_log) == 1
         for k in range(0, t.r - 1, t.subfield_step):
-            assert CycInt.root_of_unity(n, k) == 1
-        assert CycInt.root_of_unity(n, t.neg(0)) == 1
+            assert root_of_unity(n, k) == 1
+        assert root_of_unity(n, t.neg(0)) == 1
 
 
 def test_psi_is_additive_on_sample(set1):
     t = set1.tower
 
     def psi(x):
-        return CycInt.root_of_unity(t.p, trace_p(t, x))
+        return root_of_unity(t.p, trace_p(t, x))
 
     for i in range(0, t.r - 1, 5):
         for j in range(0, t.r - 1, 7):
@@ -145,8 +154,8 @@ def test_gauss_sum_matches_definition(set1, set2):
         for i in range(1, n + 1):
             total = CycInt.zero(big)
             for k in range(t.r - 1):
-                chi = CycInt.root_of_unity(n, i * k)
-                psi = CycInt.root_of_unity(t.p, t.trace_p_table[k])
+                chi = root_of_unity(n, i * k)
+                psi = root_of_unity(t.p, t.trace_p_table[k])
                 total = total + chi.embed(big) * psi.embed(big)
             assert total == sys_.gauss_sum(i)
 
@@ -482,12 +491,12 @@ def test_orthogonality_relations(set1, set2):
         for j in range(1, n + 1):
             total = CycInt.zero(n)
             for u in range(n):
-                total = total + CycInt.root_of_unity(n, j * u) * coset_size
+                total = total + root_of_unity(n, j * u) * coset_size
             assert total.as_integer() == (t.r - 1 if j == n else 0)
         for k in (0, 1, 5, t.r // 2):
             total = CycInt.zero(n)
             for j in range(1, n + 1):
-                total = total + CycInt.root_of_unity(n, j * k)
+                total = total + root_of_unity(n, j * k)
             assert total.as_integer() == (n if k % n == 0 else 0)
 
 

@@ -9,6 +9,8 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from conftest import root_of_unity
+
 import cyclotome
 import cyclotome.cli as cli
 import cyclotome.code as code
@@ -16,7 +18,6 @@ import cyclotome.fields as fields
 import cyclotome.theorem as theorem
 from cyclotome.charsums import CharSystem, norm_degree
 from cyclotome.cli import RunReport, _sweep_candidates, main
-from cyclotome.cycint import CycInt
 
 EXPECTED1 = [[0, "1"], [12, "72"], [16, "72"], [18, "264"], [20, "864"], [22, "864"], [24, "264"]]
 
@@ -319,7 +320,7 @@ def test_broken_invariant_exits_1(runner, monkeypatch):
 
 def test_inexact_sum_exits_1(runner, monkeypatch):
     # lifted Gauss sums that give semi an irrational period: NonIntegerResultError, reported, not a traceback
-    zeta = CycInt.root_of_unity(14, 1)  # lcm(p, N) = 14 at (7,1,2,3)
+    zeta = root_of_unity(14, 1)  # lcm(p, N) = 14 at (7,1,2,3)
     monkeypatch.setattr(cli, "lifted_sums", lambda system, k: ([zeta] * system.order, {}))  # verify lifts once
     result, out = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
     assert result.exit_code == 1 and out["verdict"] == "FAIL"
@@ -362,7 +363,7 @@ def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
         gauss, jacobi = real(system, k)
         if k == 1:  # the tower's own sums, which the lift is checked against
             return gauss, jacobi
-        return [g * CycInt.root_of_unity(g.order, i * g.order // len(gauss)) for i, g in enumerate(gauss)], jacobi
+        return [g * root_of_unity(g.order, i * g.order // len(gauss)) for i, g in enumerate(gauss)], jacobi
 
     monkeypatch.setattr(code, "lifted_sums", rotated)
     monkeypatch.setattr(cli, "lifted_sums", rotated)

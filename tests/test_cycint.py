@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import root_of_unity
+
 import cyclotome.cycint as cycint
 from cyclotome.cycint import (
     CycInt,
@@ -52,7 +54,7 @@ def test_cyclotomic_polynomial_prime_and_twice_odd_need_no_division(monkeypatch)
 
 def test_root_of_unity_vanishes_on_its_polynomial():
     for n in range(1, 31):
-        z = CycInt.root_of_unity(n)
+        z = root_of_unity(n)
         value = CycInt.zero(n)
         for k, c in enumerate(cyclotomic_polynomial(n)):
             value = value + (z**k) * c
@@ -61,31 +63,31 @@ def test_root_of_unity_vanishes_on_its_polynomial():
 
 def test_root_of_unity_examples():
     for n in (1, 2, 3, 7, 12):
-        assert CycInt.root_of_unity(n, 0) == 1
-    assert CycInt.root_of_unity(2, 1) == -1
+        assert root_of_unity(n, 0) == 1
+    assert root_of_unity(2, 1) == -1
     for n in range(2, 13):
         total = CycInt.zero(n)
         for k in range(n):
-            total = total + CycInt.root_of_unity(n, k)
+            total = total + root_of_unity(n, k)
         assert not total  # geometric sum of all n-th roots
-    assert CycInt.root_of_unity(5, 7) == CycInt.root_of_unity(5, 2)
+    assert root_of_unity(5, 7) == root_of_unity(5, 2)
 
 
 def test_addition_and_multiplication_examples():
-    z3 = CycInt.root_of_unity(3)
+    z3 = root_of_unity(3)
     assert z3 * z3**2 == 1
     assert z3 + z3**2 == -1
     # (1 + z5)(1 + z5**4) = 1 - z5**2 - z5**3, expanded by hand
-    z5 = CycInt.root_of_unity(5)
+    z5 = root_of_unity(5)
     prod = (1 + z5) * (1 + z5**4)
     assert prod.coeffs == (1, 0, -1, -1)
 
 
 def test_embed_examples():
-    minus_one = CycInt.root_of_unity(2, 1)
-    assert minus_one.embed(4) == CycInt.root_of_unity(4, 2)
-    z3 = CycInt.root_of_unity(3)
-    assert z3.embed(6) == CycInt.root_of_unity(6, 2)
+    minus_one = root_of_unity(2, 1)
+    assert minus_one.embed(4) == root_of_unity(4, 2)
+    z3 = root_of_unity(3)
+    assert z3.embed(6) == root_of_unity(6, 2)
     assert z3.embed(3) == z3
     with pytest.raises(NotDivisibleError):
         z3.embed(7)
@@ -103,7 +105,7 @@ def test_embed_is_ring_homomorphism():
 
 
 def test_as_integer():
-    z3 = CycInt.root_of_unity(3)
+    z3 = root_of_unity(3)
     assert (1 + z3 + z3**2).as_integer() == 0
     assert z3.as_integer() is None
     assert CycInt.from_int(12, -7).as_integer() == -7
@@ -111,9 +113,9 @@ def test_as_integer():
 
 def test_order_mismatch_rejected():
     with pytest.raises(OrderMismatchError):
-        CycInt.root_of_unity(3) + CycInt.root_of_unity(4)
+        root_of_unity(3) + root_of_unity(4)
     with pytest.raises(OrderMismatchError):
-        CycInt.root_of_unity(3) * CycInt.root_of_unity(6)
+        root_of_unity(3) * root_of_unity(6)
 
 
 def test_reduction_is_idempotent_and_canonical():
@@ -145,7 +147,7 @@ def test_ring_axioms_on_random_elements():
 
 def test_integer_coefficients_stay_exact():
     # products at the magnitude the tables reach: r**1.5 and beyond
-    big = CycInt.from_int(4, 2**70) + CycInt.root_of_unity(4) * 3
+    big = CycInt.from_int(4, 2**70) + root_of_unity(4) * 3
     sq = big * big
     assert sq.coeffs[0] == 2**140 - 9
     assert sq.coeffs[1] == 3 * 2**71

@@ -235,11 +235,12 @@ def test_primitive_polynomial_search_is_deterministic():
 
 @pytest.mark.parametrize(
     "p, degree",
-    [(2, 1), (2, 2), (2, 3), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2),
-     (5, 3), (7, 1), (7, 2), (7, 3), (13, 1), (13, 2)],
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 1), (3, 2), (3, 3), (3, 4),
+     (3, 5), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (11, 2), (13, 1), (13, 2)],
 )
 def test_search_matches_plain_lexicographic_scan(p, degree):
-    # every constant term, in lexicographic order, no filter
+    # every constant term, in lexicographic order, no filter: neither the norm test nor the skip of
+    # roots at 1 and -1, which degree 1 is exempt from (x + 1 is primitive over GF(2) and GF(3))
     factors = prime_factors(p**degree - 1)
     scan = [
         (*low, 1)
@@ -261,6 +262,82 @@ def test_degree_one_primitivity_is_the_order_of_minus_c0():
         for c0 in range(p):
             order = next((k for k in range(1, p) if pow(-c0, k, p) == 1), None)
             assert _is_primitive([c0, 1], p, factors) == (order == p - 1), (p, c0)
+
+
+def test_find_primitive_polynomial_rejects_degree_below_one():
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            find_primitive_polynomial(7, degree)
+
+
+def _walk_accepts(f, p):
+    """The exp-table walk as oracle: it returns to 1 after exactly p**d - 1 steps iff f is primitive."""
+    try:
+        FieldTower(p, 1, len(f) - 1, tuple(f))._pow_packed
+    except NoPrimitivePolynomialError:
+        return False
+    return True
+
+
+def _random_monic(rng, p, degree, count):
+    return [[rng.randrange(1, p), *(rng.randrange(p) for _ in range(degree - 1)), 1] for _ in range(count)]
+
+
+@pytest.mark.parametrize("p, degrees", [(2, range(2, 9)), (3, range(2, 5)), (5, (2, 3)), (7, (2,)), (13, (2,))])
+def test_packed_primitivity_agrees_with_the_walk_on_every_polynomial(p, degrees):
+    for degree in degrees:
+        factors = prime_factors(p**degree - 1)
+        for c0 in range(1, p):
+            for high in itertools.product(range(p), repeat=degree - 1):
+                f = [c0, *high, 1]
+                assert _is_primitive(f, p, factors) == _walk_accepts(f, p), f
+
+
+@pytest.mark.parametrize("p, degree", [(2, 16), (3, 10), (13, 4)])
+def test_packed_primitivity_agrees_with_the_walk_on_random_polynomials(p, degree):
+    factors = prime_factors(p**degree - 1)
+    polys = _random_monic(random.Random(p * 100 + degree), p, degree, 50)
+    polys += [list(find_primitive_polynomial(p, degree, index)) for index in range(3)]
+    verdicts = [_is_primitive(f, p, factors) for f in polys]
+    assert verdicts == [_walk_accepts(f, p) for f in polys]
+    assert any(verdicts[:50]) and not all(verdicts[:50])
+
+
+def test_packed_primitivity_at_the_widest_slots():
+    # p = 4093, d = 2: r = 4093**2 is just under the cap and p the largest prime with a degree-2 tower,
+    # so the slots are the widest.  The walk there takes r - 1 steps per polynomial, so the oracle is
+    # x**e by schoolbook products mod f, with x**2 = -f[1] x - f[0]
+    p = 4093
+    order, factors = p**2 - 1, prime_factors(p**2 - 1)
+
+    def x_power(f, e):
+        def times(a, b):
+            top = a[1] * b[1]
+            return (a[0] * b[0] - top * f[0]) % p, (a[0] * b[1] + a[1] * b[0] - top * f[1]) % p
+
+        result, base = (1, 0), (0, 1)
+        while e:
+            if e & 1:
+                result = times(result, base)
+            base = times(base, base)
+            e >>= 1
+        return result
+
+    polys = _random_monic(random.Random(4093), p, 2, 50) + [list(find_primitive_polynomial(p, 2))]
+    verdicts = [_is_primitive(f, p, factors) for f in polys]
+    oracle = [
+        x_power(f, order) == (1, 0) and all(x_power(f, order // ell) != (1, 0) for ell in factors) for f in polys
+    ]
+    assert verdicts == oracle
+    assert any(verdicts[:50]) and not all(verdicts[:50])
+
+
+def test_override_at_the_cap():
+    # r = 2**24 with the widest packing over GF(2): the 24-slot residues of the override check
+    poly = find_primitive_polynomial(2, 24)
+    assert build_tower(2, 2, 12, poly=poly).defining_polynomial == poly
+    with pytest.raises(BadPolynomialError, match="not primitive"):
+        build_tower(2, 2, 12, poly=(1, *[0] * 23, 1))  # x**24 + 1 = (x**3 + 1)**8 over GF(2)
 
 
 def assert_encodes_relative_trace(coords, reference):
