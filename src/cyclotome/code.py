@@ -12,7 +12,7 @@ Two independent routes to the weight distribution live here:
   by GF(q)* scaling, the cyclic shift and Frobenius, weighted by the orbit
   size; the orbit argument is trace linearity, periodicity and
   Tr(x**p) = Tr(x)**p, no character theory.  Each b, 0 included, takes one
-  row walk over a, whose coordinates are strided slices of one doubled table;
+  row walk over a, each a one XOR of packed integers against b;
 * ``semi_analytic_distribution`` assembles the histogram from the Gaussian
   periods and class counts f(c) of the Gauss and Jacobi sums of GF(p**f),
   lifted by Davenport-Hasse, with the coset size for the vanishing term of a
@@ -26,10 +26,11 @@ weight is always h(r-1)/q - lambda(a, b).
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import ne
 from typing import NamedTuple
 
 from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_identity, lifted_sums
@@ -159,8 +160,11 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     (a, b) -> (a, -b) is a bijection commuting with G, as (-b)**p = -b**p,
     so a walked pair (a, b) may count the weight of (a, -b): coordinate i
     is then zero exactly when Tr(a g**i) = Tr(b (beta g)**i).  As
-    n log g = r-1, the coordinates of a = alpha**x, x < r-1, sit at
-    x + i log g < x + r-1: one strided slice of the doubled table.
+    n log g = r-1, a = alpha**(x0 + j log g), x0 < log g, reads slots j .. j+n-1
+    of its class x0, whose coordinates one array holds twice over in 1, 2 or
+    4 bytes as q <= 2**7, 2**15 or more, so each slot has a spare top bit.
+    Against b, packed once per row, ((a ^ b | high) - low) & high sets that
+    guard bit in exactly the nonzero slots, and no borrow leaves its slot.
     Tr_{r/p}(lambda x) = Tr_{q/p}(lambda Tr_{r/q}(x)) for lambda in GF(q),
     and the trace form of GF(q)/GF(p) is nondegenerate, so ``trace_q_coords``
     compares two relative traces by s absolute traces; no character theory,
@@ -174,16 +178,24 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"r^2*n = {cost} exceeds budget {budget}")
     coords = tw.trace_q_coords
-    twice = memoryview(coords * 2)  # a = alpha**x, x < r-1: coordinates twice[x : x + r-1 : log g]
     dg, dbeta = params.g_log, params.beta_log
+    packed = array("B" if tw.q <= 1 << 7 else "H" if tw.q <= 1 << 15 else "i")
+    for x0 in range(dg):  # class x0: slots 2n*x0 + j .. 2n*x0 + j+n-1 hold a = alpha**(x0 + j log g)
+        packed.extend(array(packed.typecode, coords[x0::dg]) * 2)
+    width, slots = packed.itemsize, memoryview(packed).cast("B")
+    low = int.from_bytes(array(packed.typecode, [1] * n), sys.byteorder)  # 1 in every slot
+    high = low << 8 * width - 1  # every slot's top bit
     dbg = (dbeta + dg) % n1
     step = math.gcd(big_p, dbg)
 
     def row(b_coords: list, t: int, mult: int, shift: int) -> Counter:
         """Weights against b: a = 0, then one a = alpha**x per cycle of x -> mult*x + shift on Z/t."""
         weights = Counter({n - b_coords.count(0): 1})
+        b = int.from_bytes(array(packed.typecode, b_coords), sys.byteorder)
         for x, length in _cycles(t, mult, shift):
-            weights[sum(map(ne, twice[x : x + n1 : dg], b_coords))] += length * (n1 // t)
+            start = (x % dg * 2 * n + x // dg) * width
+            diff = int.from_bytes(slots[start : start + n * width], sys.byteorder) ^ b
+            weights[((diff | high) - low & high).bit_count()] += length * (n1 // t)
         return weights
 
     hist = row([0] * n, math.gcd(n1, big_p, dg), p, 0)  # b = 0

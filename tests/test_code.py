@@ -109,10 +109,11 @@ def test_brute_distribution_matches_naive_oracle(set1, set2):
 
 @pytest.mark.parametrize(
     "p, s, m, h, e, step",
-    [(5, 1, 2, 2, 2, 2), (3, 2, 2, 2, 2, 2), (2, 2, 2, 3, 3, 1)],
+    [(5, 1, 2, 2, 2, 2), (3, 2, 2, 2, 2, 2), (2, 2, 2, 3, 3, 1), (2, 7, 1, 127, 127, 1)],
 )
 def test_brute_matches_naive_oracle_outside_the_theorem(p, s, m, h, e, step):
-    # no closed form covers these sets (e = 2, or N = 1): the naive oracle is the only check
+    # no closed form covers these sets (e = 2, or N = 1): the naive oracle is the only check.
+    # q = 128 is the largest q in one-byte slots: its coordinates reach 127, just under the guard bit
     tower = build_tower(p, s, m)
     params = build_code(tower, h, e)
     assert not isinstance(classify(params), TheoremCase)
@@ -131,6 +132,15 @@ def test_brute_matches_naive_oracle_beyond_the_desk(p, s, m, h):
     oracle = naive_weight_distribution(p, s, m, h, 3, tower.defining_polynomial)
     assert brute_distribution(params).counts == oracle
     assert semi_analytic_distribution(params).counts == oracle
+
+
+@pytest.mark.parametrize("p, s, m", [(2, 8, 2), (32779, 1, 1), (2, 2, 8)])
+def test_brute_matches_semi_beyond_the_oracle(p, s, m):
+    # q = 256 takes two-byte slots and q = 32779 > 2**15 four; (2, 2, 8) walks r = 2**16 and n = 65535.
+    # All three have N = 1, as has every e = 3 set at r = 2**16, so semi is the only other route
+    params = build_code(build_tower(p, s, m), 3)
+    assert params.N == 1
+    assert brute_distribution(params) == semi_analytic_distribution(params)
 
 
 # distributions recorded by the walk over every a against one b per coset of <alpha**step>
@@ -181,9 +191,10 @@ def test_brute_uses_no_character_layer():
     assert not set(names(brute_distribution.__code__)) & character_layer
 
 
-@pytest.mark.parametrize("p, s, m, h, e", [(2, 2, 4, 3, 3), (7, 2, 2, 6, 3)])
+@pytest.mark.parametrize("p, s, m, h, e", [(2, 2, 4, 3, 3), (7, 2, 2, 6, 3), (2, 8, 2, 3, 3)])
 def test_brute_builds_no_log_or_zech_table(p, s, m, h, e):
-    # (7, 2, 2, 6): p odd and s = 2, so the relative-trace coordinates take a rotation of the absolute trace
+    # (7, 2, 2, 6): p odd and s = 2, so the relative-trace coordinates take a rotation of the absolute trace;
+    # (2, 8, 2, 3): q = 256, so the coordinates take two-byte slots
     tower = build_tower(p, s, m)
     params = build_code(tower, h, e)
     brute_distribution(params).validate(params)
