@@ -11,17 +11,19 @@ below pin that convention.
 
 The pair count f(c) for a coset vector c = (c1, c2, c3) is the number of
 (a, b) in GF(r)**2 with (a + beta**i b) * g**i * alpha**(c_i) an N-th
-power for i = 1, 2, 3.  It is computed by direct enumeration (one pass
-over GF(r), spread over GF(r)**2 by scaling) and by one Jacobi-sum
-identity, fed the tower's Jacobi sums, a subfield's lifted to GF(r), or
-the semiprimitive value -sg*sqrt(r), which makes it the closed form.
+power for i = 1, 2, 3.  It reads c only through the difference pair
+d = (c1 - c3, c2 - c3) mod N, so every route returns one table
+{(d1, d2): f} with zero counts dropped.  The table is computed by direct
+enumeration (one pass over GF(r), spread over GF(r)**2 by scaling) and by
+one Jacobi-sum identity, fed the tower's Jacobi sums, a subfield's lifted
+to GF(r), or the semiprimitive value -sg*sqrt(r), which makes it the
+closed form.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from functools import cached_property
 from itertools import count, product
 from typing import TYPE_CHECKING
@@ -148,6 +150,11 @@ def norm_system(tower: FieldTower, n: int) -> CharSystem:
     return CharSystem(FieldTower(p, 1, f, coeffs), n)
 
 
+def _jacobi_pairs(n: int) -> list[tuple[int, int]]:
+    """The (i, j), 0 < i, j < N and i + j != N, of the nontrivial Jacobi sums J(i, j)."""
+    return [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
+
+
 def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[int, int], CycInt]]:
     """Gauss sums G(chi**i o Norm), i < N, and Jacobi sums {(i, j): J(i, j)}, 0 < i, j < N,
     i + j != N, over the degree-k extension of the system's field; k = 1 gives its own sums.
@@ -157,8 +164,7 @@ def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[in
     principal character both sides are 1.  J(i, j) = G(chi**i) G(chi**j) /
     G(chi**(i+j)) lifts the same way where chi**i, chi**j, chi**(i+j) are nontrivial.
     """
-    n = system.order
-    pairs = [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
+    n, pairs = system.order, _jacobi_pairs(system.order)
     sums = [system.gauss_sum(i) for i in range(n)] + [system.jacobi_sum(i, j) for i, j in pairs]
     lifted = [-((-x) ** k) for x in sums]
     return lifted[:n], dict(zip(pairs, lifted[n:]))
@@ -180,36 +186,38 @@ def periods_from_gauss(gauss: list[CycInt], n: int) -> list[int]:
     return periods
 
 
-def _class_cosets(g_log: int, n: int, c: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Cosets of xi1*mu, xi2*mu and xi1/xi2 for class c, beta-free.
+def _class_cosets(g_log: int, n: int, d: tuple[int, int]) -> tuple[int, int, int]:
+    """Cosets of xi1*mu, xi2*mu and xi1/xi2 for the classes c with (c1 - c3, c2 - c3) = d, beta-free.
 
     xi_i = g**i (1 - beta**i) c_i / c_3 and mu = beta / (1 - beta**2).  As beta,
     -1 (both checked in ``build_code``) and 1 + beta = -beta**2 are N-th powers,
     these are the cosets of g*c1/c3, g**2*c2/c3 and (g*c2/c1)**-1.
     """
-    c1, c2, c3 = c
-    return (g_log + c1 - c3) % n, (2 * g_log + c2 - c3) % n, -(g_log + c2 - c1) % n
+    d1, d2 = d
+    return (g_log + d1) % n, (2 * g_log + d2) % n, -(g_log + d2 - d1) % n
 
 
-def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
-    """f(c) for every class c = (c1, c2, c3) with c_i < N, by one pass over GF(r).
+def class_counts(params: "CodeParams") -> dict[tuple[int, int], int]:
+    """{(d1, d2): f} by one pass over GF(r): f(c) for the classes c with (c1 - c3, c2 - c3) = d.
 
     A pair (a, b) whose t_i = a + beta**i b are all nonzero lies in exactly
-    one class, c_i = -(log t_i + i log g) mod N; a pair with some t_i = 0
-    lies in none.  Every pair other than (0, 0) is alpha**k (1, 0) or
-    alpha**k (y, 1) for exactly one k < r-1 and y in GF(r), and the factor
-    alpha**k adds k to every log t_i.  So one pass over the r + 1
-    representatives gives the histogram H at k = 0, and
+    one class c = (c1, c2, c3), c_i = -(log t_i + i log g) mod N; a pair with
+    some t_i = 0 lies in none.  Every pair other than (0, 0) is
+    alpha**k (1, 0) or alpha**k (y, 1) for exactly one k < r-1 and y in
+    GF(r), and the factor alpha**k adds k to every log t_i.  So one pass over
+    the r + 1 representatives gives the histogram H at k = 0, and
     f(c) = (r-1)/N * sum of H(c + (j, j, j)) over j < N, a sum that reads c
-    only through (c1 - c3, c2 - c3).  Classes that no pair reaches are absent.
+    only through d = (c1 - c3, c2 - c3) mod N.  Pairs d that no pair reaches
+    are absent.  The Zech residues mod N (N <= m < 256) are one ``bytes``,
+    read at three rotations as slices of it doubled.
     """
     tw, n = params.tower, params.N
     n1, g = tw.r - 1, params.g_log
     b = [i * params.beta_log % n1 for i in (1, 2, 3)]  # logs of beta**i
     u = [-(b_i + i * g) for i, b_i in zip((1, 2, 3), b)]
-    residues = list(map(n.__rmod__, tw.zech))  # ZERO lands on N - 1: its readers are taken out below
-    # (alpha**x, 1): log t_i = b_i + zech[x - b_i], so t_i reads the residues rotated by b_i
-    reads = [residues[n1 - b_i :] + residues[: n1 - b_i] for b_i in b]
+    doubled = memoryview(bytes(map(n.__rmod__, tw.zech)) * 2)  # ZERO lands on N - 1, its readers taken out below
+    # (alpha**x, 1): log t_i = b_i + zech[x - b_i], so t_i reads the residues rotated by b_i, a slice of doubled
+    reads = [doubled[n1 - b_i : 2 * n1 - b_i] for b_i in b]
     hist = Counter(zip(*reads))  # zech residues (z1, z2, z3) -> pairs; their class is c_i = u_i - z_i
     for x in {(b_i + tw.neg_shift) % n1 for b_i in b}:  # zech[x - b_i] is ZERO: some t_i = 0
         hist[reads[0][x], reads[1][x], reads[2][x]] -= 1
@@ -218,41 +226,42 @@ def class_counts(params: "CodeParams") -> dict[tuple[int, int, int], int]:
     diag = Counter()  # (c1 - c3, c2 - c3) mod N -> the sum of H over its N classes
     for (z1, z2, z3), k in hist.items():
         diag[(u[0] - z1 - u[2] + z3) % n, (u[1] - z2 - u[2] + z3) % n] += k
-    counts = {}
-    for c1, c2, c3 in product(range(n), repeat=3):
-        if f := diag[(c1 - c3) % n, (c2 - c3) % n]:
-            counts[c1, c2, c3] = f * (n1 // n)
-    return counts
+    return {d: k * (n1 // n) for d, k in diag.items() if k}
 
 
-def _f_identity(n: int, r: int, g_log: int, c: tuple[int, int, int], jacobi: Callable) -> int:
-    """f(c) by the Jacobi-sum identity, with J(i, j) read from ``jacobi(i, j)``.
+def _f_table(params: "CodeParams", jacobi: dict[tuple[int, int], CycInt]) -> dict[tuple[int, int], int]:
+    """{(d1, d2): f} by the Jacobi-sum identity at c = (d1, d2, 0), J(i, j) = ``jacobi[i, j]``.
 
     N**3 f(c) / (r-1) = r + 1 - N*#{x_k = 0} + sum of zeta_N**(i*x1 + j*x2) J(i, j)
-    over 0 < i, j < N, i + j != N, x the class cosets; the sum over (i, j) is
-    reduced once.
+    over the keys of ``jacobi`` (0 < i, j < N, i + j != N, as ``lifted_sums``
+    returns them), x the class cosets; each sum over (i, j) is reduced once.
+    Zero counts are dropped.
     """
-    x1, x2, x3 = _class_cosets(g_log, n, c)
-    pairs = ((i, j) for i, j in product(range(1, n), repeat=2) if i + j != n)
-    total = _shifted_sum(n, ((i * x1 + j * x2, jacobi(i, j)) for i, j in pairs))
-    val = total.as_integer()
-    if val is None:
-        raise NonIntegerResultError(f"character sum for {c} is irrational: {total!r}")
-    num = (r - 1) * (val + r + 1 - n * ((x1 == 0) + (x2 == 0) + (x3 == 0)))
-    if num % n**3 or num < 0:
-        raise NonIntegerResultError(f"count for {c} is not a nonnegative integer: {num}/{n**3}")
-    return num // n**3
+    n, r = params.N, params.tower.r
+    table = {}
+    for d in product(range(n), repeat=2):
+        x1, x2, x3 = _class_cosets(params.g_log, n, d)
+        total = _shifted_sum(n, ((i * x1 + j * x2, value) for (i, j), value in jacobi.items()))
+        val = total.as_integer()
+        if val is None:
+            raise NonIntegerResultError(f"character sum for {(*d, 0)} is irrational: {total!r}")
+        num = (r - 1) * (val + r + 1 - n * ((x1 == 0) + (x2 == 0) + (x3 == 0)))
+        if num % n**3 or num < 0:
+            raise NonIntegerResultError(f"count for {(*d, 0)} is not a nonnegative integer: {num}/{n**3}")
+        if num:
+            table[d] = num // n**3
+    return table
 
 
-def f_charsum(params: "CodeParams", system: CharSystem, c: tuple[int, int, int]) -> int:
-    """f(c) by the Jacobi-sum identity on the tower's Jacobi sums, exactly in Z[zeta_N]."""
-    return _f_identity(params.N, params.tower.r, params.g_log, c, system.jacobi_sum)
+def f_charsum(params: "CodeParams", system: CharSystem) -> dict[tuple[int, int], int]:
+    """{(d1, d2): f} by the Jacobi-sum identity on the tower's Jacobi sums, exactly in Z[zeta_N]."""
+    return _f_table(params, lifted_sums(system, 1)[1])
 
 
-def f_closed(params: "CodeParams", case: "TheoremCase", c: tuple[int, int, int]) -> int:
-    """f(c) in closed form: the identity at the semiprimitive Jacobi value -sg*sqrt(r), no field."""
+def f_closed(params: "CodeParams", case: "TheoremCase") -> dict[tuple[int, int], int]:
+    """{(d1, d2): f} in closed form: the identity at the semiprimitive Jacobi value -sg*sqrt(r), no field."""
     value = CycInt.from_int(params.N, -case.sign * case.sqrt_r)
-    return _f_identity(params.N, params.tower.r, params.g_log, c, lambda i, j: value)
+    return _f_table(params, dict.fromkeys(_jacobi_pairs(params.N), value))
 
 
 def gaussian_period_closed(case: "TheoremCase", i: int) -> int:

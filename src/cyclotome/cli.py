@@ -197,22 +197,15 @@ def _verification_checks(
     if first:
         checks["first_diff"] = first
 
-    counts = class_counts(params)
-    # f(c) reads c only through (c1 - c3, c2 - c3): both identities once per pair, every class compared
-    diffs = list(product(range(n_ord), repeat=2))
-    charsum = {d: f_charsum(params, system, (*d, 0)) for d in diffs}
-    closed = {d: f_closed(params, case, (*d, 0)) for d in diffs}
-    f_total = 0
-    f_ok = True
-    for c in product(range(n_ord), repeat=3):
-        d = ((c[0] - c[2]) % n_ord, (c[1] - c[2]) % n_ord)
-        fe, fc, fl = counts.get(c, 0), charsum[d], closed[d]
-        f_total += fe
-        if not fe == fc == fl:
-            f_ok = False
-            checks.setdefault("f_first_diff", {"c": list(c), "counts": [fe, fc, fl]})
-    checks["f_triple_equal"] = f_ok
-    checks["f_partition"] = f_total == r * r - 1 - 3 * (r - 1)
+    tables = (class_counts(params), f_charsum(params, system), f_closed(params, case))  # {(d1, d2): f} each
+    checks["f_triple_equal"] = tables[0] == tables[1] == tables[2]
+    checks["f_partition"] = n_ord * sum(tables[0].values()) == r * r - 1 - 3 * (r - 1)
+    if not checks["f_triple_equal"]:  # name the first class c, in product order, where the tables differ
+        for c in product(range(n_ord), repeat=3):
+            fs = [t.get(((c[0] - c[2]) % n_ord, (c[1] - c[2]) % n_ord), 0) for t in tables]
+            if len(set(fs)) > 1:
+                checks["f_first_diff"] = {"c": list(c), "counts": fs}
+                break
 
     dist = dists["brute"]
     checks["frequency_total"] = dist.total() == r * r
@@ -230,14 +223,12 @@ def _verification_checks(
     checks["jacobi_boundary"] = system.jacobi_sum(n_ord, n_ord) == r - 2 and all(
         system.jacobi_sum(i, n_ord - i) == -1 for i in range(1, n_ord)
     )
-    big = math.lcm(tw.p, n_ord)
-    pairs = [(i, j) for i, j in product(range(1, n_ord), repeat=2) if (i + j) % n_ord]
+    big, own = math.lcm(tw.p, n_ord), lifted_sums(system, 1)
     checks["gauss_jacobi_relation"] = all(
-        system.gauss_sum(i + j) * system.jacobi_sum(i, j).embed(big)
-        == system.gauss_sum(i) * system.gauss_sum(j)
-        for i, j in pairs
+        system.gauss_sum(i + j) * jacobi.embed(big) == system.gauss_sum(i) * system.gauss_sum(j)
+        for (i, j), jacobi in own[1].items()
     )
-    checks["lifted_sums"] = lifted == lifted_sums(system, 1)
+    checks["lifted_sums"] = lifted == own
     return checks, dists
 
 
@@ -375,13 +366,6 @@ def _sweep_towers(max_r: int, e: int):
                 yield (p, s, m, hs)
                 m += 1
             s += 1
-
-
-def _sweep_candidates(max_r: int, e: int):
-    """All (p, s, m, h) with 3 <= q = p**s, r = q**m <= max_r, e | h | q-1, in tuple order."""
-    for p, s, m, hs in _sweep_towers(max_r, e):
-        for h in hs:
-            yield (p, s, m, h)
 
 
 def _sweep_item(tower: FieldTower, h: int, e: int, budget: int) -> tuple:

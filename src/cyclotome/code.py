@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_identity, lifted_sums
+from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_table, lifted_sums
 from .charsums import norm_degree, periods_from_gauss
 from .cycint import CycInt
 from .fields import ZERO, FieldTower
@@ -259,9 +259,10 @@ def semi_analytic_distribution(
     labelled by alpha'.  alpha -> alpha**w permutes the coordinates
     (i -> w*i mod n), which keeps the histogram, and g_log does not depend
     on the generator.  The periods come from the Gauss sums by Fourier
-    inversion.  The N**3 coset-vector classes are sized by the Jacobi-sum
-    identity for f(c) at the lifted Jacobi sums, which reads c only through
-    c1 - c3 and c2 - c3, so it is evaluated N**2 times.  Pairs with
+    inversion.  The N**3 coset-vector classes are sized by the table
+    {(d1, d2): f} of the Jacobi-sum identity at the lifted Jacobi sums: f(c)
+    reads c only through d = (c1 - c3, c2 - c3), so each entry sizes the N
+    classes (d1 + c3, d2 + c3, c3).  Pairs with
     a = -beta**t b, b != 0, form 3N coset families of (r-1)/N, whose
     vanishing term reads the coset size.  Their other terms read
     beta**i - beta**t in coset 0: it lies in GF(q)*, inside C_0 as
@@ -278,11 +279,9 @@ def semi_analytic_distribution(
     gauss, jacobi = lifted
     eta = periods_from_gauss(gauss, n_ord)
     sums: Counter = Counter()  # period sum -> number of pairs whose weight it gives
-    for d1, d2 in product(range(n_ord), repeat=2):  # the classes (d1 + c3, d2 + c3, c3)
-        freq = _f_identity(n_ord, tw.r, params.g_log, (d1, d2, 0), lambda i, j: jacobi[i, j])
-        if freq:
-            for c3 in range(n_ord):
-                sums[eta[-(d1 + c3) % n_ord] + eta[-(d2 + c3) % n_ord] + eta[-c3 % n_ord]] += freq
+    for (d1, d2), freq in _f_table(params, jacobi).items():  # the classes (d1 + c3, d2 + c3, c3)
+        for c3 in range(n_ord):
+            sums[eta[-(d1 + c3) % n_ord] + eta[-(d2 + c3) % n_ord] + eta[-c3 % n_ord]] += freq
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
     for t, k in product(range(1, 4), range(n_ord)):
         periods = (n1 // n_ord if i == t else eta[(k + i * params.g_log) % n_ord] for i in range(1, 4))

@@ -195,6 +195,8 @@ def table_distribution(case: TheoremCase, params: CodeParams) -> WeightDistribut
     stale or hand-built case cannot silently select the wrong table.
     """
     fresh = classify(params)
+    if isinstance(fresh, NotApplicable):
+        raise NotApplicableError(f"no table applies: {fresh.reason}")
     if fresh != case:
         raise NotApplicableError(f"case {case} does not match parameters ({fresh})")
     dist = instantiate_table(case, params)

@@ -12,6 +12,7 @@ from cyclotome import (
     build_tower,
     classify,
 )
+from cyclotome.cli import _sweep_towers
 from cyclotome.cycint import CycInt
 from cyclotome.fields import ZERO
 
@@ -45,6 +46,13 @@ def codeword(params: CodeParams, a: int, b: int) -> list[int]:
 
 def hamming_weight(word: list[int]) -> int:
     return sum(1 for x in word if x != ZERO)
+
+
+def sweep_candidates(max_r: int, e: int):
+    """All (p, s, m, h) with 3 <= q = p**s, r = q**m <= max_r, e | h | q-1, in tuple order: the sweep's items."""
+    for p, s, m, hs in _sweep_towers(max_r, e):
+        for h in hs:
+            yield (p, s, m, h)
 
 
 def trace_p(tower: FieldTower, x: int) -> int:
@@ -115,11 +123,7 @@ PERIODS1 = [3, -4]
 PERIOD_COUNTS2 = [[13, 8], [9, 12], [9, 12]]
 PERIODS2 = [5, -3, -3]
 
-F_TABLE1 = {
-    (0, 0, 0): 264, (0, 0, 1): 288, (0, 1, 0): 288, (0, 1, 1): 288,
-    (1, 0, 0): 288, (1, 0, 1): 288, (1, 1, 0): 288, (1, 1, 1): 264,
-}
-
-F_TABLE2 = {c: 126 for c in [(a, b, d) for a in range(3) for b in range(3) for d in range(3)]}
-F_TABLE2.update({c: 189 for c in [(0, 0, 0), (0, 1, 2), (1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 2, 2)]})
-F_TABLE2.update({c: 168 for c in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]})
+# class counts {(c1 - c3, c2 - c3): f}, the naive N**3 counts read at c3 = 0
+F_TABLE1 = {(0, 0): 264, (0, 1): 288, (1, 0): 288, (1, 1): 288}
+F_TABLE2 = {(a, b): 126 for a in range(3) for b in range(3)}
+F_TABLE2.update({(0, 0): 189, (1, 2): 189, (2, 1): 168})

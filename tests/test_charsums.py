@@ -230,11 +230,11 @@ def _xi_mu_by_field(params, c):
 
 
 def test_xi_mu_consistency_all_vectors(set1, set2):
-    # the field evaluation equals the beta-free reduction that f(c) reads
+    # the field evaluation at every class c equals the beta-free reduction that f reads at its difference pair
     for desk in (set1, set2):
         params, n = desk.params, desk.params.N
         for c in product(range(n), repeat=3):
-            x1, x2, ratio = _class_cosets(params.g_log, n, c)
+            x1, x2, ratio = _class_cosets(params.g_log, n, ((c[0] - c[2]) % n, (c[1] - c[2]) % n))
             assert _xi_mu_by_field(params, c) == (x1, x2, ratio)
             assert (x1 - x2 - ratio) % n == 0
 
@@ -243,7 +243,7 @@ def test_xi_mu_zero_vector_with_square_g(set1):
     # g is an N-th power here, so the zero vector lands every coset at 0
     params = set1.params
     assert params.g_log % params.N == 0
-    assert _class_cosets(params.g_log, params.N, (0, 0, 0)) == (0, 0, 0)
+    assert _class_cosets(params.g_log, params.N, (0, 0)) == (0, 0, 0)
     assert _xi_mu_by_field(params, (0, 0, 0)) == (0, 0, 0)
 
 
@@ -267,18 +267,26 @@ def test_beta_power_differences_share_coset_with_one_minus_beta(set1, set2):
 
 def test_f_enumerate_frozen_tables(set1, set2):
     for desk, table in ((set1, F_TABLE1), (set2, F_TABLE2)):
-        counts = class_counts(desk.params)
-        for c, expected in table.items():
-            assert counts.get(c, 0) == expected
+        assert class_counts(desk.params) == table
+
+
+def _by_difference_pair(counts, n):
+    """N**3 class counts {c: f} as {(c1 - c3, c2 - c3): f}, zeros dropped, once each class c + (j, j, j)
+    is checked to have the count of c."""
+    table = {}
+    for c in product(range(n), repeat=3):
+        f = counts.get(c, 0)
+        assert {counts.get(tuple((ci + j) % n for ci in c), 0) for j in range(n)} == {f}
+        if f:
+            table[(c[0] - c[2]) % n, (c[1] - c[2]) % n] = f
+    return table
 
 
 def test_f_tables_match_naive_oracle(set1, set2):
     for desk in (set1, set2):
         t, n = desk.tower, desk.params.N
         oracle = naive_f_table(t.p, t.s, t.m, desk.params.h, n, t.defining_polynomial)
-        counts = class_counts(desk.params)
-        for c, expected in oracle.items():
-            assert counts.get(c, 0) == expected
+        assert class_counts(desk.params) == _by_difference_pair(oracle, n)
 
 
 def _class_counts_by_pairs(params):
@@ -310,65 +318,42 @@ def _class_counts_by_pairs(params):
 )
 def test_class_counts_by_scaling_equal_pair_pass(p, s, m, h, e):
     params = build_code(build_tower(p, s, m), h, e)
-    assert class_counts(params) == _class_counts_by_pairs(params)
+    assert class_counts(params) == _by_difference_pair(_class_counts_by_pairs(params), params.N)
 
 
 def test_f_partition_identity(set1, set2):
+    # each difference pair stands for N classes
     for desk in (set1, set2):
         n, r = desk.params.N, desk.tower.r
-        counts = class_counts(desk.params)
-        total = sum(counts.get(c, 0) for c in product(range(n), repeat=3))
-        assert total == r * r - 1 - 3 * (r - 1)
+        assert n * sum(class_counts(desk.params).values()) == r * r - 1 - 3 * (r - 1)
 
 
-def test_f_label_normalization(set1, set2):
-    # representatives alpha**(c+N) label the same coset, hence the same count
-    for desk in (set1, set2):
-        n, params = desk.params.N, desk.params
-        assert f_charsum(params, desk.system, (n, 1 + n, 1)) == f_charsum(params, desk.system, (0, 1, 1))
-        assert f_closed(params, desk.case, (n, 1 + n, 1)) == f_closed(params, desk.case, (0, 1, 1))
-
-
-def test_f_unchanged_by_diagonal_shift(set1, set2):
-    # f(c) reads c only through c1 - c3 and c2 - c3, which semi and verify evaluate once per pair
-    for desk in (set1, set2):
-        n, params, counts = desk.params.N, desk.params, class_counts(desk.params)
-        for c in product(range(n), repeat=3):
-            shifted = [tuple((ci + j) % n for ci in c) for j in range(1, n)]
-            assert {f_charsum(params, desk.system, d) for d in shifted} == {f_charsum(params, desk.system, c)}
-            assert {f_closed(params, desk.case, d) for d in shifted} == {f_closed(params, desk.case, c)}
-            assert {counts.get(d, 0) for d in shifted} == {counts.get(c, 0)}
-    # N = 5 at r = 2**20 in closed form, which builds no table
-    tower = build_tower(2, 4, 5)
-    params = build_code(tower, 3, 3)
-    case = classify(params)
-    assert params.N == 5
-    for c in product(range(5), repeat=3):
-        values = {f_closed(params, case, tuple((ci + j) % 5 for ci in c)) for j in range(5)}
-        assert len(values) == 1
-    assert not _TOWER_TABLES & vars(tower).keys()
+def test_f_unchanged_by_diagonal_shift(set1, set2, set3):
+    # the naive oracle sees c3: its N**3 counts are constant on every diagonal c + (j, j, j) (checked in
+    # _by_difference_pair), so one count per difference pair loses nothing, and that table is each route's
+    for desk in (set1, set2, set3):
+        t, params, n = desk.tower, desk.params, desk.params.N
+        table = _by_difference_pair(naive_f_table(t.p, t.s, t.m, params.h, n, t.defining_polynomial), n)
+        assert table == class_counts(params) == f_charsum(params, desk.system) == f_closed(params, desk.case)
 
 
 def test_f_charsum_equals_enumeration(set1, set2):
     for desk in (set1, set2):
-        n, counts = desk.params.N, class_counts(desk.params)
-        for c in product(range(n), repeat=3):
-            assert f_charsum(desk.params, desk.system, c) == counts.get(c, 0)
+        assert f_charsum(desk.params, desk.system) == class_counts(desk.params)
 
 
 def test_f_charsum_n2_reduces_to_delta_formula(set1):
     # N = 2 leaves no (i, j) pairs in the correction sum
     params, r = set1.params, set1.tower.r
-    for c in product(range(2), repeat=3):
-        deltas = sum(x == 0 for x in _class_cosets(params.g_log, 2, c))
-        assert f_charsum(params, set1.system, c) == (r - 1) * (r + 1 - 2 * deltas) // 8
+    table = f_charsum(params, set1.system)
+    for d in product(range(2), repeat=2):
+        deltas = sum(x == 0 for x in _class_cosets(params.g_log, 2, d))
+        assert table.get(d, 0) == (r - 1) * (r + 1 - 2 * deltas) // 8
 
 
 def test_f_closed_matches_other_routes(set1, set2):
     for desk in (set1, set2):
-        n, counts = desk.params.N, class_counts(desk.params)
-        for c in product(range(n), repeat=3):
-            assert f_closed(desk.params, desk.case, c) == counts.get(c, 0)
+        assert f_closed(desk.params, desk.case) == class_counts(desk.params)
 
 
 def test_f_closed_zero_vector_formula(set1):
@@ -376,17 +361,17 @@ def test_f_closed_zero_vector_formula(set1):
     params, case, r, n = set1.params, set1.case, set1.tower.r, set1.params.N
     sign = -1 if case.gamma % 2 else 1
     expected = (r - 1) * (r + 1 - 3 * n - sign * case.sqrt_r * (n * n - 3 * n + 2)) // n**3
-    assert f_closed(params, case, (0, 0, 0)) == expected == 264
+    assert f_closed(params, case)[0, 0] == expected == 264
 
 
-def _f_closed_by_formula(params, case, c):
-    """Reference for f_closed: the semiprimitive identity expanded by hand.
+def _f_closed_by_formula(params, case, d):
+    """Reference for f_closed at the difference pair d: the semiprimitive identity expanded by hand.
 
     Returns None where the count is not a nonnegative integer.
     """
     n, r = params.N, params.tower.r
     s = -case.sign * case.sqrt_r
-    x1, x2, x3 = _class_cosets(params.g_log, n, c)
+    x1, x2, x3 = _class_cosets(params.g_log, n, d)
     d1, d2 = x1 == 0, x2 == 0
     dsum = d1 + d2 + (x3 == 0)
     braced = r + 1 - n * dsum + s * (n * n * d1 * d2 - n * dsum + 2)
@@ -420,13 +405,13 @@ def test_f_closed_equals_expanded_formula(p, s, m, h, swap_major):
         swapped = dataclasses.replace(case, case_major=3 - case.case_major)
         assert swapped.sign != case.sign
         case = swapped
-    for c in product(range(params.N), repeat=3):
-        expected = _f_closed_by_formula(params, case, c)
-        if expected is None:
-            with pytest.raises(NonIntegerResultError, match=re.escape(f"count for {c} is not a nonnegative integer")):
-                f_closed(params, case, c)
-        else:
-            assert f_closed(params, case, c) == expected
+    expected = {d: _f_closed_by_formula(params, case, d) for d in product(range(params.N), repeat=2)}
+    bad = [d for d, f in expected.items() if f is None]
+    if bad:  # the first pair in product order is the one named
+        with pytest.raises(NonIntegerResultError, match=re.escape(f"count for {(*bad[0], 0)} is not a nonnegative")):
+            f_closed(params, case)
+    else:
+        assert f_closed(params, case) == {d: f for d, f in expected.items() if f}
     assert not _TOWER_TABLES & vars(tower).keys()
 
 
@@ -436,12 +421,9 @@ def test_f_charsum_equals_closed_form_at_n5():
     params = build_code(tower, 3, 3)
     case, system = classify(params), CharSystem(tower, params.N)
     assert params.N == 5
-    total = 0
-    for c in product(range(5), repeat=3):
-        fc = f_charsum(params, system, c)
-        assert fc == f_closed(params, case, c)
-        total += fc
-    assert total == tower.r**2 - 1 - 3 * (tower.r - 1)
+    table = f_charsum(params, system)
+    assert table == f_closed(params, case)
+    assert 5 * sum(table.values()) == tower.r**2 - 1 - 3 * (tower.r - 1)
 
 
 def test_f_charsum_calls_no_field_operation(monkeypatch):
@@ -457,8 +439,7 @@ def test_f_charsum_calls_no_field_operation(monkeypatch):
 
     for name in ("add", "neg", "mul"):
         monkeypatch.setattr(FieldTower, name, refuse)
-    for c in product(range(3), repeat=3):
-        assert f_charsum(params, system, c) == counts.get(c, 0)
+    assert f_charsum(params, system) == counts
 
 
 def test_closed_forms_beyond_desk_scale():
@@ -474,12 +455,9 @@ def test_closed_forms_beyond_desk_scale():
         case = classify(params)
         assert case.gamma % 2 == 0
         system = CharSystem(tower, params.N)
-        total = 0
-        for c in product(range(params.N), repeat=3):
-            fc = f_charsum(params, system, c)
-            assert fc == f_closed(params, case, c)
-            total += fc
-        assert total == tower.r**2 - 1 - 3 * (tower.r - 1)
+        table = f_charsum(params, system)
+        assert table == f_closed(params, case)
+        assert params.N * sum(table.values()) == tower.r**2 - 1 - 3 * (tower.r - 1)
         for u in range(params.N):
             assert system.gaussian_period(u).as_integer() == gaussian_period_closed(case, u)
 

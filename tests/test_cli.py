@@ -9,7 +9,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from conftest import root_of_unity
+from conftest import root_of_unity, sweep_candidates
 
 import cyclotome
 import cyclotome.cli as cli
@@ -17,7 +17,7 @@ import cyclotome.code as code
 import cyclotome.fields as fields
 import cyclotome.theorem as theorem
 from cyclotome.charsums import CharSystem, norm_degree
-from cyclotome.cli import RunReport, _sweep_candidates, main
+from cyclotome.cli import RunReport, main
 
 EXPECTED1 = [[0, "1"], [12, "72"], [16, "72"], [18, "264"], [20, "864"], [22, "864"], [24, "264"]]
 
@@ -297,11 +297,14 @@ def test_verify_detects_injected_table_corruption(runner, monkeypatch):
 
 
 def test_verify_detects_wrong_class_count(runner, monkeypatch):
-    # a closed form off by one at one class: the one-pass enumeration must catch it
+    # a closed form off by one at one difference pair: the one-pass enumeration must catch it
     closed = cli.f_closed
-    monkeypatch.setattr(
-        cli, "f_closed", lambda params, case, c: closed(params, case, c) + (tuple(c) == (0, 0, 0))
-    )
+
+    def off_by_one(params, case):
+        table = closed(params, case)
+        return {**table, (0, 0): table.get((0, 0), 0) + 1}
+
+    monkeypatch.setattr(cli, "f_closed", off_by_one)
     result, report = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
     assert result.exit_code == 1
     assert report["checks"]["f_triple_equal"] is False
@@ -310,7 +313,7 @@ def test_verify_detects_wrong_class_count(runner, monkeypatch):
 
 def test_broken_invariant_exits_1(runner, monkeypatch):
     # a semi route whose class counts vanish: its histogram fails validate
-    monkeypatch.setattr(code, "_f_identity", lambda *args: 0)
+    monkeypatch.setattr(code, "_f_table", lambda *args: {})
     result = runner.invoke(
         main, ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--method", "semi"]
     )
@@ -435,7 +438,7 @@ def test_sweep_on_a_non_primitive_polynomial_fails_one_row(runner, non_primitive
     assert result.exit_code == 0
     rows = [json.loads(line) for line in result.output.strip().splitlines()]
     by_params = {(r["p"], r["s"], r["m"], r["h"]): r for r in rows}
-    assert list(by_params) == sorted(_sweep_candidates(100, 3))
+    assert list(by_params) == sorted(sweep_candidates(100, 3))
     assert by_params[(2, 2, 3, 3)]["status"] == "FAIL"
     assert by_params[(2, 2, 3, 3)]["reason"].startswith("NoPrimitivePolynomialError:")
     assert by_params[(7, 1, 2, 3)]["status"] == "PASS"
@@ -561,7 +564,7 @@ def test_sweep_row_template_is_json_dumps(runner):
 @pytest.mark.parametrize("max_r", [2, 3, 4, 5, 8, 9, 25, 49, 121, 1000, 2187, 4096, 5000])
 def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
     # 2187 = 3**7 and 4096 = 2**12 are the r of several towers: the bound is inclusive
-    got = list(_sweep_candidates(max_r, e))
+    got = list(sweep_candidates(max_r, e))
     bits = max_r.bit_length()
     want = [
         (p, s, m, h)
@@ -585,12 +588,12 @@ def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
 
 def test_sweep_internal_failure_is_a_fail_row(runner, monkeypatch):
     # a semi route whose class counts vanish fails validate inside the two verified items
-    monkeypatch.setattr(code, "_f_identity", lambda *args: 0)
+    monkeypatch.setattr(code, "_f_table", lambda *args: {})
     result = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
     assert result.exit_code == 0
     rows = [json.loads(line) for line in result.output.strip().splitlines()]
     by_params = {(r["p"], r["s"], r["m"], r["h"]): r for r in rows}
-    assert list(by_params) == sorted(_sweep_candidates(100, 3))
+    assert list(by_params) == sorted(sweep_candidates(100, 3))
     for key in ((7, 1, 2, 3), (2, 2, 3, 3)):
         assert by_params[key]["status"] == "FAIL"
         assert by_params[key]["failed_checks"] == ["three_way_equal"]
@@ -602,7 +605,7 @@ def test_unverified_sweep_rows_build_no_field(runner, no_search):
     result = runner.invoke(main, ["sweep", "--max-r", "1000", "--budget", "0"], catch_exceptions=False)
     assert result.exit_code == 0
     rows = [json.loads(line) for line in result.output.strip().splitlines()]
-    assert len(rows) == len(list(_sweep_candidates(1000, 3)))
+    assert len(rows) == len(list(sweep_candidates(1000, 3)))
     status = {row["status"] for row in rows}
     assert status == {"not_applicable", "skipped_budget"}
 

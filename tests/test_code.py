@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DIST1, DIST2, codeword, hamming_weight
+from conftest import DIST1, DIST2, codeword, hamming_weight, sweep_candidates
 from naive_oracle import naive_weight_distribution
 
 import cyclotome.charsums as charsums
@@ -24,7 +24,6 @@ from cyclotome.code import (
     lambda_weight,
     semi_analytic_distribution,
 )
-from cyclotome.cli import _sweep_candidates
 from cyclotome.fields import ZERO, FieldTower, build_tower, find_primitive_polynomial, prime_factors
 from cyclotome.theorem import TheoremCase, classify, table_distribution
 
@@ -304,7 +303,7 @@ def test_semi_analytic_builds_no_log_or_zech_table(p, s, m):
 def test_beta_power_differences_lie_in_coset_zero():
     # the semi route's degenerate families read beta**i - beta**t in C_0 without a field addition
     sets = 0
-    for p, s, m, h in _sweep_candidates(5000, 3):
+    for p, s, m, h in sweep_candidates(5000, 3):
         params = build_code(FieldTower(p, s, m), h, 3)
         if params.N < 2:
             continue
@@ -352,7 +351,7 @@ def test_general_e_brute_force():
 # every valid e = 3 set with r <= 128 whose brute cost r^2*n stays desk-sized
 SMALL_SETS = [
     (p, s, m, h)
-    for p, s, m, h in sorted(_sweep_candidates(128, 3))
+    for p, s, m, h in sorted(sweep_candidates(128, 3))
     if p ** (2 * s * m) * h * (p ** (s * m) - 1) // (p**s - 1) <= 300_000
 ]
 

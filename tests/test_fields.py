@@ -65,8 +65,7 @@ def test_classification_and_table_build_no_field_table():
     case = classify(params)
     table_distribution(case, params)
     instantiate_table(replace(case, case_major=1), params)
-    for c in itertools.product(range(params.N), repeat=3):
-        f_closed(params, case, c)
+    f_closed(params, case)
     for u in range(params.N):
         gaussian_period_closed(case, u)
     built = set(vars(tower))

@@ -3,12 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import DIST1, DIST2
+from conftest import DIST1, DIST2, sweep_candidates
 
 import cyclotome.fields as fields
 
 from cyclotome.charsums import CharSystem, gaussian_period_closed, lifted_sums
-from cyclotome.cli import _sweep_candidates
 from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
 from cyclotome.fields import FieldTower, build_tower
 from cyclotome.theorem import (
@@ -90,6 +89,16 @@ def test_case_mismatch_is_rejected(set1, set2):
         table_distribution(stale, set1.params)
 
 
+@pytest.mark.parametrize("p, s, m, h, e", [(2, 2, 8, 3, 3), (7, 1, 2, 6, 2)])
+def test_table_rejects_the_not_applicable_classify_returns(p, s, m, h, e):
+    # N = 1 and e = 2: classify's own NotApplicable equals itself, yet selects no table
+    params = build_code(FieldTower(p, s, m), h, e)
+    case = classify(params)
+    assert isinstance(case, NotApplicable)
+    with pytest.raises(NotApplicableError, match=re.escape(case.reason)):
+        table_distribution(case, params)
+
+
 def test_zero_frequency_rows_are_dropped(set1):
     # raw substitution of the minor-2 table at N = 2 empties its last row
     dist = instantiate_table(replace(set1.case, case_minor=2), set1.params)
@@ -128,7 +137,7 @@ def test_semi_equals_table_across_small_sweep():
 
     checked = 0
     cases = set()
-    for p, s, m, h in _sweep_candidates(2500, 3):
+    for p, s, m, h in sweep_candidates(2500, 3):
         if math.gcd(m, 3 * (p**s - 1) // h) < 2:
             continue  # N = 1, never applicable; skip the tower build
         params = build_code(build_tower(p, s, m), h, 3)
