@@ -24,7 +24,6 @@ from .code import (
     brute_distribution,
     build_code,
     codeword_weight_from_lambda,
-    lambda_weight,
     semi_analytic_distribution,
 )
 from .cycint import CycInt, NotDivisibleError, OrderMismatchError, cyclotomic_polynomial

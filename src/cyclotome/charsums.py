@@ -71,11 +71,6 @@ class CharSystem:
         ]
         self._jacobi: dict[tuple[int, int], CycInt] = {}
 
-    @property
-    def eta_zero(self) -> int:
-        """Period at argument 0: the coset size (r-1)/N."""
-        return (self.r - 1) // self.order
-
     @cached_property
     def _periods(self) -> list[CycInt]:
         return [CycInt(self.p, row) for row in self.period_counts]

@@ -268,7 +268,7 @@ _shared_options = [
     click.option("--s", "s", type=int, required=True, help="Base extension degree: q = p**s."),
     click.option("--m", "m", type=int, required=True, help="Top extension degree: r = q**m."),
     click.option("--h", "h", type=int, required=True, help="Divisor of q-1; code length is h(r-1)/(q-1)."),
-    click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (closed forms need 3)."),
+    click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (semi and the closed forms need 3)."),
     click.option("--poly", type=str, default=None, help="Defining polynomial override, comma-separated GF(p) coefficients, constant first, monic, degree s*m."),
     click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True, help="Brute-force work cap, in r^2*n units."),
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json", show_default=True),
@@ -427,7 +427,7 @@ def _row_json(row: tuple) -> str:
 
 @main.command()
 @click.option("--max-r", type=int, required=True, help="Upper bound on the big field size r.")
-@click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (closed forms need 3).")
+@click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (semi and the closed forms need 3).")
 @click.option("--budget", type=int, default=DEFAULT_SWEEP_BUDGET, show_default=True, help="Per-item brute-force cap in r^2*n units; larger items are classified only.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json", show_default=True)
 def sweep(max_r, e, budget, fmt) -> None:

@@ -19,8 +19,9 @@ Two independent routes to the weight distribution live here:
   degenerate pair; no codeword, no table of GF(r) and no closed form, so it
   runs on every e = 3 set, semiprimitive or not.
 
-The bridge between them is the modified weight lambda(a, b); the Hamming
-weight is always h(r-1)/q - lambda(a, b).
+Semi and the per-pair reference ``codeword_weight_from_lambda`` share one
+weight formula, ``_weight``: a pair whose e periods at (a + beta**i b) g**i
+sum to S has weight h(r-1)/q - (hN/eq)*S, one exact division.
 """
 
 from __future__ import annotations
@@ -210,36 +211,32 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
     return WeightDistribution(hist)
 
 
-def lambda_weight(params: CodeParams, system: CharSystem, a: int, b: int) -> Fraction:
-    """Modified weight: (hN/eq) times the sum of periods at (a + beta**i b) g**i, a and b indices.
-
-    The period at argument 0 is the coset size (r-1)/N.  The sum of the e
-    periods is always a rational integer even when single periods are not.
-    """
-    tw = params.tower
-    n1 = tw.r - 1
-    acc = CycInt.zero(tw.p)
-    const = 0
-    for i in range(1, params.e + 1):
-        bb = ZERO if b == ZERO else (b + i * params.beta_log) % n1
-        t = tw.add(a, bb)
-        if t == ZERO:
-            const += system.eta_zero
-        else:
-            arg = (t + i * params.g_log) % n1
-            acc = acc + system.gaussian_period(arg % params.N)
-    val = acc.as_integer()
-    if val is None:
-        raise NonIntegerResultError("period sum came out irrational")
-    return Fraction(params.h * params.N * (val + const), params.e * tw.q)
+def _weight(params: CodeParams, total: int) -> int:
+    """Weight of a pair whose e period terms sum to ``total``: h(r-1)/q - (hN/eq)*total, one exact division."""
+    num = params.h * (params.e * (params.tower.r - 1) - params.N * total)
+    weight, rem = divmod(num, params.e * params.tower.q)
+    if rem:
+        raise NonIntegerResultError(f"weight {Fraction(num, params.e * params.tower.q)} is not an integer")
+    return weight
 
 
 def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, b: int) -> int:
-    """Hamming weight of the pair of indices (a, b) via h(r-1)/q minus the modified weight."""
-    w = Fraction(params.h * (params.tower.r - 1), params.tower.q) - lambda_weight(params, system, a, b)
-    if w.denominator != 1:
-        raise NonIntegerResultError(f"weight {w} is not an integer")
-    return int(w)
+    """Hamming weight of the pair of indices (a, b) from the periods at (a + beta**i b) g**i.
+
+    A vanishing term reads the coset size (r-1)/N.  Every single period is
+    a rational integer: N | m and N | q-1 give N | (r-1)/(p-1), so GF(p)*
+    lies in C_0, and zeta_p -> zeta_p**k, k in GF(p)*, maps the period of
+    a coset C_u to that of k C_u = C_u.  The sum is still checked rational.
+    """
+    tw, n1 = params.tower, params.tower.r - 1
+    acc = CycInt.zero(tw.p)
+    for i in range(1, params.e + 1):
+        t = tw.add(a, ZERO if b == ZERO else (b + i * params.beta_log) % n1)
+        acc += n1 // params.N if t == ZERO else system.gaussian_period(t + i * params.g_log)
+    total = acc.as_integer()
+    if total is None:
+        raise NonIntegerResultError("period sum came out irrational")
+    return _weight(params, total)
 
 
 def semi_analytic_distribution(
@@ -247,8 +244,9 @@ def semi_analytic_distribution(
 ) -> WeightDistribution:
     """Assemble the histogram of any e = 3 set from class data instead of codewords.
 
-    Every weight is h(r-1)/q - (hN/3q) times the sum of the periods at
-    (a + beta**i b) g**i: h(3(r-1) - N*sum)/(3q), one exact division.
+    Every weight is ``_weight`` of the sum of the periods at
+    (a + beta**i b) g**i, the exact division ``codeword_weight_from_lambda``
+    also ends in.
     ``lifted`` holds the GF(r) Gauss and Jacobi sums of an order-N
     character, as ``lifted_sums`` returns them; by default those of
     GF(p**f), f = ord_N(p), lifted by Davenport-Hasse, which builds no
@@ -288,11 +286,7 @@ def semi_analytic_distribution(
         sums[sum(periods)] += n1 // n_ord
     hist = Counter({0: 1})
     for total, freq in sums.items():
-        num = params.h * (3 * n1 - n_ord * total)
-        weight, rem = divmod(num, 3 * tw.q)
-        if rem:
-            raise NonIntegerResultError(f"weight {Fraction(num, 3 * tw.q)} is not an integer")
-        hist[weight] += freq
+        hist[_weight(params, total)] += freq
     dist = WeightDistribution(hist)
     dist.validate(params)
     return dist

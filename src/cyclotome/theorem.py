@@ -74,7 +74,7 @@ def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
     tw = params.tower
     p, n_ord = tw.p, params.N
     if params.e != 3:
-        return NotApplicable(f"e = {params.e}, closed forms need e = 3")
+        return NotApplicable(f"e = {params.e}, semi and the closed forms need e = 3")
     if n_ord < 2:
         return NotApplicable(f"N = {n_ord} < 2")
     j = next((c for c in range(1, n_ord + 1) if pow(p, c, n_ord) == n_ord - 1), None)

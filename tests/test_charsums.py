@@ -69,11 +69,6 @@ def test_psi_is_additive_on_sample(set1):
             assert psi(t.add(i, j)) == psi(i) * psi(j)
 
 
-def test_eta_zero_is_coset_size(set1, set2):
-    assert set1.system.eta_zero == 24
-    assert set2.system.eta_zero == 21
-
-
 def test_period_bucket_counts_match_oracle(set1, set2):
     assert set1.system.period_counts == PERIOD_COUNTS1
     assert set2.system.period_counts == PERIOD_COUNTS2

@@ -185,6 +185,18 @@ def test_field_cap_is_checked_before_primality(runner, monkeypatch, p, s, m, h, 
     assert result.output == f"error: r = p**(s*m) = {p}**{int(s) * int(m)} exceeds cap {fields.DEFAULT_FIELD_CAP}\n"
 
 
+def test_compute_off_e3_names_semi_and_the_closed_forms(runner):
+    # at e = 2 only brute runs; semi and the table give the one reason, which names both
+    result, report = _invoke_json(
+        runner, "compute", "--p", "5", "--s", "1", "--m", "2", "--h", "4", "--e", "2", "--method", "all"
+    )
+    assert result.exit_code == 0
+    reason = "e = 2, semi and the closed forms need e = 3"
+    assert report["classification"] == {"applicable": False, "reason": reason}
+    assert report["checks"] == {"semi": f"not applicable: {reason}", "table": f"not applicable: {reason}"}
+    assert report["distribution"] == [[0, "1"], [8, "24"], [12, "24"], [16, "144"], [20, "288"], [24, "144"]]
+
+
 def test_compute_reports_disagreeing_routes(runner, monkeypatch):
     # a table with one pair moved from weight 12 to 16: no distribution is printed, and the exit is 1
     real = cli.table_distribution
@@ -212,12 +224,11 @@ def test_compute_pretty_names_why_not_applicable(runner):
 
 
 def test_routes_and_checks_call_no_reference_helper(runner, monkeypatch):
-    # every route and verify check runs on the tables; the lambda helpers are for reference only
+    # every route and verify check runs on the tables; the per-pair weight helper is for reference only
     def refuse(*args):
         raise AssertionError("a reference helper was called")
 
-    for name in ("lambda_weight", "codeword_weight_from_lambda"):
-        monkeypatch.setattr(code, name, refuse)
+    monkeypatch.setattr(code, "codeword_weight_from_lambda", refuse)
     expected = {
         ("verify", "7", "1", "2", "3"): EXPECTED1,
         ("verify", "2", "2", "3", "3"): [
@@ -689,6 +700,6 @@ def test_public_names_are_pinned():
         "WeightDistribution", "brute_distribution", "build_code", "build_tower", "charsums",
         "class_counts", "classify", "code", "codeword_weight_from_lambda", "cycint",
         "cyclotomic_polynomial", "f_charsum", "f_closed", "fields", "find_primitive_polynomial",
-        "gaussian_period_closed", "instantiate_table", "lambda_weight",
-        "semi_analytic_distribution", "table_distribution", "theorem",
+        "gaussian_period_closed", "instantiate_table", "semi_analytic_distribution",
+        "table_distribution", "theorem",
     ]

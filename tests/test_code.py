@@ -2,7 +2,7 @@ import math
 import random
 import types
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +21,6 @@ from cyclotome.code import (
     brute_distribution,
     build_code,
     codeword_weight_from_lambda,
-    lambda_weight,
     semi_analytic_distribution,
 )
 from cyclotome.fields import ZERO, FieldTower, build_tower, find_primitive_polynomial, prime_factors
@@ -223,7 +222,7 @@ def test_distribution_validate_rejects_bad_data(set1):
 
 
 def test_weight_equals_lambda_complement(set1, set2):
-    # Hamming weight of every codeword equals h(r-1)/q minus lambda(a, b)
+    # Hamming weight of every codeword equals h(r-1)/q minus (hN/eq) times its period sum
     for desk in (set1, set2):
         t, params, sys_ = desk.tower, desk.params, desk.system
         elems = list(t.elements())
@@ -235,28 +234,26 @@ def test_weight_equals_lambda_complement(set1, set2):
 
 def test_lambda_zero_pair(set1, set2):
     for desk in (set1, set2):
-        t, params = desk.tower, desk.params
-        lam = lambda_weight(params, desk.system, ZERO, ZERO)
-        assert lam == Fraction(params.h * (t.r - 1), t.q)
+        assert codeword_weight_from_lambda(desk.params, desk.system, ZERO, ZERO) == 0
 
 
 def test_lambda_degenerate_pairs(set1, set2):
-    # a = -beta**t b: two period terms plus the coset-size constant
+    # a = -beta**t b: two period terms plus the coset size (r-1)/N for the vanishing one
     for desk in (set1, set2):
         t, params, sys_ = desk.tower, desk.params, desk.system
         n, n1 = params.N, t.r - 1
         for t_exp in (1, 2, 3):
             for b in (0, 1, 2):
                 a = t.neg(t.mul(desk.beta * t_exp % n1, b))
-                expected = Fraction(sys_.eta_zero)
+                total = n1 // n
                 for i in range(1, 4):
                     if i == t_exp:
                         continue
                     diff = t.add(desk.beta * i % n1, t.neg(desk.beta * t_exp % n1))
                     arg = t.mul(t.mul(b, desk.g * i % n1), diff)
-                    expected += sys_.gaussian_period(arg % n).as_integer()
-                expected *= Fraction(params.h * n, 3 * t.q)
-                assert lambda_weight(params, sys_, a, b) == expected
+                    total += sys_.gaussian_period(arg % n).as_integer()
+                expected = Fraction(params.h * n1, t.q) - Fraction(params.h * n * total, 3 * t.q)
+                assert codeword_weight_from_lambda(params, sys_, a, b) == expected
 
 
 def test_lambda_depends_only_on_coset_vector(set1):
@@ -270,9 +267,9 @@ def test_lambda_depends_only_on_coset_vector(set1):
         if ZERO in terms:
             continue  # degenerate pair, not in any class
         vec = tuple((-x - i * params.g_log) % n for i, x in zip((1, 2, 3), terms))
-        lam = lambda_weight(params, sys_, a, b)
-        classes.setdefault(vec, lam)
-        assert classes[vec] == lam
+        weight = codeword_weight_from_lambda(params, sys_, a, b)
+        classes.setdefault(vec, weight)
+        assert classes[vec] == weight
 
 
 def test_semi_analytic_matches_brute(set1, set2):
@@ -334,18 +331,22 @@ def test_distribution_invariant_under_defining_polynomial(set1):
 
 
 def test_general_e_brute_force():
-    # e = 2 code on the same tower: enumeration and lambda stay valid
+    # e = 2 code on the same tower: enumeration and the per-pair reference stay valid
     tower = build_tower(7, 1, 2)
     params = build_code(tower, 6, 2)
     assert params.n == 48 and params.N == 2
     dist = brute_distribution(params)
     dist.validate(params)
-    system = CharSystem(tower, params.N)
-    elems = list(tower.elements())
-    for a in elems[::6]:
-        for b in elems[::6]:
+    # e = 2, 4 and 6, one with N = 3: the reference weight is the codeword's on a grid of pairs, ZERO included
+    for p, s, m, h, e, n_ord in [(7, 1, 2, 6, 2, 2), (5, 1, 2, 4, 4, 2), (13, 1, 3, 4, 4, 3), (7, 1, 2, 6, 6, 2)]:
+        tower = build_tower(p, s, m)
+        params = build_code(tower, h, e)
+        assert params.N == n_ord
+        system = CharSystem(tower, n_ord)
+        elems = list(tower.elements())
+        for a, b in product(elems[:: len(elems) // 8], repeat=2):
             direct = hamming_weight(codeword(params, a, b))
-            assert direct == codeword_weight_from_lambda(params, system, a, b)
+            assert direct == codeword_weight_from_lambda(params, system, a, b), (p, s, m, h, e, a, b)
 
 
 # every valid e = 3 set with r <= 128 whose brute cost r^2*n stays desk-sized
