@@ -14,7 +14,6 @@ from .charsums import (
     class_counts,
     f_charsum,
     f_closed,
-    gaussian_period_closed,
 )
 from .code import (
     BadParametersError,

@@ -1,8 +1,10 @@
 """Gaussian periods, Gauss sums, Jacobi sums, and the coset-pair counts f.
 
 Everything is evaluated exactly: sums over GF(r) are bucketed into integer
-count tables in one pass over the field, then assembled into cyclotomic
-integers (:class:`~cyclotome.cycint.CycInt`).  The multiplicative
+count tables in one pass over the field.  The Gaussian periods are read
+off those counts as ints, one list indexed by coset; the Gauss and Jacobi
+sums, which are irrational, are assembled into cyclotomic integers
+(:class:`~cyclotome.cycint.CycInt`).  The multiplicative
 character chi of order N sends alpha**k to zeta_N**k; the additive
 character psi sends x to zeta_p**Tr(x), Tr the absolute trace to GF(p).
 Every character, including the principal one, takes the value 0 at 0
@@ -61,7 +63,6 @@ class CharSystem:
         self.tower = tower
         self.order = order
         self.p = tower.p
-        self.r = tower.r
         trace_p = memoryview(tower.trace_p_table)  # strided views, no copies
         buckets = (Counter(trace_p[u::order]) for u in range(order))
         self.period_counts = [[b[t] for t in range(self.p)] for b in buckets]
@@ -72,12 +73,13 @@ class CharSystem:
         self._jacobi: dict[tuple[int, int], CycInt] = {}
 
     @cached_property
-    def _periods(self) -> list[CycInt]:
-        return [CycInt(self.p, row) for row in self.period_counts]
+    def periods(self) -> list[int | None]:
+        """Gaussian period of each coset u, the sum of psi over alpha**u * C, or None if irrational.
 
-    def gaussian_period(self, u_coset: int) -> CycInt:
-        """Sum of psi over the coset alpha**u_coset * C, in Z[zeta_p]."""
-        return self._periods[u_coset % self.order]
+        Row u of ``period_counts`` gives sum of v_t zeta_p**t; it is rational exactly
+        when v_1 = ... = v_(p-1), and is then v_0 - v_1 (also at p = 2).
+        """
+        return [row[0] - row[1] if row[1:].count(row[1]) == self.p - 1 else None for row in self.period_counts]
 
     def gauss_sum(self, i: int) -> CycInt:
         """Sum of chi**i(x) psi(x) over nonzero x, in Z[zeta_lcm(p, N)]."""
@@ -258,21 +260,3 @@ def f_closed(params: "CodeParams", case: "TheoremCase") -> dict[tuple[int, int],
     value = CycInt.from_int(params.N, -case.sign * case.sqrt_r)
     return _f_table(params, dict.fromkeys(_jacobi_pairs(params.N), value))
 
-
-def gaussian_period_closed(case: "TheoremCase", i: int) -> int:
-    """Semiprimitive closed form of the period at coset i.
-
-    One distinguished coset (0, or N/2 when the all-odd case makes N even)
-    carries the large value; the other N-1 cosets share the small one.  The
-    values follow from the case sign alone; the sign does not fix which
-    coset is distinguished.
-    """
-    n, sr, sign = case.N, case.sqrt_r, case.sign
-    special_coset = n // 2 if case.case_major == 1 else 0
-    if i % n == special_coset:
-        num = -sign * (n - 1) * sr - 1
-    else:
-        num = sign * sr - 1
-    if num % n:
-        raise NonIntegerResultError(f"period value {num}/{n} is not integral")
-    return num // n

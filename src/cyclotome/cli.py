@@ -26,8 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 import click
 
-from .charsums import CharSystem, class_counts, f_charsum, f_closed, gaussian_period_closed
-from .charsums import lifted_sums, norm_system
+from .charsums import CharSystem, class_counts, f_charsum, f_closed, lifted_sums, norm_system
 from .code import (
     BadParametersError,
     BudgetExceededError,
@@ -159,7 +158,7 @@ def _compute_methods(
         elif name == "semi" and params.e == 3:
             dists["semi"] = semi_analytic_distribution(params)
         elif name == "table" and isinstance(case, TheoremCase):
-            dists["table"] = table_distribution(case, params)
+            dists["table"] = table_distribution(params)
         else:
             checks[name] = f"not applicable: {case.reason}"
     if len(dists) > 1:
@@ -191,7 +190,7 @@ def _verification_checks(
         dists["semi"] = semi_analytic_distribution(params, lifted)
     except ArithmeticError as exc:  # a wrong lift: the checks below still run, lifted_sums among them
         checks["semi"] = f"failed: {exc}"
-    dists["table"] = table_distribution(case, params)
+    dists["table"] = table_distribution(params)
     first = _first_diff_check(dists, [("brute", name) for name in ("semi", "table") if name in dists])
     checks["three_way_equal"] = "semi" in dists and first is None
     if first:
@@ -213,12 +212,10 @@ def _verification_checks(
         dist.weighted_sum() * tw.q == params.n * r * r * (tw.q - 1)
     )
 
-    periods = [system.gaussian_period(u).as_integer() for u in range(n_ord)]
-    checks["periods_rational"] = all(v is not None for v in periods)
+    periods = system.periods
+    checks["periods_rational"] = None not in periods
     checks["period_sum"] = sum(v or 0 for v in periods) == -1
-    checks["periods_match_closed"] = all(
-        periods[u] == gaussian_period_closed(case, u) for u in range(n_ord)
-    )
+    checks["periods_match_closed"] = periods == case.periods
 
     checks["jacobi_boundary"] = system.jacobi_sum(n_ord, n_ord) == r - 2 and all(
         system.jacobi_sum(i, n_ord - i) == -1 for i in range(1, n_ord)
@@ -400,29 +397,21 @@ def _sweep_item(tower: FieldTower, h: int, e: int, budget: int) -> tuple:
 
 
 _SWEEP_COLUMNS = ("p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds")
-_TEXT_COLUMNS = ("case", "reason", "status")
-
-
-def _row_slot(key: str) -> str:
-    """The template text for one key of a JSON sweep row, in json.dumps's separators."""
-    if key == "failed_checks":  # optional: the whole '"failed_checks": [...], ' or nothing
-        return "%s"
-    spec = "s" if key in _TEXT_COLUMNS else "r" if key == "seconds" else "d"
-    return f"{encode_basestring_ascii(key)}: %{spec}, "
-
-
-# One JSON object per sweep row, keys sorted: the bytes of json.dumps(row, sort_keys=True).
-# Text goes through json's own escaper, ints through %d and the float seconds through
-# %r, which is float.__repr__ as in json.
-_ROW_TEMPLATE = "{" + "".join(map(_row_slot, sorted([*_SWEEP_COLUMNS, "failed_checks"])))[:-2] + "}\n"
 
 
 def _row_json(row: tuple) -> str:
-    """One JSON sweep row and its newline, from the template: the values go in sorted key order."""
+    """One sweep row and its newline, the bytes of json.dumps(row, sort_keys=True).
+
+    The keys are written in sorted order; text goes through json's own
+    escaper and the float seconds through repr, float.__repr__ as in json.
+    """
     p, s, m, h, e, q, r, n, N, case, status, reason, seconds, failed = row
     esc = encode_basestring_ascii
     failed_json = f'"failed_checks": [{", ".join(map(esc, failed))}], ' if failed else ""
-    return _ROW_TEMPLATE % (N, esc(case), e, failed_json, h, m, n, p, q, r, esc(reason), s, seconds, esc(status))
+    return (
+        f'{{"N": {N}, "case": {esc(case)}, "e": {e}, {failed_json}"h": {h}, "m": {m}, "n": {n}, "p": {p}, '
+        f'"q": {q}, "r": {r}, "reason": {esc(reason)}, "s": {s}, "seconds": {seconds!r}, "status": {esc(status)}}}\n'
+    )
 
 
 @main.command()

@@ -36,7 +36,6 @@ from typing import NamedTuple
 
 from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_table, lifted_sums
 from .charsums import norm_degree, periods_from_gauss
-from .cycint import CycInt
 from .fields import ZERO, FieldTower
 
 
@@ -226,16 +225,16 @@ def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, 
     A vanishing term reads the coset size (r-1)/N.  Every single period is
     a rational integer: N | m and N | q-1 give N | (r-1)/(p-1), so GF(p)*
     lies in C_0, and zeta_p -> zeta_p**k, k in GF(p)*, maps the period of
-    a coset C_u to that of k C_u = C_u.  The sum is still checked rational.
+    a coset C_u to that of k C_u = C_u.  Each period is still checked to be
+    one: NonIntegerResultError if ``system.periods`` holds None.
     """
-    tw, n1 = params.tower, params.tower.r - 1
-    acc = CycInt.zero(tw.p)
+    tw, n1, n_ord, periods = params.tower, params.tower.r - 1, params.N, system.periods
+    if None in periods:
+        raise NonIntegerResultError("a Gaussian period came out irrational")
+    total = 0
     for i in range(1, params.e + 1):
         t = tw.add(a, ZERO if b == ZERO else (b + i * params.beta_log) % n1)
-        acc += n1 // params.N if t == ZERO else system.gaussian_period(t + i * params.g_log)
-    total = acc.as_integer()
-    if total is None:
-        raise NonIntegerResultError("period sum came out irrational")
+        total += n1 // n_ord if t == ZERO else periods[(t + i * params.g_log) % n_ord]
     return _weight(params, total)
 
 

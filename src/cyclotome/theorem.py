@@ -12,9 +12,9 @@ all -sg*sqrt(r), with sg = -1 in major case 1 and (-1)**gamma in major
 case 2.  With r = sqrt(r)**2, the printed major-1 tables are the major-2
 tables at sg = -1, row for row, so one table per minor case is kept and
 ``TheoremCase.sign`` is the single place the sign is decided.  Every
-closed form (the tables here, the Jacobi value and periods in
-``charsums``) takes the ``TheoremCase`` that ``classify`` returns as its
-only case input.
+closed form (the tables and ``TheoremCase.periods`` here, the Jacobi
+value in ``charsums``) takes the ``TheoremCase`` that ``classify``
+returns as its only case input.
 
 Each table is encoded symbolically in (r, sqrt(r), N, h, q, sg), one
 (weight, frequency) pair per row, each an exact integer numerator and
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
+from .charsums import NonIntegerResultError
 from .code import CodeParams, WeightDistribution
 
 
@@ -61,6 +62,23 @@ class TheoremCase:
         The off-diagonal Jacobi sums are -sg*sqrt(r).
         """
         return -1 if self.case_major == 1 else (-1) ** self.gamma
+
+    @property
+    def periods(self) -> list[int]:
+        """The N closed Gaussian periods, indexed by coset.
+
+        One distinguished coset (N/2 in major case 1, else 0) carries
+        (-sg*(N-1)*sqrt(r) - 1)/N, the other N-1 share (sg*sqrt(r) - 1)/N;
+        the sign does not fix which coset is distinguished.  The two
+        numerators differ by sg*N*sqrt(r), so one check covers both.
+        """
+        n, sr, sign = self.N, self.sqrt_r, self.sign
+        num = sign * sr - 1
+        if num % n:
+            raise NonIntegerResultError(f"period value {num}/{n} is not integral")
+        periods = [num // n] * n
+        periods[n // 2 if self.case_major == 1 else 0] -= sign * sr
+        return periods
 
 
 class NotApplicable(NamedTuple):
@@ -168,7 +186,7 @@ def instantiate_table(case: TheoremCase, params: CodeParams) -> WeightDistributi
 
     Integrality and range are the only checks here, one division per value:
     every row's frequency, then every nonempty row's weight.  This is the
-    raw substitution used by ``table_distribution``, which re-classifies
+    raw substitution used by ``table_distribution``, which classifies
     first.  Only the tests check that the two N = 2 tables coincide,
     passing the case with its major bit swapped.
     """
@@ -188,17 +206,11 @@ def instantiate_table(case: TheoremCase, params: CodeParams) -> WeightDistributi
     return WeightDistribution(hist)
 
 
-def table_distribution(case: TheoremCase, params: CodeParams) -> WeightDistribution:
-    """Instantiate the table selected by ``classify`` for these parameters.
-
-    The hypotheses are re-verified against a fresh classification so a
-    stale or hand-built case cannot silently select the wrong table.
-    """
-    fresh = classify(params)
-    if isinstance(fresh, NotApplicable):
-        raise NotApplicableError(f"no table applies: {fresh.reason}")
-    if fresh != case:
-        raise NotApplicableError(f"case {case} does not match parameters ({fresh})")
+def table_distribution(params: CodeParams) -> WeightDistribution:
+    """Instantiate the table that ``classify`` selects for these parameters, validated."""
+    case = classify(params)
+    if isinstance(case, NotApplicable):
+        raise NotApplicableError(f"no table applies: {case.reason}")
     dist = instantiate_table(case, params)
     dist.validate(params)
     return dist

@@ -26,7 +26,6 @@ from cyclotome.charsums import (
     class_counts,
     f_charsum,
     f_closed,
-    gaussian_period_closed,
     lifted_sums,
     norm_degree,
     norm_system,
@@ -79,10 +78,26 @@ def test_period_bucket_counts_match_oracle(set1, set2):
 
 def test_periods_are_integers_matching_closed_form(set1, set2):
     for desk, expected in ((set1, PERIODS1), (set2, PERIODS2)):
-        n = desk.params.N
-        values = [desk.system.gaussian_period(u).as_integer() for u in range(n)]
-        assert values == expected
-        assert values == [gaussian_period_closed(desk.case, u) for u in range(n)]
+        assert desk.system.periods == expected
+        assert desk.case.periods == expected
+
+
+# (p, s, m, N): N | (r-1)/(p-1) fails at (7, 1, 2, 3) and (5, 2, 2, 8), where some rows are irrational;
+# at p = 2 every row is rational, N | (r-1)/(p-1) or not
+@pytest.mark.parametrize(
+    "p, s, m, n", [(2, 2, 3, 3), (2, 1, 6, 7), (2, 1, 4, 5), (7, 1, 2, 2), (7, 1, 2, 3), (3, 1, 6, 13), (5, 2, 2, 8)]
+)
+def test_periods_read_off_the_bucket_rows(p, s, m, n):
+    # the integer reading against the cyclotomic integer of each row, None where that is irrational
+    system = CharSystem(build_tower(p, s, m), n)
+    assert system.periods == [CycInt(p, row).as_integer() for row in system.period_counts]
+
+
+def test_periods_are_none_where_a_row_is_irregular():
+    # v_1 != v_2 leaves the sum irrational; v_0 = v_1 = v_2 sums to 0
+    system = CharSystem(build_tower(3, 1, 2), 2)
+    system.period_counts = [[2, 1, 2], [1, 1, 1]]
+    assert system.periods == [None, 0]
 
 
 def test_period_bucket_regularity(set1, set2):
@@ -94,20 +109,15 @@ def test_period_bucket_regularity(set1, set2):
 
 def test_period_sum_is_minus_one(set1, set2):
     for desk in (set1, set2):
-        n = desk.params.N
-        total = CycInt.zero(desk.tower.p)
-        for u in range(n):
-            total = total + desk.system.gaussian_period(u)
-        assert total == -1
+        assert sum(desk.system.periods) == -1
 
 
 def test_period_closed_form_consistency(set1):
     # N*eta_1 + 1 = +-(N-1)*sqrt(r), a rearrangement of the closed form
     case, n = set1.case, set1.params.N
-    eta1 = gaussian_period_closed(case, 0)
+    eta1 = case.periods[0]
     assert abs(n * eta1 + 1) == (n - 1) * case.sqrt_r
-    assert gaussian_period_closed(case, 0) == 3
-    assert gaussian_period_closed(case, 1) == -4
+    assert case.periods == [3, -4]
 
 
 def test_closed_period_indivisible_is_arithmetic_error():
@@ -115,7 +125,7 @@ def test_closed_period_indivisible_is_arithmetic_error():
     # an internal failure (exit 1), not invalid parameters
     case = TheoremCase(j=1, gamma=1, case_major=2, case_minor=1, sqrt_r=7, N=3)
     with pytest.raises(NonIntegerResultError):
-        gaussian_period_closed(case, 1)
+        case.periods
     assert issubclass(NonIntegerResultError, ArithmeticError)
 
 
@@ -453,8 +463,7 @@ def test_closed_forms_beyond_desk_scale():
         table = f_charsum(params, system)
         assert table == f_closed(params, case)
         assert params.N * sum(table.values()) == tower.r**2 - 1 - 3 * (tower.r - 1)
-        for u in range(params.N):
-            assert system.gaussian_period(u).as_integer() == gaussian_period_closed(case, u)
+        assert system.periods == case.periods
 
 
 def test_orthogonality_relations(set1, set2):
@@ -496,7 +505,7 @@ def test_lifted_periods_match_tower(p, s, m, n):
     # N | (r-1)/(p-1) makes every period an integer; no p**j = -1 mod N, so eta_u != eta_-u
     tower = build_tower(p, s, m)
     small = norm_system(tower, n)
-    periods = [CharSystem(tower, n).gaussian_period(u).as_integer() for u in range(n)]
+    periods = CharSystem(tower, n).periods
     assert periods != periods[:1] + periods[:0:-1]
     gauss, _ = lifted_sums(small, tower.degree // small.tower.degree)
     assert periods_from_gauss(gauss, n) == periods

@@ -201,8 +201,8 @@ def test_compute_reports_disagreeing_routes(runner, monkeypatch):
     # a table with one pair moved from weight 12 to 16: no distribution is printed, and the exit is 1
     real = cli.table_distribution
 
-    def moved(case, params):
-        counts = real(case, params).counts
+    def moved(params):
+        counts = real(params).counts
         return code.WeightDistribution({**counts, 12: counts[12] - 1, 16: counts[16] + 1})
 
     monkeypatch.setattr(cli, "table_distribution", moved)
@@ -386,12 +386,28 @@ def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
     assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums"]
 
 
+@pytest.mark.parametrize(
+    "periods, failed",
+    [
+        ([4, -4], ["period_sum", "periods_match_closed"]),  # one period off by one
+        ([4, -5], ["periods_match_closed"]),  # two off by one, the sum kept
+        ([None, -4], ["period_sum", "periods_match_closed", "periods_rational"]),
+    ],
+)
+def test_verify_flags_wrong_periods(runner, monkeypatch, periods, failed):
+    # the enumerated periods at (7, 1, 2, 3) are [3, -4]; no route reads them, so only the period checks fail
+    monkeypatch.setattr(CharSystem, "periods", periods)
+    result, out = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
+    assert result.exit_code == 1 and out["verdict"] == "FAIL"
+    assert [name for name, ok in out["checks"].items() if ok is False] == failed
+
+
 def test_verify_flags_a_wrong_subfield_jacobi_sum(runner, monkeypatch):
     # only GF(4)'s Jacobi sums are off: semi sizes its classes from their lift, so its
     # f(0, 0, 0) comes out fractional; the report still runs every check, and lifted_sums
     # names the bad lift while the tower's own checks hold
     real = CharSystem.jacobi_sum
-    monkeypatch.setattr(CharSystem, "jacobi_sum", lambda self, i, j: real(self, i, j) + (1 if self.r == 4 else 0))
+    monkeypatch.setattr(CharSystem, "jacobi_sum", lambda self, i, j: real(self, i, j) + (1 if self.tower.r == 4 else 0))
     result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
     assert result.exit_code == 1 and out["verdict"] == "FAIL"
     assert out["checks"]["semi"] == "failed: count for (0, 0, 0) is not a nonnegative integer: 7497/27"
@@ -542,7 +558,7 @@ def test_sweep_small(runner):
 
 
 def test_sweep_row_template_is_json_dumps(runner):
-    # the template must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
+    # _row_json must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
     rows = [
         cli._sweep_item(fields.build_tower(p, s, m), h, 3, cli.DEFAULT_SWEEP_BUDGET)
         for p, s, m, hs in cli._sweep_towers(300, 3)
@@ -700,6 +716,6 @@ def test_public_names_are_pinned():
         "WeightDistribution", "brute_distribution", "build_code", "build_tower", "charsums",
         "class_counts", "classify", "code", "codeword_weight_from_lambda", "cycint",
         "cyclotomic_polynomial", "f_charsum", "f_closed", "fields", "find_primitive_polynomial",
-        "gaussian_period_closed", "instantiate_table", "semi_analytic_distribution",
+        "instantiate_table", "semi_analytic_distribution",
         "table_distribution", "theorem",
     ]

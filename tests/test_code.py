@@ -251,7 +251,7 @@ def test_lambda_degenerate_pairs(set1, set2):
                         continue
                     diff = t.add(desk.beta * i % n1, t.neg(desk.beta * t_exp % n1))
                     arg = t.mul(t.mul(b, desk.g * i % n1), diff)
-                    total += sys_.gaussian_period(arg % n).as_integer()
+                    total += sys_.periods[arg % n]
                 expected = Fraction(params.h * n1, t.q) - Fraction(params.h * n * total, 3 * t.q)
                 assert codeword_weight_from_lambda(params, sys_, a, b) == expected
 
@@ -378,4 +378,4 @@ def test_routes_agree_under_any_defining_polynomial(pssmh, draw):
     assert semi_analytic_distribution(params) == brute
     case = classify(params)
     if isinstance(case, TheoremCase):
-        assert table_distribution(case, params) == brute
+        assert table_distribution(params) == brute

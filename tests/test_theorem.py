@@ -7,7 +7,7 @@ from conftest import DIST1, DIST2, sweep_candidates
 
 import cyclotome.fields as fields
 
-from cyclotome.charsums import CharSystem, gaussian_period_closed, lifted_sums
+from cyclotome.charsums import CharSystem, lifted_sums
 from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
 from cyclotome.fields import FieldTower, build_tower
 from cyclotome.theorem import (
@@ -48,25 +48,25 @@ def test_classify_not_applicable_reasons(set1):
 
 
 def test_table_distribution_frozen(set1, set2):
-    assert table_distribution(set1.case, set1.params).counts == DIST1
-    assert table_distribution(set2.case, set2.params).counts == DIST2
+    assert table_distribution(set1.params).counts == DIST1
+    assert table_distribution(set2.params).counts == DIST2
 
 
 def test_table_merges_colliding_weights(set2):
     # two distinct rows of the minor-2 table land on weight 36: 189 + 63
-    dist = table_distribution(set2.case, set2.params)
+    dist = table_distribution(set2.params)
     assert dist.counts[36] == 252
 
 
 def test_table_total_is_r_squared(set1, set2, set3):
     for desk in (set1, set2, set3):
-        dist = table_distribution(desk.case, desk.params)
+        dist = table_distribution(desk.params)
         assert dist.total() == desk.tower.r ** 2
         dist.validate(desk.params)
 
 
 def test_three_routes_agree_on_major_case_1(set3):
-    table = table_distribution(set3.case, set3.params)
+    table = table_distribution(set3.params)
     semi = semi_analytic_distribution(set3.params)
     brute = brute_distribution(set3.params)
     assert table == semi == brute
@@ -81,22 +81,14 @@ def test_case_sign(major, gamma, sign):
     assert case.sign == sign
 
 
-def test_case_mismatch_is_rejected(set1, set2):
-    with pytest.raises(NotApplicableError):
-        table_distribution(set2.case, set1.params)
-    stale = TheoremCase(j=1, gamma=1, case_major=2, case_minor=2, sqrt_r=7, N=2)
-    with pytest.raises(NotApplicableError):
-        table_distribution(stale, set1.params)
-
-
 @pytest.mark.parametrize("p, s, m, h, e", [(2, 2, 8, 3, 3), (7, 1, 2, 6, 2)])
 def test_table_rejects_the_not_applicable_classify_returns(p, s, m, h, e):
-    # N = 1 and e = 2: classify's own NotApplicable equals itself, yet selects no table
+    # N = 1 and e = 2: no table applies, and the error gives the reason classify returns
     params = build_code(FieldTower(p, s, m), h, e)
     case = classify(params)
     assert isinstance(case, NotApplicable)
     with pytest.raises(NotApplicableError, match=re.escape(case.reason)):
-        table_distribution(case, params)
+        table_distribution(params)
 
 
 def test_zero_frequency_rows_are_dropped(set1):
@@ -127,7 +119,7 @@ def test_n2_tables_coincide(set1, set3):
     for desk in (set1, set3):
         t11 = instantiate_table(replace(desk.case, case_major=1), desk.params)
         t21 = instantiate_table(replace(desk.case, case_major=2), desk.params)
-        assert t11 == t21 == table_distribution(desk.case, desk.params)
+        assert t11 == t21 == table_distribution(desk.params)
 
 
 def test_semi_equals_table_across_small_sweep():
@@ -145,14 +137,12 @@ def test_semi_equals_table_across_small_sweep():
         if isinstance(case, NotApplicable):
             continue
         system = CharSystem(params.tower, params.N)
-        table = table_distribution(case, params)
+        table = table_distribution(params)
         semi = semi_analytic_distribution(params, lifted_sums(system, 1))
         assert table == semi, (p, s, m, h)
         table.validate(params)
         # enumerated periods against the closed form the case sign selects
-        assert all(
-            system.gaussian_period(u) == gaussian_period_closed(case, u) for u in range(params.N)
-        ), (p, s, m, h)
+        assert system.periods == case.periods, (p, s, m, h)
         cases.add((case.label, case.sign))
         checked += 1
     assert checked >= 6
@@ -165,7 +155,7 @@ def test_table_equals_semi_at_r4096():
     params = build_code(build_tower(2, 2, 6), 3, 3)
     case = classify(params)
     assert (case.label, case.gamma) == ("2.2", 6)
-    table = table_distribution(case, params)
+    table = table_distribution(params)
     semi = semi_analytic_distribution(params)
     assert table == semi
     table.validate(params)
@@ -185,4 +175,4 @@ def test_lifted_semi_equals_table_above_the_cap(monkeypatch, p, s, m, h):
     monkeypatch.setattr(fields, "find_primitive_polynomial", small_search)
     params = build_code(FieldTower(p, s, m), h, 3)
     case = classify(params)
-    assert semi_analytic_distribution(params) == table_distribution(case, params)
+    assert semi_analytic_distribution(params) == table_distribution(params)
