@@ -345,24 +345,26 @@ def verify(p, s, m, h, e, poly, budget, fmt) -> None:
 def _sweep_towers(max_r: int, e: int):
     """Each tower (p, s, m) with 3 <= q = p**s, r = q**m <= max_r, once, in tuple order.
 
-    Yields (p, s, m, hs), hs the sorted h with e | h | q-1; a tower with no
-    such h is left out.
+    Yields (p, s, m, hs), hs the sorted h with e | h | q-1, that is e*d for
+    the divisors d of (q-1)/e.  Only q with e | q-1 have such an h; any
+    other q yields no tower and is not scanned for divisors.
     """
     sieve = bytearray([0, 0]) + bytearray([1]) * (max_r - 1)  # of Eratosthenes: sieve[p] == 1 iff p is prime
     for d in range(2, math.isqrt(max_r) + 1):
         if sieve[d]:
             sieve[d * d :: d] = bytes(len(range(d * d, max_r + 1, d)))
     for p in compress(range(max_r + 1), sieve):
-        s = 1
-        while p**s <= max_r:
-            q = p**s
-            low = [d for d in range(1, math.isqrt(q - 1) + 1) if (q - 1) % d == 0]
-            hs = sorted({h for d in low for h in (d, (q - 1) // d) if h % e == 0})
-            m = 1
-            while hs and q**m <= max_r:
-                yield (p, s, m, hs)
-                m += 1
-            s += 1
+        q, s = p, 1
+        while q <= max_r:
+            k, rem = divmod(q - 1, e)
+            if not rem:
+                low = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+                hs = sorted({e * c for d in low for c in (d, k // d)})
+                r, m = q, 1
+                while r <= max_r:
+                    yield (p, s, m, hs)
+                    r, m = r * q, m + 1
+            q, s = q * p, s + 1
 
 
 def _sweep_item(tower: FieldTower, h: int, e: int, budget: int) -> tuple:
@@ -422,8 +424,9 @@ def _row_json(row: tuple) -> str:
 def sweep(max_r, e, budget, fmt) -> None:
     """Enumerate, classify, and verify every parameter set with r <= MAX_R.
 
-    Items run one after another in parameter-tuple order; an applicable item
-    whose brute cost exceeds --budget is classified only (skipped_budget).
+    Only towers whose q has e | q-1 are enumerated, since no other q has an
+    h.  Items run one after another in parameter-tuple order; an applicable
+    item whose brute cost exceeds --budget is classified only (skipped_budget).
     """
     with _exit_on_error():
         if max_r < 2:
@@ -431,7 +434,8 @@ def sweep(max_r, e, budget, fmt) -> None:
         if max_r > DEFAULT_FIELD_CAP:
             raise FieldTooLargeError(f"--max-r = {max_r} exceeds cap {DEFAULT_FIELD_CAP}")
         validate_e(e)
-    towers = ((build_tower(p, s, m), hs) for p, s, m, hs in _sweep_towers(max_r, e))
+    # FieldTower, not build_tower: the sieve proved p prime, and r <= max_r <= the cap was checked above
+    towers = ((FieldTower(p, s, m), hs) for p, s, m, hs in _sweep_towers(max_r, e))
     rows = (_sweep_item(tower, h, e, budget) for tower, hs in towers for h in hs)
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -587,10 +587,11 @@ def test_sweep_row_template_is_json_dumps(runner):
     assert all(line == json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("e", [2, 3, 4, 6])
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 7, 12])
 @pytest.mark.parametrize("max_r", [2, 3, 4, 5, 8, 9, 25, 49, 121, 1000, 2187, 4096, 5000])
 def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
-    # 2187 = 3**7 and 4096 = 2**12 are the r of several towers: the bound is inclusive
+    # 2187 = 3**7 and 4096 = 2**12 are the r of several towers: the bound is inclusive;
+    # at e = 5, 7 and 12 most q have e not dividing q-1, and the sweep skips those q
     got = list(sweep_candidates(max_r, e))
     bits = max_r.bit_length()
     want = [
@@ -611,6 +612,24 @@ def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
     assert all(hs and hs == sorted(hs) for *_, hs in towers)
     if (max_r, e) == (5000, 3):
         assert len(got) == 3913
+
+
+def test_sweep_with_no_q_of_e_dividing_q_minus_1_prints_nothing(runner):
+    # q = 2, 3, 4, 5, 7 each have 7 not dividing q-1, so no tower has an h
+    result = runner.invoke(main, ["sweep", "--max-r", "7", "--e", "7"], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert result.output == ""
+
+
+def test_sweep_makes_no_second_primality_test(runner, monkeypatch):
+    # the sieve proves each p prime, so the towers are built without is_prime; with budget 0
+    # no row verifies, so no polynomial search (which tests p itself) runs either
+    calls = []
+    monkeypatch.setattr(fields, "is_prime", lambda n: calls.append(n) or True)
+    result = runner.invoke(main, ["sweep", "--max-r", "1000", "--budget", "0"], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == len(list(sweep_candidates(1000, 3)))
+    assert calls == []
 
 
 def test_sweep_internal_failure_is_a_fail_row(runner, monkeypatch):
