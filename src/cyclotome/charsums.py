@@ -147,11 +147,6 @@ def norm_system(tower: FieldTower, n: int) -> CharSystem:
     return CharSystem(FieldTower(p, 1, f, coeffs), n)
 
 
-def _jacobi_pairs(n: int) -> list[tuple[int, int]]:
-    """The (i, j), 0 < i, j < N and i + j != N, of the nontrivial Jacobi sums J(i, j)."""
-    return [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
-
-
 def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[int, int], CycInt]]:
     """Gauss sums G(chi**i o Norm), i < N, and Jacobi sums {(i, j): J(i, j)}, 0 < i, j < N,
     i + j != N, over the degree-k extension of the system's field; k = 1 gives its own sums.
@@ -161,7 +156,8 @@ def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[in
     principal character both sides are 1.  J(i, j) = G(chi**i) G(chi**j) /
     G(chi**(i+j)) lifts the same way where chi**i, chi**j, chi**(i+j) are nontrivial.
     """
-    n, pairs = system.order, _jacobi_pairs(system.order)
+    n = system.order
+    pairs = [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
     sums = [system.gauss_sum(i) for i in range(n)] + [system.jacobi_sum(i, j) for i, j in pairs]
     lifted = [-((-x) ** k) for x in sums]
     return lifted[:n], dict(zip(pairs, lifted[n:]))
@@ -226,22 +222,20 @@ def class_counts(params: "CodeParams") -> dict[tuple[int, int], int]:
     return {d: k * (n1 // n) for d, k in diag.items() if k}
 
 
-def _f_table(params: "CodeParams", jacobi: dict[tuple[int, int], CycInt]) -> dict[tuple[int, int], int]:
-    """{(d1, d2): f} by the Jacobi-sum identity at c = (d1, d2, 0), J(i, j) = ``jacobi[i, j]``.
+def _f_table(params: "CodeParams", charsum) -> dict[tuple[int, int], int]:
+    """{(d1, d2): f} by the Jacobi-sum identity at c = (d1, d2, 0), zero counts dropped.
 
-    N**3 f(c) / (r-1) = r + 1 - N*#{x_k = 0} + sum of zeta_N**(i*x1 + j*x2) J(i, j)
-    over the keys of ``jacobi`` (0 < i, j < N, i + j != N, as ``lifted_sums``
-    returns them), x the class cosets; each sum over (i, j) is reduced once.
-    Zero counts are dropped.
+    N**3 f(c) / (r-1) = r + 1 - N*#{x_k = 0} + charsum(x1, x2), x the class
+    cosets: the sum of zeta_N**(i*x1 + j*x2) J(i, j) over 0 < i, j < N,
+    i + j != N, an int, or None where it is irrational.
     """
     n, r = params.N, params.tower.r
     table = {}
     for d in product(range(n), repeat=2):
         x1, x2, x3 = _class_cosets(params.g_log, n, d)
-        total = _shifted_sum(n, ((i * x1 + j * x2, value) for (i, j), value in jacobi.items()))
-        val = total.as_integer()
+        val = charsum(x1, x2)
         if val is None:
-            raise NonIntegerResultError(f"character sum for {(*d, 0)} is irrational: {total!r}")
+            raise NonIntegerResultError(f"character sum for {(*d, 0)} is irrational")
         num = (r - 1) * (val + r + 1 - n * ((x1 == 0) + (x2 == 0) + (x3 == 0)))
         if num % n**3 or num < 0:
             raise NonIntegerResultError(f"count for {(*d, 0)} is not a nonnegative integer: {num}/{n**3}")
@@ -250,13 +244,24 @@ def _f_table(params: "CodeParams", jacobi: dict[tuple[int, int], CycInt]) -> dic
     return table
 
 
+def _jacobi_charsum(n: int, jacobi: dict[tuple[int, int], CycInt]):
+    """``_f_table``'s charsum at J(i, j) = ``jacobi[i, j]``, each sum reduced once in Z[zeta_N]."""
+    return lambda x1, x2: _shifted_sum(n, ((i * x1 + j * x2, v) for (i, j), v in jacobi.items())).as_integer()
+
+
+def _pair_sum(n: int, x1: int, x2: int) -> int:
+    """Sum of zeta_N**(i*x1 + j*x2) over 0 < i, j < N, i + j != N: each sum over 0 < i < N is
+    N*[x = 0] - 1, so it is the product of two, less the terms j = N - i, N*[x1 = x2] - 1."""
+    return (n * (x1 % n == 0) - 1) * (n * (x2 % n == 0) - 1) - (n * ((x1 - x2) % n == 0) - 1)
+
+
 def f_charsum(params: "CodeParams", system: CharSystem) -> dict[tuple[int, int], int]:
     """{(d1, d2): f} by the Jacobi-sum identity on the tower's Jacobi sums, exactly in Z[zeta_N]."""
-    return _f_table(params, lifted_sums(system, 1)[1])
+    return _f_table(params, _jacobi_charsum(params.N, lifted_sums(system, 1)[1]))
 
 
 def f_closed(params: "CodeParams", case: "TheoremCase") -> dict[tuple[int, int], int]:
-    """{(d1, d2): f} in closed form: the identity at the semiprimitive Jacobi value -sg*sqrt(r), no field."""
-    value = CycInt.from_int(params.N, -case.sign * case.sqrt_r)
-    return _f_table(params, dict.fromkeys(_jacobi_pairs(params.N), value))
-
+    """{(d1, d2): f} in closed form: the identity at the semiprimitive Jacobi value -sg*sqrt(r),
+    whose charsum is -sg*sqrt(r) times ``_pair_sum``; no field and no cyclotomic integer."""
+    n, value = params.N, -case.sign * case.sqrt_r
+    return _f_table(params, lambda x1, x2: value * _pair_sum(n, x1, x2))

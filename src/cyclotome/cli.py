@@ -70,12 +70,8 @@ class RunReport:
         return _to_json(self.to_dict())
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(**d)
-
-    @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
+        return cls(**json.loads(text))
 
 
 def _classification_dict(case) -> dict:
@@ -92,9 +88,7 @@ def _classification_dict(case) -> dict:
 
 
 def _distribution_json(dist: "WeightDistribution | None") -> "list | None":
-    if dist is None:
-        return None
-    return [[w, str(f)] for w, f in dist.items()]
+    return None if dist is None else [[w, str(f)] for w, f in dist.items()]
 
 
 def _parse_poly(text: "str | None") -> "tuple[int, ...] | None":
@@ -129,15 +123,10 @@ def _exit_on_error():
     """Report a failure as one ``error:`` line and exit with its documented code."""
     try:
         yield
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_BUDGET)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_BAD_PARAMS)
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_MISMATCH)
+        budget, bad = isinstance(exc, BudgetExceededError), isinstance(exc, ValueError)
+        sys.exit(EXIT_BUDGET if budget else EXIT_BAD_PARAMS if bad else EXIT_MISMATCH)
 
 
 def _compute_methods(
@@ -367,53 +356,55 @@ def _sweep_towers(max_r: int, e: int):
             q, s = q * p, s + 1
 
 
-def _sweep_item(tower: FieldTower, h: int, e: int, budget: int) -> tuple:
-    """One sweep row: its values in _SWEEP_COLUMNS order, then the names of the failed checks.
-
-    The names are a sorted tuple, empty unless a check failed.  ``seconds``
-    covers build_code, classification and verification, so the lazy tables
-    of a tower are built, and timed, inside its first verified row.
-    """
-    t0 = time.monotonic()
-    params = build_code(tower, h, e)
-    case = classify(params)
-    failed = ()
-    if not isinstance(case, TheoremCase):
-        label, status, reason = "", "not_applicable", case.reason
-    else:
-        label, status, reason = case.label, "PASS", ""
-        try:
-            checks, _ = _verification_checks(params, case, budget)
-        except BudgetExceededError:
-            status = "skipped_budget"
-        except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
-            status, reason = "FAIL", f"{type(exc).__name__}: {exc}"
-        else:
-            failed = tuple(sorted(k for k, v in checks.items() if v is False))
-            if failed:
-                status, reason = "FAIL", f"semi {checks['semi']}" if "semi" in checks else ""
-    return (
-        tower.p, tower.s, tower.m, h, e, tower.q, tower.r, params.n, params.N,
-        label, status, reason, round(time.monotonic() - t0, 6), failed,
-    )
-
-
 _SWEEP_COLUMNS = ("p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds")
 
 
-def _row_json(row: tuple) -> str:
-    """One sweep row and its newline, the bytes of json.dumps(row, sort_keys=True).
+def _sweep_rows(tower: FieldTower, hs: list[int], e: int, budget: int):
+    """The tower's rows, one per h in ``hs``: the _SWEEP_COLUMNS values, then the sorted failed checks.
 
-    The keys are written in sorted order; text goes through json's own
-    escaper and the float seconds through repr, float.__repr__ as in json.
+    ``seconds``, whole microseconds of ``time.monotonic_ns``, covers build_code, classification and
+    verification, so a tower's lazy tables are built, and timed, inside its first verified row.
     """
-    p, s, m, h, e, q, r, n, N, case, status, reason, seconds, failed = row
+    p, s, m, q, r = tower.p, tower.s, tower.m, tower.q, tower.r
+    for h in hs:
+        t0 = time.monotonic_ns()
+        params = build_code(tower, h, e)
+        case = classify(params)
+        failed = ()
+        if not isinstance(case, TheoremCase):
+            label, status, reason = "", "not_applicable", case.reason
+        else:
+            label, status, reason = case.label, "PASS", ""
+            try:
+                checks, _ = _verification_checks(params, case, budget)
+            except BudgetExceededError:
+                status = "skipped_budget"
+            except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
+                status, reason = "FAIL", f"{type(exc).__name__}: {exc}"
+            else:
+                failed = tuple(sorted(k for k, v in checks.items() if v is False))
+                if failed:
+                    status, reason = "FAIL", f"semi {checks['semi']}" if "semi" in checks else ""
+        seconds = (time.monotonic_ns() - t0 + 500) // 1000 / 1e6  # k / 1e6 is round(k / 1e6, 6)
+        yield p, s, m, h, e, q, r, params.n, params.N, label, status, reason, seconds, failed
+
+
+def _json_rows(p: int, s: int, m: int, e: int, q: int, r: int):
+    """One tower's row -> the bytes of json.dumps(row, sort_keys=True) and a newline: keys in sorted order,
+    the tower's fields formatted once, text through json's own escaper and seconds through repr, as json."""
     esc = encode_basestring_ascii
-    failed_json = f'"failed_checks": [{", ".join(map(esc, failed))}], ' if failed else ""
-    return (
-        f'{{"N": {N}, "case": {esc(case)}, "e": {e}, {failed_json}"h": {h}, "m": {m}, "n": {n}, "p": {p}, '
-        f'"q": {q}, "r": {r}, "reason": {esc(reason)}, "s": {s}, "seconds": {seconds!r}, "status": {esc(status)}}}\n'
-    )
+    e_text, m_text = f', "e": {e}, ', f', "m": {m}, "n": '
+    pqr_text, s_text = f', "p": {p}, "q": {q}, "r": {r}, "reason": ', f', "s": {s}, "seconds": '
+
+    def row_json(row: tuple) -> str:
+        _, _, _, h, _, _, _, n, N, case, status, reason, seconds, failed = row
+        failed_json = f'"failed_checks": [{", ".join(map(esc, failed))}], ' if failed else ""
+        return (
+            f'{{"N": {N}, "case": {esc(case)}{e_text}{failed_json}"h": {h}{m_text}{n}{pqr_text}'
+            f'{esc(reason)}{s_text}{seconds!r}, "status": {esc(status)}}}\n'
+        )
+
+    return row_json
 
 
 @main.command()
@@ -427,6 +418,7 @@ def sweep(max_r, e, budget, fmt) -> None:
     Only towers whose q has e | q-1 are enumerated, since no other q has an
     h.  Items run one after another in parameter-tuple order; an applicable
     item whose brute cost exceeds --budget is classified only (skipped_budget).
+    Each tower is built once, right before its rows, which are written as they are computed.
     """
     with _exit_on_error():
         if max_r < 2:
@@ -434,21 +426,21 @@ def sweep(max_r, e, budget, fmt) -> None:
         if max_r > DEFAULT_FIELD_CAP:
             raise FieldTooLargeError(f"--max-r = {max_r} exceeds cap {DEFAULT_FIELD_CAP}")
         validate_e(e)
-    # FieldTower, not build_tower: the sieve proved p prime, and r <= max_r <= the cap was checked above
-    towers = ((FieldTower(p, s, m), hs) for p, s, m, hs in _sweep_towers(max_r, e))
-    rows = (_sweep_item(tower, h, e, budget) for tower, hs in towers for h in hs)
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([*_SWEEP_COLUMNS, "failed_checks"])
-        writer.writerows((*row[:-1], ";".join(row[-1])) for row in rows)
-    elif fmt == "pretty":
-        for row in rows:
-            cells = dict(zip(_SWEEP_COLUMNS, row))
-            if row[-1]:
-                cells["reason"] = "failed checks: " + ", ".join(row[-1])
-            print("p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".format(**cells).rstrip())
-    else:
-        sys.stdout.writelines(map(_row_json, rows))
+    for p, s, m, hs in _sweep_towers(max_r, e):
+        # FieldTower, not build_tower: the sieve proved p prime, and r <= max_r <= the cap was checked above
+        tower = FieldTower(p, s, m)
+        rows = _sweep_rows(tower, hs, e, budget)
+        if fmt == "json":
+            sys.stdout.writelines(map(_json_rows(p, s, m, e, tower.q, tower.r), rows))
+        elif fmt == "csv":
+            writer.writerows((*row[:-1], ";".join(row[-1])) for row in rows)
+        else:
+            for _, _, _, h, _, _, r, n, N, case, status, reason, _, failed in rows:
+                reason = "failed checks: " + ", ".join(failed) if failed else reason
+                print(f"p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".rstrip())
 
 
 if __name__ == "__main__":

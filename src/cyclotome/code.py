@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_table, lifted_sums
+from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_table, _jacobi_charsum, lifted_sums
 from .charsums import norm_degree, periods_from_gauss
 from .fields import ZERO, FieldTower
 
@@ -276,7 +276,7 @@ def semi_analytic_distribution(
     gauss, jacobi = lifted
     eta = periods_from_gauss(gauss, n_ord)
     sums: Counter = Counter()  # period sum -> number of pairs whose weight it gives
-    for (d1, d2), freq in _f_table(params, jacobi).items():  # the classes (d1 + c3, d2 + c3, c3)
+    for (d1, d2), freq in _f_table(params, _jacobi_charsum(n_ord, jacobi)).items():  # the classes (d1 + c3, d2 + c3, c3)
         for c3 in range(n_ord):
             sums[eta[-(d1 + c3) % n_ord] + eta[-(d2 + c3) % n_ord] + eta[-c3 % n_ord]] += freq
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t

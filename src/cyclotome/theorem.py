@@ -87,6 +87,9 @@ class NotApplicable(NamedTuple):
     reason: str
 
 
+_N_IS_ONE = NotApplicable("N = 1 < 2")  # one shared verdict: most sweep rows stop here
+
+
 def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
     """Check the closed-form hypotheses and pick the (major, minor) sub-case."""
     tw = params.tower
@@ -94,7 +97,7 @@ def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
     if params.e != 3:
         return NotApplicable(f"e = {params.e}, semi and the closed forms need e = 3")
     if n_ord < 2:
-        return NotApplicable(f"N = {n_ord} < 2")
+        return _N_IS_ONE
     j = next((c for c in range(1, n_ord + 1) if pow(p, c, n_ord) == n_ord - 1), None)
     if j is None:
         return NotApplicable(f"no j with p**j = -1 mod N (p = {p}, N = {n_ord})")

@@ -14,6 +14,7 @@ from conftest import (
     PERIODS1,
     PERIODS2,
     root_of_unity,
+    sweep_candidates,
     trace_p,
 )
 from naive_oracle import naive_f_table, naive_gauss_counts, naive_jacobi_counts, naive_period_counts
@@ -23,6 +24,10 @@ from cyclotome.charsums import (
     InvariantError,
     NonIntegerResultError,
     _class_cosets,
+    _f_table,
+    _jacobi_charsum,
+    _pair_sum,
+    _shifted_sum,
     class_counts,
     f_charsum,
     f_closed,
@@ -418,6 +423,35 @@ def test_f_closed_equals_expanded_formula(p, s, m, h, swap_major):
     else:
         assert f_closed(params, case) == {d: f for d, f in expected.items() if f}
     assert not _TOWER_TABLES & vars(tower).keys()
+
+
+def _jacobi_pairs(n):
+    return [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_pair_sum_equals_enumeration(n):
+    # the closed S(x1, x2) against the sum of zeta_N**(i*x1 + j*x2) over the Jacobi pairs, reduced in Z[zeta_N]
+    one = CycInt.from_int(n, 1)
+    for x1, x2 in product(range(n), repeat=2):
+        enumerated = _shifted_sum(n, ((i * x1 + j * x2, one) for i, j in _jacobi_pairs(n))).as_integer()
+        assert _pair_sum(n, x1, x2) == enumerated
+
+
+def test_f_closed_equals_cyclotomic_form_on_the_sweep():
+    # every applicable sweep set with r <= 2**16: f_closed's integer form against the identity fed the
+    # constant Jacobi value -sg*sqrt(r) as a cyclotomic integer, each class sum reduced in Z[zeta_N]
+    applicable = 0
+    for p, s, m, h in sweep_candidates(1 << 16, 3):
+        params = build_code(FieldTower(p, s, m), h, 3)
+        case = classify(params)
+        if not isinstance(case, TheoremCase):
+            continue
+        n, value = params.N, CycInt.from_int(params.N, -case.sign * case.sqrt_r)
+        cyclotomic = _f_table(params, _jacobi_charsum(n, dict.fromkeys(_jacobi_pairs(n), value)))
+        assert f_closed(params, case) == cyclotomic
+        applicable += 1
+    assert applicable == 122
 
 
 def test_f_charsum_equals_closed_form_at_n5():

@@ -558,11 +558,11 @@ def test_sweep_small(runner):
 
 
 def test_sweep_row_template_is_json_dumps(runner):
-    # _row_json must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
+    # each tower's formatter must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
     rows = [
-        cli._sweep_item(fields.build_tower(p, s, m), h, 3, cli.DEFAULT_SWEEP_BUDGET)
+        row
         for p, s, m, hs in cli._sweep_towers(300, 3)
-        for h in hs
+        for row in cli._sweep_rows(fields.build_tower(p, s, m), hs, 3, cli.DEFAULT_SWEEP_BUDGET)
     ]
     assert {row[10] for row in rows} == {"PASS", "not_applicable"}
 
@@ -580,11 +580,44 @@ def test_sweep_row_template_is_json_dumps(runner):
         obj = dict(zip(cli._SWEEP_COLUMNS, row))
         if row[-1]:
             obj["failed_checks"] = list(row[-1])
-        assert cli._row_json(row) == json.dumps(obj, sort_keys=True) + "\n"
+        row_json = cli._json_rows(obj["p"], obj["s"], obj["m"], obj["e"], obj["q"], obj["r"])
+        assert row_json(row) == json.dumps(obj, sort_keys=True) + "\n"
     result = runner.invoke(main, ["sweep", "--max-r", "300"], catch_exceptions=False)
     lines = result.output.splitlines(keepends=True)
     assert len(lines) == len(rows) - 4
     assert all(line == json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
+
+
+def test_sweep_seconds_are_whole_microseconds(runner):
+    # seconds is k / 1e6 for a whole count k of microseconds: the float round(seconds, 6) returns
+    out = runner.invoke(main, ["sweep", "--max-r", "300"], catch_exceptions=False).output
+    in_json = [json.loads(line)["seconds"] for line in out.splitlines()]
+    out = runner.invoke(main, ["sweep", "--max-r", "300", "--format", "csv"], catch_exceptions=False).output
+    in_csv = [float(row["seconds"]) for row in csv.DictReader(io.StringIO(out))]
+    assert len(in_json) == len(in_csv) > 0
+    for seconds in in_json + in_csv:
+        assert seconds >= 0 and seconds == round(seconds, 6)
+
+
+def test_sweep_builds_and_classifies_once_per_row(runner, monkeypatch):
+    # n, N and the reason each come from one build_code and one classify per row, never a second path
+    calls = {"build_code": 0, "classify": 0}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    result = runner.invoke(main, ["sweep", "--max-r", "1000", "--budget", "0"], catch_exceptions=False)
+    rows = result.output.splitlines()
+    assert result.exit_code == 0 and len(rows) == len(list(sweep_candidates(1000, 3))) > 0
+    assert calls == {"build_code": len(rows), "classify": len(rows)}
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 7, 12])
