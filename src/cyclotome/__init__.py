@@ -19,7 +19,6 @@ from .code import (
     BadParametersError,
     BudgetExceededError,
     CodeParams,
-    WeightDistribution,
     brute_distribution,
     build_code,
     codeword_weight_from_lambda,

@@ -21,7 +21,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -31,7 +31,6 @@ from .code import (
     BadParametersError,
     BudgetExceededError,
     CodeParams,
-    WeightDistribution,
     brute_distribution,
     build_code,
     semi_analytic_distribution,
@@ -87,8 +86,8 @@ def _classification_dict(case) -> dict:
     }
 
 
-def _distribution_json(dist: "WeightDistribution | None") -> "list | None":
-    return None if dist is None else [[w, str(f)] for w, f in dist.items()]
+def _distribution_json(dist: "dict[int, int] | None") -> "list | None":
+    return None if dist is None else [[w, str(f)] for w, f in sorted(dist.items())]
 
 
 def _parse_poly(text: "str | None") -> "tuple[int, ...] | None":
@@ -105,17 +104,24 @@ def _build(p: int, s: int, m: int, h: int, e: int, poly: "str | None") -> CodePa
     return build_code(tower, h, e)
 
 
-def _first_diff_check(dists: "dict[str, WeightDistribution]", pairs) -> "dict | None":
-    """The first route pair whose distributions differ, at their lowest differing weight.
+def _first_diff(tables):
+    """The least key where the count tables differ, a missing key counting 0; None if they agree."""
+    return min((k for k in set().union(*tables) if len({t.get(k, 0) for t in tables}) > 1), default=None)
 
-    None when every pair agrees.
-    """
+
+def _first_diff_check(dists: "dict[str, dict[int, int]]", pairs) -> "dict | None":
+    """The first route pair whose distributions differ, at their lowest differing weight; None if all agree."""
     for a, b in pairs:
-        ca, cb = dists[a].counts, dists[b].counts
-        for w in sorted(set(ca) | set(cb)):
-            if ca.get(w) != cb.get(w):
-                return {"methods": [a, b], "weight_freqs": [w, str(ca.get(w, 0)), str(cb.get(w, 0))]}
+        if (w := _first_diff((dists[a], dists[b]))) is not None:
+            return {"methods": [a, b], "weight_freqs": [w, str(dists[a].get(w, 0)), str(dists[b].get(w, 0))]}
     return None
+
+
+def _f_first_diff(tables, n_ord: int) -> "dict | None":
+    """The first class c, in product order, where the {(d1, d2): f} tables differ: d's least class is (0, d2 - d1, -d1)."""
+    by_class = [{(0, (d2 - d1) % n_ord, -d1 % n_ord): f for (d1, d2), f in t.items()} for t in tables]
+    c = _first_diff(by_class)
+    return None if c is None else {"c": list(c), "counts": [t.get(c, 0) for t in by_class]}
 
 
 @contextmanager
@@ -131,10 +137,10 @@ def _exit_on_error():
 
 def _compute_methods(
     params: CodeParams, case, method: str, budget: int
-) -> tuple[dict, "dict[str, WeightDistribution]"]:
+) -> tuple[dict, "dict[str, dict[int, int]]"]:
     """Run the requested methods; returns (checks, name -> distribution)."""
     checks: dict = {}
-    dists: dict[str, WeightDistribution] = {}
+    dists: dict[str, dict[int, int]] = {}
     want = ["brute", "semi", "table"] if method == "all" else [method]
     for name in want:
         if name == "brute":
@@ -161,7 +167,7 @@ def _compute_methods(
 
 def _verification_checks(
     params: CodeParams, case: TheoremCase, budget: int
-) -> tuple[dict, "dict[str, WeightDistribution]"]:
+) -> tuple[dict, "dict[str, dict[int, int]]"]:
     """The full cross-check suite behind ``verify`` (all comparisons exact).
 
     Returns (checks, route name -> distribution).  Brute runs first, so a
@@ -188,17 +194,13 @@ def _verification_checks(
     tables = (class_counts(params), f_charsum(params, system), f_closed(params, case))  # {(d1, d2): f} each
     checks["f_triple_equal"] = tables[0] == tables[1] == tables[2]
     checks["f_partition"] = n_ord * sum(tables[0].values()) == r * r - 1 - 3 * (r - 1)
-    if not checks["f_triple_equal"]:  # name the first class c, in product order, where the tables differ
-        for c in product(range(n_ord), repeat=3):
-            fs = [t.get(((c[0] - c[2]) % n_ord, (c[1] - c[2]) % n_ord), 0) for t in tables]
-            if len(set(fs)) > 1:
-                checks["f_first_diff"] = {"c": list(c), "counts": fs}
-                break
+    if first_class := _f_first_diff(tables, n_ord):
+        checks["f_first_diff"] = first_class
 
     dist = dists["brute"]
-    checks["frequency_total"] = dist.total() == r * r
+    checks["frequency_total"] = sum(dist.values()) == r * r
     checks["mean_weight"] = (
-        dist.weighted_sum() * tw.q == params.n * r * r * (tw.q - 1)
+        sum(w * f for w, f in dist.items()) * tw.q == params.n * r * r * (tw.q - 1)
     )
 
     periods = system.periods

@@ -5,7 +5,7 @@ determines g = alpha**((q-1)/h), beta = alpha**((r-1)/e) and the length
 n = h(r-1)/(q-1).  The codeword attached to a pair (a, b) in GF(r)**2 is
 the vector of relative traces of a g**i + b (beta g)**i for i < n.
 
-Two independent routes to the weight distribution live here:
+Two independent routes to the weight distribution, a plain dict {weight: frequency}, live here:
 
 * ``brute_distribution`` counts nonzero codeword coordinates off the
   relative-trace coordinates for one pair per orbit of the group generated
@@ -88,45 +88,18 @@ def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
     return params
 
 
-class WeightDistribution:
-    """Exact map weight -> frequency; zero-frequency entries are dropped."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict):
-        self.counts = {int(w): int(f) for w, f in counts.items() if f}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeightDistribution) and other.counts == self.counts
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def weighted_sum(self) -> int:
-        """Sum of weight * frequency, for the mean-weight identity."""
-        return sum(w * f for w, f in self.counts.items())
-
-    def validate(self, params: CodeParams) -> None:
-        """Raise InvariantError on any violated structural invariant."""
-        r2 = params.tower.r ** 2
-        if self.total() != r2:
-            raise InvariantError(f"frequencies sum to {self.total()}, expected {r2}")
-        if self.counts.get(0) != 1:
-            raise InvariantError("weight 0 must occur exactly once")
-        bad = [w for w in self.counts if w < 0 or w > params.n]
-        if bad:
-            raise InvariantError(f"weights out of range [0, {params.n}]: {bad}")
-        if any(f < 0 for f in self.counts.values()):
-            raise InvariantError("negative frequency")
-
-    def __repr__(self) -> str:
-        return f"WeightDistribution({dict(self.items())})"
+def _validate(dist: dict, params: CodeParams) -> None:
+    """Raise InvariantError unless ``dist`` is a histogram of all r**2 pairs, weight 0 once."""
+    r2, total = params.tower.r ** 2, sum(dist.values())
+    if total != r2:
+        raise InvariantError(f"frequencies sum to {total}, expected {r2}")
+    if dist.get(0) != 1:
+        raise InvariantError("weight 0 must occur exactly once")
+    bad = [w for w in dist if w < 0 or w > params.n]
+    if bad:
+        raise InvariantError(f"weights out of range [0, {params.n}]: {bad}")
+    if any(f < 0 for f in dist.values()):
+        raise InvariantError("negative frequency")
 
 
 def _cycles(modulus: int, mult: int, add: int = 0):
@@ -140,8 +113,8 @@ def _cycles(modulus: int, mult: int, add: int = 0):
             yield x, length
 
 
-def brute_distribution(params: CodeParams, budget: "int | None" = None) -> WeightDistribution:
-    """Exact weight histogram over all r**2 pairs by direct coordinate counts.
+def brute_distribution(params: CodeParams, budget: "int | None" = None) -> dict[int, int]:
+    """Exact weight histogram {weight: frequency} over all r**2 pairs by direct coordinate counts.
 
     The group G generated by (a, b) -> (lambda a, lambda b), lambda in
     GF(q)*, the shift (a, b) -> (g a, beta g b) and Frobenius
@@ -207,7 +180,7 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> Weigh
         shift = c - c // step * d_inv % (big_p // step) * dbeta  # c - j log beta, j d = c mod P
         b_coords = [coords[(k + i * dbg) % n1] for i in range(n)]  # b (beta g)**i
         hist.update({w: f * o * (n1 // step) for w, f in row(b_coords, t, mult, shift).items()})
-    return WeightDistribution(hist)
+    return dict(hist)
 
 
 def _weight(params: CodeParams, total: int) -> int:
@@ -240,8 +213,8 @@ def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, 
 
 def semi_analytic_distribution(
     params: CodeParams, lifted: "tuple[list, dict] | None" = None
-) -> WeightDistribution:
-    """Assemble the histogram of any e = 3 set from class data instead of codewords.
+) -> dict[int, int]:
+    """Assemble the histogram {weight: frequency} of any e = 3 set from class data instead of codewords.
 
     Every weight is ``_weight`` of the sum of the periods at
     (a + beta**i b) g**i, the exact division ``codeword_weight_from_lambda``
@@ -264,7 +237,7 @@ def semi_analytic_distribution(
     vanishing term reads the coset size.  Their other terms read
     beta**i - beta**t in coset 0: it lies in GF(q)*, inside C_0 as
     N | (r-1)/(q-1).  The zero pair adds weight 0.  Each distinct period sum
-    is turned into a weight once.
+    is turned into a weight once, and the histogram is checked by ``_validate``.
     """
     if params.e != 3:
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
@@ -286,6 +259,5 @@ def semi_analytic_distribution(
     hist = Counter({0: 1})
     for total, freq in sums.items():
         hist[_weight(params, total)] += freq
-    dist = WeightDistribution(hist)
-    dist.validate(params)
-    return dist
+    _validate(hist, params)
+    return dict(hist)

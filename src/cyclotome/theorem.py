@@ -16,10 +16,10 @@ closed form (the tables and ``TheoremCase.periods`` here, the Jacobi
 value in ``charsums``) takes the ``TheoremCase`` that ``classify``
 returns as its only case input.
 
-Each table is encoded symbolically in (r, sqrt(r), N, h, q, sg), one
-(weight, frequency) pair per row, each an exact integer numerator and
-denominator; instantiation divides each once, checks every row's frequency
-and every nonempty row's weight, drops empty rows and merges colliding weights.
+Each table is encoded symbolically in (r, sqrt(r), N, h, q, sg), one (weight,
+frequency) pair of exact integer numerators and denominators per row.  Instantiation
+divides each once, checks every row's frequency and every nonempty row's weight,
+and merges the nonempty rows into a plain dict {weight: frequency}, as brute and semi do.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
 from .charsums import NonIntegerResultError
-from .code import CodeParams, WeightDistribution
+from .code import CodeParams, _validate
 
 
 class NotApplicableError(ValueError):
@@ -88,6 +88,7 @@ class NotApplicable(NamedTuple):
 
 
 _N_IS_ONE = NotApplicable("N = 1 < 2")  # one shared verdict: most sweep rows stop here
+_E_IS_NOT_THREE: dict[int, NotApplicable] = {}  # and one per e != 3, made at its first set
 
 
 def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
@@ -95,7 +96,8 @@ def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
     tw = params.tower
     p, n_ord = tw.p, params.N
     if params.e != 3:
-        return NotApplicable(f"e = {params.e}, semi and the closed forms need e = 3")
+        return _E_IS_NOT_THREE.get(params.e) or _E_IS_NOT_THREE.setdefault(
+            params.e, NotApplicable(f"e = {params.e}, semi and the closed forms need e = 3"))
     if n_ord < 2:
         return _N_IS_ONE
     j = next((c for c in range(1, n_ord + 1) if pow(p, c, n_ord) == n_ord - 1), None)
@@ -184,7 +186,7 @@ _TABLES: dict[int, list[Row]] = {
 }
 
 
-def instantiate_table(case: TheoremCase, params: CodeParams) -> WeightDistribution:
+def instantiate_table(case: TheoremCase, params: CodeParams) -> dict[int, int]:
     """Evaluate the table of ``case.case_minor`` at ``case.sign`` and ``case.sqrt_r``.
 
     Integrality and range are the only checks here, one division per value:
@@ -206,14 +208,14 @@ def instantiate_table(case: TheoremCase, params: CodeParams) -> WeightDistributi
         if rem or not 0 <= weight <= params.n:
             raise NonIntegerFrequencyError(f"row weight {Fraction(w_num, w_den)} out of range")
         hist[weight] = hist.get(weight, 0) + freq
-    return WeightDistribution(hist)
+    return hist
 
 
-def table_distribution(params: CodeParams) -> WeightDistribution:
+def table_distribution(params: CodeParams) -> dict[int, int]:
     """Instantiate the table that ``classify`` selects for these parameters, validated."""
     case = classify(params)
     if isinstance(case, NotApplicable):
         raise NotApplicableError(f"no table applies: {case.reason}")
     dist = instantiate_table(case, params)
-    dist.validate(params)
+    _validate(dist, params)
     return dist

@@ -3,8 +3,10 @@ import csv
 import gc
 import io
 import json
+import random
 import time
 import weakref
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -202,8 +204,8 @@ def test_compute_reports_disagreeing_routes(runner, monkeypatch):
     real = cli.table_distribution
 
     def moved(params):
-        counts = real(params).counts
-        return code.WeightDistribution({**counts, 12: counts[12] - 1, 16: counts[16] + 1})
+        counts = real(params)
+        return {**counts, 12: counts[12] - 1, 16: counts[16] + 1}
 
     monkeypatch.setattr(cli, "table_distribution", moved)
     result, report = _invoke_json(runner, "compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
@@ -320,6 +322,36 @@ def test_verify_detects_wrong_class_count(runner, monkeypatch):
     assert result.exit_code == 1
     assert report["checks"]["f_triple_equal"] is False
     assert report["checks"]["f_first_diff"]["c"] == [0, 0, 0]
+
+
+def _f_first_diff_by_scan(tables, n_ord):
+    """The reference rule: scan the classes c in product order and name the first whose counts differ."""
+    for c in product(range(n_ord), repeat=3):
+        counts = [t.get(((c[0] - c[2]) % n_ord, (c[1] - c[2]) % n_ord), 0) for t in tables]
+        if len(set(counts)) > 1:
+            return {"c": list(c), "counts": counts}
+    return None
+
+
+def test_f_first_diff_names_the_class_the_product_scan_names():
+    # random {(d1, d2): f} triples with zero counts dropped, some equal and some off at several pairs,
+    # so the least differing pair is often not the one whose least class comes first
+    rng = random.Random(0)
+    differing = 0
+    for _ in range(3000):
+        n_ord = rng.randint(1, 9)
+        pairs = list(product(range(n_ord), repeat=2))
+        base = {d: rng.randint(0, 3) for d in pairs}
+        tables = []
+        for _ in range(3):
+            table = dict(base)
+            for d in rng.sample(pairs, rng.randint(0, min(4, len(pairs)))):
+                table[d] = rng.randint(0, 3)
+            tables.append({d: f for d, f in table.items() if f})
+        want = _f_first_diff_by_scan(tables, n_ord)
+        assert cli._f_first_diff(tables, n_ord) == want, (n_ord, tables)
+        differing += want is not None
+    assert 1500 < differing < 3000
 
 
 def test_broken_invariant_exits_1(runner, monkeypatch):
@@ -765,7 +797,7 @@ def test_public_names_are_pinned():
         "CharSystem", "CodeParams", "CycInt", "FieldTooLargeError", "FieldTower", "InvariantError",
         "NonIntegerFrequencyError", "NonIntegerResultError", "NonPrimeError", "NotApplicable",
         "NotApplicableError", "NotDivisibleError", "OrderMismatchError", "TheoremCase",
-        "WeightDistribution", "brute_distribution", "build_code", "build_tower", "charsums",
+        "brute_distribution", "build_code", "build_tower", "charsums",
         "class_counts", "classify", "code", "codeword_weight_from_lambda", "cycint",
         "cyclotomic_polynomial", "f_charsum", "f_closed", "fields", "find_primitive_polynomial",
         "instantiate_table", "semi_analytic_distribution",

@@ -17,14 +17,13 @@ from cyclotome.charsums import CharSystem, InvariantError, lifted_sums
 from cyclotome.code import (
     BadParametersError,
     BudgetExceededError,
-    WeightDistribution,
     brute_distribution,
     build_code,
     codeword_weight_from_lambda,
     semi_analytic_distribution,
 )
 from cyclotome.fields import ZERO, FieldTower, build_tower, find_primitive_polynomial, prime_factors
-from cyclotome.theorem import TheoremCase, classify, table_distribution
+from cyclotome.theorem import TheoremCase, classify, instantiate_table, table_distribution
 
 
 def test_build_code_examples(set1, set2):
@@ -94,15 +93,15 @@ def test_codewords_are_distinct(set1, set2):
 
 
 def test_brute_distribution_frozen(set1, set2):
-    assert brute_distribution(set1.params).counts == DIST1
-    assert brute_distribution(set2.params).counts == DIST2
+    assert brute_distribution(set1.params) == DIST1
+    assert brute_distribution(set2.params) == DIST2
 
 
 def test_brute_distribution_matches_naive_oracle(set1, set2):
     for desk in (set1, set2):
         t, params = desk.tower, desk.params
         oracle = naive_weight_distribution(t.p, t.s, t.m, params.h, params.e, t.defining_polynomial)
-        assert brute_distribution(params).counts == oracle
+        assert brute_distribution(params) == oracle
 
 
 @pytest.mark.parametrize(
@@ -119,7 +118,7 @@ def test_brute_matches_naive_oracle_outside_the_theorem(p, s, m, h, e, step):
     # cosets of <alpha**step> that the b != 0 fall into before Frobenius joins any
     assert math.gcd(n1, params.g_log + params.beta_log, n1 // (tower.q - 1)) == step
     oracle = naive_weight_distribution(p, s, m, h, e, tower.defining_polynomial)
-    assert brute_distribution(params).counts == oracle
+    assert brute_distribution(params) == oracle
 
 
 @pytest.mark.parametrize("p, s, m, h", [(19, 1, 2, 3), (2, 2, 4, 3), (7, 1, 3, 3), (5, 2, 2, 3)])
@@ -128,8 +127,8 @@ def test_brute_matches_naive_oracle_beyond_the_desk(p, s, m, h):
     tower = build_tower(p, s, m)
     params = build_code(tower, h, 3)
     oracle = naive_weight_distribution(p, s, m, h, 3, tower.defining_polynomial)
-    assert brute_distribution(params).counts == oracle
-    assert semi_analytic_distribution(params).counts == oracle
+    assert brute_distribution(params) == oracle
+    assert semi_analytic_distribution(params) == oracle
 
 
 @pytest.mark.parametrize("p, s, m", [(2, 8, 2), (32779, 1, 1), (2, 2, 8)])
@@ -170,7 +169,7 @@ RECORDED_BRUTE = {
 @pytest.mark.parametrize("p, s, m, h, e", RECORDED_BRUTE)
 def test_brute_matches_recorded_coset_walk(p, s, m, h, e):
     params = build_code(build_tower(p, s, m), h, e)
-    assert brute_distribution(params).counts == RECORDED_BRUTE[p, s, m, h, e]
+    assert brute_distribution(params) == RECORDED_BRUTE[p, s, m, h, e]
 
 
 def test_brute_uses_no_character_layer():
@@ -195,7 +194,7 @@ def test_brute_builds_no_log_or_zech_table(p, s, m, h, e):
     # (2, 8, 2, 3): q = 256, so the coordinates take two-byte slots
     tower = build_tower(p, s, m)
     params = build_code(tower, h, e)
-    brute_distribution(params).validate(params)
+    code._validate(brute_distribution(params), params)
     assert not {"_log_packed", "zech"} & vars(tower).keys()
 
 
@@ -206,19 +205,35 @@ def test_brute_budget_guard(set1):
 
 def test_distribution_invariants(set1, set2):
     for desk, frozen in ((set1, DIST1), (set2, DIST2)):
-        dist = WeightDistribution(frozen)
-        dist.validate(desk.params)
-        assert dist.total() == desk.tower.r ** 2
+        code._validate(frozen, desk.params)
+        assert sum(frozen.values()) == desk.tower.r ** 2
 
 
 def test_distribution_validate_rejects_bad_data(set1):
-    bad = WeightDistribution({0: 1, 5: 3})
     with pytest.raises(InvariantError):
-        bad.validate(set1.params)
+        code._validate({0: 1, 5: 3}, set1.params)
     with pytest.raises(InvariantError):
-        WeightDistribution({12: 2401}).validate(set1.params)
+        code._validate({12: 2401}, set1.params)
     with pytest.raises(InvariantError):
-        WeightDistribution({0: 1, 999: 2400}).validate(set1.params)
+        code._validate({0: 1, 999: 2400}, set1.params)
+
+
+def test_every_route_returns_a_plain_dict(set1, set2):
+    # {weight: frequency} with positive int frequencies only: not a Counter, whose == ignores zero counts.
+    # At e = 4 brute is the only route; at the desk sets all four agree under plain ==
+    brute_only = build_code(build_tower(5, 1, 2), 4, 4)
+    routes = [brute_distribution(brute_only)]
+    for desk in (set1, set2):
+        params = desk.params
+        dists = [
+            brute_distribution(params), semi_analytic_distribution(params),
+            table_distribution(params), instantiate_table(desk.case, params),
+        ]
+        assert dists[0] == dists[1] == dists[2] == dists[3]
+        routes += dists
+    for dist in routes:
+        assert type(dist) is dict
+        assert all(type(w) is int and type(f) is int and f > 0 for w, f in dist.items())
 
 
 def test_weight_equals_lambda_complement(set1, set2):
@@ -279,8 +294,8 @@ def test_semi_analytic_matches_brute(set1, set2):
 
 
 def test_semi_analytic_frozen(set1, set2):
-    assert semi_analytic_distribution(set1.params).counts == DIST1
-    assert semi_analytic_distribution(set2.params).counts == DIST2
+    assert semi_analytic_distribution(set1.params) == DIST1
+    assert semi_analytic_distribution(set2.params) == DIST2
 
 
 def test_semi_analytic_requires_e3(set1):
@@ -293,7 +308,7 @@ def test_semi_analytic_requires_e3(set1):
 def test_semi_analytic_builds_no_log_or_zech_table(p, s, m):
     tower = build_tower(p, s, m)
     params = build_code(tower, 3)
-    semi_analytic_distribution(params).validate(params)
+    code._validate(semi_analytic_distribution(params), params)
     assert not {"_log_packed", "zech", "trace_q_coords"} & vars(tower).keys()
 
 
@@ -317,7 +332,7 @@ def test_mean_weight_identity(set1, set2):
     for desk in (set1, set2):
         t, params = desk.tower, desk.params
         dist = brute_distribution(params)
-        assert dist.weighted_sum() * t.q == params.n * t.r**2 * (t.q - 1)
+        assert sum(w * f for w, f in dist.items()) * t.q == params.n * t.r**2 * (t.q - 1)
 
 
 def test_distribution_invariant_under_defining_polynomial(set1):
@@ -326,8 +341,8 @@ def test_distribution_invariant_under_defining_polynomial(set1):
     assert alt_poly != t.defining_polynomial
     alt_tower = build_tower(t.p, t.s, t.m, poly=alt_poly)
     alt_params = build_code(alt_tower, set1.params.h, 3)
-    assert brute_distribution(alt_params).counts == DIST1
-    assert semi_analytic_distribution(alt_params).counts == DIST1
+    assert brute_distribution(alt_params) == DIST1
+    assert semi_analytic_distribution(alt_params) == DIST1
 
 
 def test_general_e_brute_force():
@@ -335,8 +350,7 @@ def test_general_e_brute_force():
     tower = build_tower(7, 1, 2)
     params = build_code(tower, 6, 2)
     assert params.n == 48 and params.N == 2
-    dist = brute_distribution(params)
-    dist.validate(params)
+    code._validate(brute_distribution(params), params)
     # e = 2, 4 and 6, one with N = 3: the reference weight is the codeword's on a grid of pairs, ZERO included
     for p, s, m, h, e, n_ord in [(7, 1, 2, 6, 2, 2), (5, 1, 2, 4, 4, 2), (13, 1, 3, 4, 4, 3), (7, 1, 2, 6, 6, 2)]:
         tower = build_tower(p, s, m)

@@ -8,7 +8,7 @@ from conftest import DIST1, DIST2, sweep_candidates
 import cyclotome.fields as fields
 
 from cyclotome.charsums import CharSystem, lifted_sums
-from cyclotome.code import brute_distribution, build_code, semi_analytic_distribution
+from cyclotome.code import _validate, brute_distribution, build_code, semi_analytic_distribution
 from cyclotome.fields import FieldTower, build_tower
 from cyclotome.theorem import (
     NonIntegerFrequencyError,
@@ -47,22 +47,30 @@ def test_classify_not_applicable_reasons(set1):
     assert isinstance(out, NotApplicable) and "no j" in out.reason
 
 
+def test_sets_at_one_e_other_than_3_share_one_verdict():
+    # like the N = 1 verdict, one object per e: a sweep at e = 4 builds it once
+    first, second = (classify(build_code(FieldTower(p, 1, m), 4, 4)) for p, m in ((5, 2), (13, 3)))
+    assert first is second
+    assert first.reason == "e = 4, semi and the closed forms need e = 3"
+    assert classify(build_code(FieldTower(7, 1, 2), 6, 2)).reason == "e = 2, semi and the closed forms need e = 3"
+
+
 def test_table_distribution_frozen(set1, set2):
-    assert table_distribution(set1.params).counts == DIST1
-    assert table_distribution(set2.params).counts == DIST2
+    assert table_distribution(set1.params) == DIST1
+    assert table_distribution(set2.params) == DIST2
 
 
 def test_table_merges_colliding_weights(set2):
     # two distinct rows of the minor-2 table land on weight 36: 189 + 63
     dist = table_distribution(set2.params)
-    assert dist.counts[36] == 252
+    assert dist[36] == 252
 
 
 def test_table_total_is_r_squared(set1, set2, set3):
     for desk in (set1, set2, set3):
         dist = table_distribution(desk.params)
-        assert dist.total() == desk.tower.r ** 2
-        dist.validate(desk.params)
+        assert sum(dist.values()) == desk.tower.r ** 2
+        _validate(dist, desk.params)
 
 
 def test_three_routes_agree_on_major_case_1(set3):
@@ -94,8 +102,8 @@ def test_table_rejects_the_not_applicable_classify_returns(p, s, m, h, e):
 def test_zero_frequency_rows_are_dropped(set1):
     # raw substitution of the minor-2 table at N = 2 empties its last row
     dist = instantiate_table(replace(set1.case, case_minor=2), set1.params)
-    assert all(freq > 0 for freq in dist.counts.values())
-    assert len(dist.counts) == 6  # five surviving rows plus the zero weight
+    assert all(freq > 0 for freq in dist.values())
+    assert len(dist) == 6  # five surviving rows plus the zero weight
 
 
 @pytest.mark.parametrize(
@@ -140,7 +148,7 @@ def test_semi_equals_table_across_small_sweep():
         table = table_distribution(params)
         semi = semi_analytic_distribution(params, lifted_sums(system, 1))
         assert table == semi, (p, s, m, h)
-        table.validate(params)
+        _validate(table, params)
         # enumerated periods against the closed form the case sign selects
         assert system.periods == case.periods, (p, s, m, h)
         cases.add((case.label, case.sign))
@@ -158,7 +166,7 @@ def test_table_equals_semi_at_r4096():
     table = table_distribution(params)
     semi = semi_analytic_distribution(params)
     assert table == semi
-    table.validate(params)
+    _validate(table, params)
 
 
 @pytest.mark.parametrize("p, s, m, h", [(2, 2, 30, 3), (2, 4, 15, 15), (11, 2, 12, 3)])
