@@ -36,7 +36,6 @@ from .fields import (
 )
 from .theorem import (
     NonIntegerFrequencyError,
-    NotApplicable,
     NotApplicableError,
     TheoremCase,
     classify,

@@ -20,7 +20,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 
@@ -37,7 +36,7 @@ from .code import (
     validate_e,
 )
 from .fields import DEFAULT_FIELD_CAP, BadPolynomialError, FieldTooLargeError, FieldTower, build_tower
-from .theorem import NotApplicable, TheoremCase, classify, table_distribution
+from .theorem import TheoremCase, classify, table_distribution
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -50,32 +49,9 @@ DEFAULT_SWEEP_BUDGET = 10_000_000
 _to_json = json.JSONEncoder(sort_keys=True).encode  # one encoder: the bytes of json.dumps(obj, sort_keys=True)
 
 
-@dataclass
-class RunReport:
-    """One computation or verification, in a JSON-stable shape."""
-
-    params: dict
-    method: str
-    classification: dict
-    distribution: "list | None"
-    checks: "dict | None"
-    timing: float
-    verdict: "str | None" = None
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # shallow: asdict would deep-copy the distribution
-
-    def to_json(self) -> str:
-        return _to_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
-
-
-def _classification_dict(case) -> dict:
-    if isinstance(case, NotApplicable):
-        return {"applicable": False, "reason": case.reason}
+def _classification_dict(case: "TheoremCase | str") -> dict:
+    if isinstance(case, str):
+        return {"applicable": False, "reason": case}
     return {
         "applicable": True,
         "case": case.label,
@@ -155,7 +131,7 @@ def _compute_methods(
         elif name == "table" and isinstance(case, TheoremCase):
             dists["table"] = table_distribution(params)
         else:
-            checks[name] = f"not applicable: {case.reason}"
+            checks[name] = f"not applicable: {case}"
     if len(dists) > 1:
         names = sorted(dists)
         first = _first_diff_check(dists, zip(names, names[1:]))
@@ -220,46 +196,61 @@ def _verification_checks(
     return checks, dists
 
 
-def _emit_report(report: RunReport, fmt: str) -> None:
+def _report(params: CodeParams, method: str, case, dist, checks, t0: float, verdict: "str | None" = None) -> dict:
+    """One computation or verification as a JSON-stable dict: always the same seven keys."""
+    return {
+        "params": params.describe(),
+        "method": method,
+        "classification": _classification_dict(case),
+        "distribution": _distribution_json(dist),
+        "checks": checks,
+        "timing": round(time.monotonic() - t0, 6),
+        "verdict": verdict,
+    }
+
+
+def _emit_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(report.to_json())
+        print(_to_json(report))
     elif fmt == "csv":
         print("weight,frequency")
-        for w, f in report.distribution or []:
+        for w, f in report["distribution"] or []:
             print(f"{w},{f}")
     else:
-        pr = report.params
+        pr = report["params"]
         print(
             "parameters: p={p} s={s} m={m} h={h} e={e}  (q={q}, r={r}, n={n}, N={N})".format(**pr)
         )
-        cl = report.classification
+        cl = report["classification"]
         if cl["applicable"]:
             print(
                 f"classification: case {cl['case']} (j={cl['j']}, gamma={cl['gamma']}, sqrt_r={cl['sqrt_r']})"
             )
         else:
             print(f"classification: not applicable ({cl['reason']})")
-        print(f"method: {report.method}  [{report.timing:.3f}s]")
-        if report.distribution:
-            width = max(len(str(w)) for w, _ in report.distribution)
+        print(f"method: {report['method']}  [{report['timing']:.3f}s]")
+        if dist := report["distribution"]:
+            width = max(len(str(w)) for w, _ in dist)
             print("weight  frequency")
-            for w, f in report.distribution:
+            for w, f in dist:
                 print(f"{w:>{width}}  {f}")
-        if report.checks:
-            print(f"checks: {_to_json(report.checks)}")
-        if report.verdict:
-            print(f"verdict: {report.verdict}")
+        if report["checks"]:
+            print(f"checks: {_to_json(report['checks'])}")
+        if report["verdict"]:
+            print(f"verdict: {report['verdict']}")
 
 
+_e_option = click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (semi and the closed forms need 3).")
+_format_option = click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json", show_default=True)
 _shared_options = [
     click.option("--p", "p", type=int, required=True, help="Field characteristic (prime)."),
     click.option("--s", "s", type=int, required=True, help="Base extension degree: q = p**s."),
     click.option("--m", "m", type=int, required=True, help="Top extension degree: r = q**m."),
     click.option("--h", "h", type=int, required=True, help="Divisor of q-1; code length is h(r-1)/(q-1)."),
-    click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (semi and the closed forms need 3)."),
+    _e_option,
     click.option("--poly", type=str, default=None, help="Defining polynomial override, comma-separated GF(p) coefficients, constant first, monic, degree s*m."),
     click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True, help="Brute-force work cap, in r^2*n units."),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json", show_default=True),
+    _format_option,
 ]
 
 
@@ -294,15 +285,7 @@ def compute(p, s, m, h, e, poly, budget, fmt, method) -> None:
     dist = None
     if dists and agreed:
         dist = next(iter(dists.values()))
-    report = RunReport(
-        params=params.describe(),
-        method=method,
-        classification=_classification_dict(case),
-        distribution=_distribution_json(dist),
-        checks=checks or None,
-        timing=round(time.monotonic() - t0, 6),
-    )
-    _emit_report(report, fmt)
+    _emit_report(_report(params, method, case, dist, checks or None, t0), fmt)
     if not agreed:
         sys.exit(EXIT_MISMATCH)
 
@@ -315,20 +298,11 @@ def verify(p, s, m, h, e, poly, budget, fmt) -> None:
     with _exit_on_error():
         params = _build(p, s, m, h, e, poly)
         case = classify(params)
-        if isinstance(case, NotApplicable):
-            raise BadParametersError(f"verify needs applicable parameters: {case.reason}")
+        if isinstance(case, str):
+            raise BadParametersError(f"verify needs applicable parameters: {case}")
         checks, dists = _verification_checks(params, case, budget)
     passed = all(v is not False for v in checks.values())
-    report = RunReport(
-        params=params.describe(),
-        method="verify",
-        classification=_classification_dict(case),
-        distribution=_distribution_json(dists["table"]),
-        checks=checks,
-        timing=round(time.monotonic() - t0, 6),
-        verdict="PASS" if passed else "FAIL",
-    )
-    _emit_report(report, fmt)
+    _emit_report(_report(params, "verify", case, dists["table"], checks, t0, "PASS" if passed else "FAIL"), fmt)
     if not passed:
         sys.exit(EXIT_MISMATCH)
 
@@ -373,8 +347,8 @@ def _sweep_rows(tower: FieldTower, hs: list[int], e: int, budget: int):
         params = build_code(tower, h, e)
         case = classify(params)
         failed = ()
-        if not isinstance(case, TheoremCase):
-            label, status, reason = "", "not_applicable", case.reason
+        if isinstance(case, str):
+            label, status, reason = "", "not_applicable", case
         else:
             label, status, reason = case.label, "PASS", ""
             try:
@@ -411,9 +385,9 @@ def _json_rows(p: int, s: int, m: int, e: int, q: int, r: int):
 
 @main.command()
 @click.option("--max-r", type=int, required=True, help="Upper bound on the big field size r.")
-@click.option("--e", "e", type=int, default=3, show_default=True, help="Divisor of h (semi and the closed forms need 3).")
+@_e_option
 @click.option("--budget", type=int, default=DEFAULT_SWEEP_BUDGET, show_default=True, help="Per-item brute-force cap in r^2*n units; larger items are classified only.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json", show_default=True)
+@_format_option
 def sweep(max_r, e, budget, fmt) -> None:
     """Enumerate, classify, and verify every parameter set with r <= MAX_R.
 

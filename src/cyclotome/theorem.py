@@ -14,7 +14,9 @@ tables at sg = -1, row for row, so one table per minor case is kept and
 ``TheoremCase.sign`` is the single place the sign is decided.  Every
 closed form (the tables and ``TheoremCase.periods`` here, the Jacobi
 value in ``charsums``) takes the ``TheoremCase`` that ``classify``
-returns as its only case input.
+returns as its only case input.  Off the regime, ``classify`` returns
+the first failed hypothesis as a plain string, the reason every report
+prints.
 
 Each table is encoded symbolically in (r, sqrt(r), N, h, q, sg), one (weight,
 frequency) pair of exact integer numerators and denominators per row.  Instantiation
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import Callable
 
 from .charsums import NonIntegerResultError
 from .code import CodeParams, _validate
@@ -81,28 +83,17 @@ class TheoremCase:
         return periods
 
 
-class NotApplicable(NamedTuple):
-    """Returned by classify with the first failed hypothesis."""
-
-    reason: str
-
-
-_N_IS_ONE = NotApplicable("N = 1 < 2")  # one shared verdict: most sweep rows stop here
-_E_IS_NOT_THREE: dict[int, NotApplicable] = {}  # and one per e != 3, made at its first set
-
-
-def classify(params: CodeParams) -> Union[TheoremCase, NotApplicable]:
-    """Check the closed-form hypotheses and pick the (major, minor) sub-case."""
+def classify(params: CodeParams) -> TheoremCase | str:
+    """Check the closed-form hypotheses: the (major, minor) sub-case, or the first failed one as a sentence."""
     tw = params.tower
     p, n_ord = tw.p, params.N
     if params.e != 3:
-        return _E_IS_NOT_THREE.get(params.e) or _E_IS_NOT_THREE.setdefault(
-            params.e, NotApplicable(f"e = {params.e}, semi and the closed forms need e = 3"))
+        return f"e = {params.e}, semi and the closed forms need e = 3"
     if n_ord < 2:
-        return _N_IS_ONE
+        return "N = 1 < 2"
     j = next((c for c in range(1, n_ord + 1) if pow(p, c, n_ord) == n_ord - 1), None)
     if j is None:
-        return NotApplicable(f"no j with p**j = -1 mod N (p = {p}, N = {n_ord})")
+        return f"no j with p**j = -1 mod N (p = {p}, N = {n_ord})"
     sm = tw.degree
     gamma = sm // (2 * j)  # an integer: N | q-1 puts 2j = ord_N(p) | s for N > 2, and N = 2 divides m
     major = 1 if gamma % 2 and p % 2 and ((p**j + 1) // n_ord) % 2 else 2
@@ -214,8 +205,8 @@ def instantiate_table(case: TheoremCase, params: CodeParams) -> dict[int, int]:
 def table_distribution(params: CodeParams) -> dict[int, int]:
     """Instantiate the table that ``classify`` selects for these parameters, validated."""
     case = classify(params)
-    if isinstance(case, NotApplicable):
-        raise NotApplicableError(f"no table applies: {case.reason}")
+    if isinstance(case, str):
+        raise NotApplicableError(f"no table applies: {case}")
     dist = instantiate_table(case, params)
     _validate(dist, params)
     return dist

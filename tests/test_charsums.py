@@ -275,7 +275,7 @@ def test_beta_power_differences_share_coset_with_one_minus_beta(set1, set2):
                     assert t.add(beta * i % n1, t.neg(beta * j % n1)) % n == ref
 
 
-def test_f_enumerate_frozen_tables(set1, set2):
+def test_class_counts_frozen_tables(set1, set2):
     for desk, table in ((set1, F_TABLE1), (set2, F_TABLE2)):
         assert class_counts(desk.params) == table
 

@@ -19,7 +19,7 @@ import cyclotome.code as code
 import cyclotome.fields as fields
 import cyclotome.theorem as theorem
 from cyclotome.charsums import CharSystem, norm_degree
-from cyclotome.cli import RunReport, main
+from cyclotome.cli import main
 
 EXPECTED1 = [[0, "1"], [12, "72"], [16, "72"], [18, "264"], [20, "864"], [22, "864"], [24, "264"]]
 
@@ -567,13 +567,15 @@ def test_poly_flag_validation(runner):
     assert result.exit_code == 2
 
 
-def test_report_json_round_trip(runner):
-    result, payload = _invoke_json(
-        runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3"
-    )
-    report = RunReport.from_json(result.output)
-    assert RunReport.from_json(report.to_json()) == report
-    assert report.to_dict() == payload
+def test_reports_keep_one_shape(runner):
+    # compute, applicable and not (N = 1 at h = 6), and verify print the same seven keys as one
+    # sorted-key JSON line; compute's verdict is there, as null
+    for command, h, verdict in (("compute", 3, None), ("compute", 6, None), ("verify", 3, "PASS")):
+        result, report = _invoke_json(runner, command, "--p", "7", "--s", "1", "--m", "2", "--h", str(h))
+        assert sorted(report) == ["checks", "classification", "distribution", "method", "params", "timing", "verdict"]
+        assert report["verdict"] == verdict and report["classification"]["applicable"] is (h == 3)
+        line = result.output.removesuffix("\n")
+        assert line == json.dumps(json.loads(line), sort_keys=True) and "\n" not in line
 
 
 def test_sweep_small(runner):
@@ -795,7 +797,7 @@ def test_public_names_are_pinned():
     assert sorted(cyclotome.__all__) == [
         "BadModulusError", "BadParametersError", "BadPolynomialError", "BudgetExceededError",
         "CharSystem", "CodeParams", "CycInt", "FieldTooLargeError", "FieldTower", "InvariantError",
-        "NonIntegerFrequencyError", "NonIntegerResultError", "NonPrimeError", "NotApplicable",
+        "NonIntegerFrequencyError", "NonIntegerResultError", "NonPrimeError",
         "NotApplicableError", "NotDivisibleError", "OrderMismatchError", "TheoremCase",
         "brute_distribution", "build_code", "build_tower", "charsums",
         "class_counts", "classify", "code", "codeword_weight_from_lambda", "cycint",

@@ -79,7 +79,8 @@ def _by_trial_division(n: int) -> bool:
 def test_primes_helpers():
     assert [n for n in range(2, 40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert not is_prime(1) and not is_prime(7919 * 7927)
-    # the least strong pseudoprimes to the Miller-Rabin bases 2, 3; 2, 3, 5; and 2, 3, 5, 7
+    # the least strong pseudoprimes to bases 2, 3; 2, 3, 5; and 2, 3, 5, 7: Miller-Rabin on those bases
+    # would call each prime, and trial division must not
     assert not is_prime(1_373_653) and not is_prime(25_326_001)
     assert 151 * 751 * 28351 == 3_215_031_751 and not is_prime(3_215_031_751)
     assert is_prime(3_215_031_749) and not is_prime(3_215_031_753)

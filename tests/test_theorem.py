@@ -12,7 +12,6 @@ from cyclotome.code import _validate, brute_distribution, build_code, semi_analy
 from cyclotome.fields import FieldTower, build_tower
 from cyclotome.theorem import (
     NonIntegerFrequencyError,
-    NotApplicable,
     NotApplicableError,
     TheoremCase,
     classify,
@@ -33,26 +32,29 @@ def test_classify_desk_sets(set1, set2, set3):
 def test_classify_not_applicable_reasons(set1):
     e2 = build_code(set1.tower, 6, 2)
     out = classify(e2)
-    assert isinstance(out, NotApplicable) and "e = 2" in out.reason
+    assert isinstance(out, str) and "e = 2" in out
 
     n1 = build_code(set1.tower, 6, 3)  # N = gcd(2, 3) = 1
     out = classify(n1)
-    assert isinstance(out, NotApplicable) and "N = 1" in out.reason
+    assert isinstance(out, str) and "N = 1" in out
 
     # p = 1 mod N for every power: no j exists (N = 4 needs p**j = -1)
     tower = build_tower(13, 1, 4)
     params = build_code(tower, 3, 3)
     assert params.N == 4
     out = classify(params)
-    assert isinstance(out, NotApplicable) and "no j" in out.reason
+    assert isinstance(out, str) and "no j" in out
 
 
-def test_sets_at_one_e_other_than_3_share_one_verdict():
-    # like the N = 1 verdict, one object per e: a sweep at e = 4 builds it once
-    first, second = (classify(build_code(FieldTower(p, 1, m), 4, 4)) for p, m in ((5, 2), (13, 3)))
-    assert first is second
-    assert first.reason == "e = 4, semi and the closed forms need e = 3"
-    assert classify(build_code(FieldTower(7, 1, 2), 6, 2)).reason == "e = 2, semi and the closed forms need e = 3"
+def test_not_applicable_reasons_are_pinned():
+    # each reason is the sweep's reason column, byte for byte, and the same for every set it covers
+    for p, m, h, e in ((5, 2, 4, 4), (13, 3, 4, 4), (7, 2, 6, 2)):
+        assert classify(build_code(FieldTower(p, 1, m), h, e)) == f"e = {e}, semi and the closed forms need e = 3"
+    n1 = build_code(FieldTower(2, 2, 2), 3, 3)
+    assert classify(n1) == "N = 1 < 2"
+    assert classify(build_code(FieldTower(13, 1, 3), 3, 3)) == "no j with p**j = -1 mod N (p = 13, N = 3)"
+    with pytest.raises(NotApplicableError, match="^no table applies: N = 1 < 2$"):
+        table_distribution(n1)
 
 
 def test_table_distribution_frozen(set1, set2):
@@ -94,8 +96,8 @@ def test_table_rejects_the_not_applicable_classify_returns(p, s, m, h, e):
     # N = 1 and e = 2: no table applies, and the error gives the reason classify returns
     params = build_code(FieldTower(p, s, m), h, e)
     case = classify(params)
-    assert isinstance(case, NotApplicable)
-    with pytest.raises(NotApplicableError, match=re.escape(case.reason)):
+    assert isinstance(case, str)
+    with pytest.raises(NotApplicableError, match=re.escape(case)):
         table_distribution(params)
 
 
@@ -142,7 +144,7 @@ def test_semi_equals_table_across_small_sweep():
             continue  # N = 1, never applicable; skip the tower build
         params = build_code(build_tower(p, s, m), h, 3)
         case = classify(params)
-        if isinstance(case, NotApplicable):
+        if isinstance(case, str):
             continue
         system = CharSystem(params.tower, params.N)
         table = table_distribution(params)
