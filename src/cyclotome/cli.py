@@ -342,10 +342,11 @@ def _sweep_rows(tower: FieldTower, hs: list[int], e: int, budget: int):
     verification, so a tower's lazy tables are built, and timed, inside its first verified row.
     """
     p, s, m, q, r = tower.p, tower.s, tower.m, tower.q, tower.r
+    clock, build, classify_ = time.monotonic_ns, build_code, classify  # looked up once per tower
     for h in hs:
-        t0 = time.monotonic_ns()
-        params = build_code(tower, h, e)
-        case = classify(params)
+        t0 = clock()
+        params = build(tower, h, e)
+        case = classify_(params)
         failed = ()
         if isinstance(case, str):
             label, status, reason = "", "not_applicable", case
@@ -361,24 +362,33 @@ def _sweep_rows(tower: FieldTower, hs: list[int], e: int, budget: int):
                 failed = tuple(sorted(k for k, v in checks.items() if v is False))
                 if failed:
                     status, reason = "FAIL", f"semi {checks['semi']}" if "semi" in checks else ""
-        seconds = (time.monotonic_ns() - t0 + 500) // 1000 / 1e6  # k / 1e6 is round(k / 1e6, 6)
+        seconds = (clock() - t0 + 500) // 1000 / 1e6  # k / 1e6 is round(k / 1e6, 6)
         yield p, s, m, h, e, q, r, params.n, params.N, label, status, reason, seconds, failed
 
 
-def _json_rows(p: int, s: int, m: int, e: int, q: int, r: int):
-    """One tower's row -> the bytes of json.dumps(row, sort_keys=True) and a newline: keys in sorted order,
-    the tower's fields formatted once, text through json's own escaper and seconds through repr, as json."""
-    esc = encode_basestring_ascii
-    e_text, m_text = f', "e": {e}, ', f', "m": {m}, "n": '
-    pqr_text, s_text = f', "p": {p}, "q": {q}, "r": {r}, "reason": ', f', "s": {s}, "seconds": '
+def _json_rows(p: int, s: int, m: int, e: int, q: int, r: int, seconds_text: dict):
+    """One tower's row -> the bytes of json.dumps(row, sort_keys=True) and a newline, keys in sorted order.
+    A row formats only h, n and seconds: the four text pieces of each row shape, (N, case, status, reason, failed),
+    are built on its first row, text through json's escaper; ``seconds_text`` (one per sweep) maps seconds to repr."""
+    esc, pieces = encode_basestring_ascii, {}
 
     def row_json(row: tuple) -> str:
         _, _, _, h, _, _, _, n, N, case, status, reason, seconds, failed = row
-        failed_json = f'"failed_checks": [{", ".join(map(esc, failed))}], ' if failed else ""
-        return (
-            f'{{"N": {N}, "case": {esc(case)}{e_text}{failed_json}"h": {h}{m_text}{n}{pqr_text}'
-            f'{esc(reason)}{s_text}{seconds!r}, "status": {esc(status)}}}\n'
-        )
+        try:
+            head, mid, tail, end = pieces[N, case, status, reason, failed]
+        except KeyError:
+            failed_json = f'"failed_checks": [{", ".join(map(esc, failed))}], ' if failed else ""
+            head, mid, tail, end = pieces[N, case, status, reason, failed] = (
+                f'{{"N": {N}, "case": {esc(case)}, "e": {e}, {failed_json}"h": ',
+                f', "m": {m}, "n": ',
+                f', "p": {p}, "q": {q}, "r": {r}, "reason": {esc(reason)}, "s": {s}, "seconds": ',
+                f', "status": {esc(status)}}}\n',
+            )
+        try:
+            seconds_json = seconds_text[seconds]
+        except KeyError:
+            seconds_json = seconds_text[seconds] = repr(seconds)
+        return f"{head}{h}{mid}{n}{tail}{seconds_json}{end}"
 
     return row_json
 
@@ -405,12 +415,13 @@ def sweep(max_r, e, budget, fmt) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([*_SWEEP_COLUMNS, "failed_checks"])
+    seconds_text: dict[float, str] = {}
     for p, s, m, hs in _sweep_towers(max_r, e):
         # FieldTower, not build_tower: the sieve proved p prime, and r <= max_r <= the cap was checked above
         tower = FieldTower(p, s, m)
         rows = _sweep_rows(tower, hs, e, budget)
         if fmt == "json":
-            sys.stdout.writelines(map(_json_rows(p, s, m, e, tower.q, tower.r), rows))
+            sys.stdout.writelines(map(_json_rows(p, s, m, e, tower.q, tower.r, seconds_text), rows))
         elif fmt == "csv":
             writer.writerows((*row[:-1], ";".join(row[-1])) for row in rows)
         else:

@@ -73,15 +73,15 @@ def validate_e(e: int) -> None:
 
 
 def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
-    """Validate (h, e) against the tower and derive (g, beta, n, N)."""
-    q, r, m = tower.q, tower.r, tower.m
+    """Validate (h, e) against the tower and derive (g, beta, n, N): one divmod of q-1 by h gives g_log and
+    the h | q-1 check (h >= e has ruled out h = 0), and n = h(r-1)/(q-1) is h times the tower's subfield step."""
     validate_e(e)
     if h < e or h % e:
         raise BadParametersError(f"h = {h} is not a positive multiple of e = {e}")
-    if (q - 1) % h:
-        raise BadParametersError(f"h = {h} does not divide q-1 = {q - 1}")
-    n = h * (r - 1) // (q - 1)
-    params = CodeParams(tower, h, e, n, math.gcd(m, e * (q - 1) // h), (q - 1) // h, (r - 1) // e)
+    g_log, rem = divmod(tower.q - 1, h)
+    if rem:
+        raise BadParametersError(f"h = {h} does not divide q-1 = {tower.q - 1}")
+    params = CodeParams(tower, h, e, h * tower.subfield_step, math.gcd(tower.m, e * g_log), g_log, (tower.r - 1) // e)
     # GF(q)* must lie in C_0: the class cosets drop beta and -1, the semi families beta**i - beta**t
     if e == 3 and tower.subfield_step % params.N:
         raise InvariantError(f"beta or -1 is not an N-th power for N = {params.N}")

@@ -591,7 +591,7 @@ def test_sweep_small(runner):
     assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in result.output.splitlines())
 
 
-def test_sweep_row_template_is_json_dumps(runner):
+def test_sweep_row_template_is_json_dumps(runner, monkeypatch):
     # each tower's formatter must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
     rows = [
         row
@@ -600,26 +600,74 @@ def test_sweep_row_template_is_json_dumps(runner):
     ]
     assert {row[10] for row in rows} == {"PASS", "not_applicable"}
 
-    def variant(**changes):
-        cells = {**dict(zip(cli._SWEEP_COLUMNS, rows[0])), "seconds": 0.25, "failed_checks": (), **changes}
+    def variant(row, **changes):
+        cells = {**dict(zip(cli._SWEEP_COLUMNS, row)), "seconds": 0.25, "failed_checks": (), **changes}
         return tuple(cells.values())
 
-    rows += [
-        variant(status="FAIL", failed_checks=("f_partition", "three_way_equal"), seconds=1e-06),
-        variant(status="FAIL", reason='InvariantError: "a\\b"\nq = 4 \u2260 5', seconds=12.5),
-        variant(status="skipped_budget", case="2.1", seconds=0.0),
-        variant(p=2, s=12, m=2, h=4095, n=1 << 30, N=24, seconds=123456.789012),
-    ]
-    for row in rows:
+    def as_dumps(row):
         obj = dict(zip(cli._SWEEP_COLUMNS, row))
         if row[-1]:
             obj["failed_checks"] = list(row[-1])
-        row_json = cli._json_rows(obj["p"], obj["s"], obj["m"], obj["e"], obj["q"], obj["r"])
-        assert row_json(row) == json.dumps(obj, sort_keys=True) + "\n"
+        return json.dumps(obj, sort_keys=True) + "\n"
+
+    rows += [
+        variant(rows[0], status="FAIL", failed_checks=("f_partition", "three_way_equal"), seconds=1e-06),
+        variant(rows[0], status="FAIL", reason='InvariantError: "a\\b"\nq = 4 \u2260 5', seconds=12.5),
+        variant(rows[0], status="skipped_budget", case="2.1", seconds=0.0),
+        variant(rows[0], p=2, s=12, m=2, h=4095, n=1 << 30, N=24, seconds=123456.789012),
+    ]
+    seconds_text = {}
+    for row in rows:
+        assert cli._json_rows(*row[:3], *row[4:7], seconds_text)(row) == as_dumps(row)
+
+    # one tower's formatter keeps each row shape's text and each seconds' repr. Fed in this order: one
+    # shape with other h, n and seconds, a FAIL row with failed checks, then a PASS row of the same tower,
+    # rows that differ from that PASS row in one field of the shape each, and at e = 2 and e = 4 each
+    # reason e != 3 gives, every line must still be json.dumps's
+    tower = fields.build_tower(7, 1, 2)
+    passed, unverified = cli._sweep_rows(tower, [3, 6], 3, cli.DEFAULT_SWEEP_BUDGET)
+    assert (passed[9], passed[10], unverified[10], unverified[11]) == ("2.1", "PASS", "not_applicable", "N = 1 < 2")
+    secs = (0.0, 1e-06, 1.3e-05, 0.001322, 12.5, 1e-06)
+    shape_changes = [
+        {"N": 4},
+        {"case": "1.2"},
+        {"status": "skipped_budget"},
+        {"reason": "semi failed: x"},
+        {"failed_checks": ("f_partition",)},
+    ]
+    at_e2 = list(cli._sweep_rows(tower, [2, 6], 2, 0))
+    at_e4 = list(cli._sweep_rows(fields.build_tower(5, 1, 2), [4], 4, 0))
+    assert at_e2[0][11] == "e = 2, semi and the closed forms need e = 3"
+    assert at_e4[0][11] == "e = 4, semi and the closed forms need e = 3"
+    fed = [
+        [variant(unverified, h=6 * k, n=48 * k, seconds=t) for k, t in enumerate(secs, 1)]
+        + [variant(passed, status="FAIL", failed_checks=("f_partition", "three_way_equal"), seconds=1e-06), passed]
+        + [row for changes in shape_changes for row in (variant(passed, **changes), passed)],
+        at_e2 + [variant(at_e2[0], h=4, n=32, seconds=1.3e-05)],
+        at_e4 + [variant(at_e4[0], seconds=12.5)],
+    ]
+    seconds_text = {}
+    for tower_rows in fed:
+        row_json = cli._json_rows(*tower_rows[0][:3], *tower_rows[0][4:7], seconds_text)
+        assert [row_json(row) for row in tower_rows] == [as_dumps(row) for row in tower_rows]
+    assert seconds_text == {row[12]: repr(row[12]) for tower_rows in fed for row in tower_rows}
+
     result = runner.invoke(main, ["sweep", "--max-r", "300"], catch_exceptions=False)
     lines = result.output.splitlines(keepends=True)
     assert len(lines) == len(rows) - 4
     assert all(line == json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
+
+    # the escaper runs 3 times per row shape of a tower (case, reason and status), not per row
+    calls = []
+    real = cli.encode_basestring_ascii
+    monkeypatch.setattr(cli, "encode_basestring_ascii", lambda text: calls.append(text) or real(text))
+    result = runner.invoke(main, ["sweep", "--max-r", "1000", "--budget", "0"], catch_exceptions=False)
+    lines = result.output.splitlines()
+    shapes = {
+        (row["p"], row["s"], row["m"], row["N"], row["case"], row["status"], row["reason"])
+        for row in map(json.loads, lines)
+    }
+    assert len(shapes) < len(lines) and len(calls) == 3 * len(shapes)
 
 
 def test_sweep_seconds_are_whole_microseconds(runner):

@@ -35,12 +35,30 @@ def test_build_code_examples(set1, set2):
 
 
 def test_build_code_rejects_bad_divisibility(set1):
-    with pytest.raises(BadParametersError):
-        build_code(set1.tower, 4, 3)  # e does not divide h
-    with pytest.raises(BadParametersError):
-        build_code(build_tower(5, 1, 2), 3, 3)  # h does not divide q-1
-    with pytest.raises(BadParametersError):
-        build_code(set1.tower, 3, 1)  # e must exceed 1
+    # set1's tower is (7,1,2); h = 0 fails the multiple check before any division by h
+    for tower, h, e, message in (
+        (set1.tower, 0, 3, "h = 0 is not a positive multiple of e = 3"),
+        (set1.tower, 4, 3, "h = 4 is not a positive multiple of e = 3"),
+        (set1.tower, 9, 3, "h = 9 does not divide q-1 = 6"),
+        (build_tower(5, 1, 2), 3, 3, "h = 3 does not divide q-1 = 4"),
+        (set1.tower, 3, 1, "e = 1 must exceed 1"),
+    ):
+        with pytest.raises(BadParametersError) as info:
+            build_code(tower, h, e)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 6])
+def test_build_code_arithmetic_on_the_sweep(e):
+    # n, N, g_log and beta_log against their defining formulas at every set of a sweep to r = 5000
+    for p, s, m, h in sweep_candidates(5000, e):
+        q, r = p**s, p ** (s * m)
+        params = build_code(FieldTower(p, s, m), h, e)
+        assert (params.h, params.e) == (h, e)
+        assert params.n == h * (r - 1) // (q - 1)
+        assert params.N == math.gcd(m, e * (q - 1) // h)
+        assert params.g_log == (q - 1) // h
+        assert params.beta_log == (r - 1) // e
 
 
 def test_build_code_requires_beta_and_minus_one_nth_powers(monkeypatch):
