@@ -18,8 +18,8 @@ d = (c1 - c3, c2 - c3) mod N, so every route returns one table
 {(d1, d2): f} with zero counts dropped.  The table is computed by direct
 enumeration (one pass over GF(r), spread over GF(r)**2 by scaling) and by
 one Jacobi-sum identity, fed the tower's Jacobi sums, a subfield's lifted
-to GF(r), or the semiprimitive value -sg*sqrt(r), which makes it the
-closed form.
+to GF(r) (``subfield_sums``, semi's), or the semiprimitive value
+-sg*sqrt(r), which makes it the closed form.
 """
 
 from __future__ import annotations
@@ -127,24 +127,16 @@ def norm_degree(p: int, n: int) -> int:
     return next(f for f in count(1) if (p**f - 1) % n == 0)
 
 
-def norm_system(tower: FieldTower, n: int) -> CharSystem:
-    """Order-N characters of GF(p**f), f = ord_N(p), generated by Norm(alpha) = alpha**M.
+def subfield_sums(tower: FieldTower, n: int) -> tuple[list[CycInt], dict[tuple[int, int], CycInt]]:
+    """``lifted_sums`` to GF(r) of the order-N sums of GF(p**f), f = ord_N(p), on its default polynomial.
 
-    M = (r-1)/(p**f - 1).  The small tower's polynomial is the product of
-    x - alpha**(M p**j) over j < f, multiplied out with ``add`` and ``mul``;
-    its chi o Norm is the tower's chi, so ``lifted_sums`` of this system
-    are the tower's Gauss and Jacobi sums, index for index.
+    With Norm(alpha) = gamma**v, gamma that field's generator, the lift at i is the tower's sum
+    at i*v mod N.  As G(chi**(i*p)) = G(chi**i), and J alike, it is the tower's index for index
+    wherever p generates (Z/N)*, as on every applicable set within the cap; elsewhere a
+    comparison with the tower's sums may fail, but never passes a wrong lift.
     """
-    p, f, n1 = tower.p, norm_degree(tower.p, n), tower.r - 1
-    big_m = n1 // (p**f - 1)
-    poly = [0]  # dlogs, constant first: the polynomial 1
-    for j in range(f):
-        root = tower.neg(big_m * p**j % n1)
-        poly = [tower.add(a, tower.mul(b, root)) for a, b in zip([ZERO, *poly], [*poly, ZERO])]
-    coeffs = tuple(0 if c == ZERO else tower._pow_packed[c] for c in poly)  # GF(p) packs to its residues
-    if max(coeffs) >= p:
-        raise InvariantError(f"minimal polynomial {coeffs} of alpha**{big_m} is not over GF({p})")
-    return CharSystem(FieldTower(p, 1, f, coeffs), n)
+    f = norm_degree(tower.p, n)
+    return lifted_sums(CharSystem(FieldTower(tower.p, 1, f), n), tower.degree // f)
 
 
 def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[int, int], CycInt]]:
@@ -163,13 +155,13 @@ def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[in
     return lifted[:n], dict(zip(pairs, lifted[n:]))
 
 
-def periods_from_gauss(gauss: list[CycInt], n: int) -> list[int]:
-    """Periods eta_u, u < N, from the Gauss sums G(chi**i), i < N, by Fourier inversion.
+def periods_from_gauss(gauss: list[CycInt]) -> list[int]:
+    """Periods eta_u, u < N, from the Gauss sums G(chi**i), i < N = len(gauss), by Fourier inversion.
 
     N eta_u = sum of zeta_N**(-i*u) G(chi**i); NonIntegerResultError unless it
     is a rational integer divisible by N.
     """
-    m, periods = gauss[0].order, []
+    n, m, periods = len(gauss), gauss[0].order, []
     for u in range(n):
         val = _shifted_sum(m, ((-i * u * m // n, g) for i, g in enumerate(gauss))).as_integer()
         if val is None or val % n:
@@ -244,20 +236,17 @@ def _f_table(params: "CodeParams", charsum) -> dict[tuple[int, int], int]:
     return table
 
 
-def _jacobi_charsum(n: int, jacobi: dict[tuple[int, int], CycInt]):
-    """``_f_table``'s charsum at J(i, j) = ``jacobi[i, j]``, each sum reduced once in Z[zeta_N]."""
-    return lambda x1, x2: _shifted_sum(n, ((i * x1 + j * x2, v) for (i, j), v in jacobi.items())).as_integer()
-
-
 def _pair_sum(n: int, x1: int, x2: int) -> int:
     """Sum of zeta_N**(i*x1 + j*x2) over 0 < i, j < N, i + j != N: each sum over 0 < i < N is
     N*[x = 0] - 1, so it is the product of two, less the terms j = N - i, N*[x1 = x2] - 1."""
     return (n * (x1 % n == 0) - 1) * (n * (x2 % n == 0) - 1) - (n * ((x1 - x2) % n == 0) - 1)
 
 
-def f_charsum(params: "CodeParams", system: CharSystem) -> dict[tuple[int, int], int]:
-    """{(d1, d2): f} by the Jacobi-sum identity on the tower's Jacobi sums, exactly in Z[zeta_N]."""
-    return _f_table(params, _jacobi_charsum(params.N, lifted_sums(system, 1)[1]))
+def f_charsum(params: "CodeParams", jacobi: dict[tuple[int, int], CycInt]) -> dict[tuple[int, int], int]:
+    """{(d1, d2): f} by the Jacobi-sum identity at J(i, j) = ``jacobi[i, j]``, as ``lifted_sums`` returns
+    them: each class character sum is reduced once in Z[zeta_N]."""
+    n, terms = params.N, jacobi.items()
+    return _f_table(params, lambda x1, x2: _shifted_sum(n, ((i * x1 + j * x2, v) for (i, j), v in terms)).as_integer())
 
 
 def f_closed(params: "CodeParams", case: "TheoremCase") -> dict[tuple[int, int], int]:

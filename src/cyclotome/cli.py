@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 import click
 
-from .charsums import CharSystem, class_counts, f_charsum, f_closed, lifted_sums, norm_system
+from .charsums import CharSystem, class_counts, f_charsum, f_closed, lifted_sums, subfield_sums
 from .code import (
     BadParametersError,
     BudgetExceededError,
@@ -154,8 +154,7 @@ def _verification_checks(
     tw = params.tower
     r, n_ord = tw.r, params.N
     dists = {"brute": brute_distribution(params, budget=budget)}
-    system, small = CharSystem(tw, n_ord), norm_system(tw, n_ord)
-    lifted = lifted_sums(small, tw.degree // small.tower.degree)  # semi's, checked against the tower's sums
+    system, lifted = CharSystem(tw, n_ord), subfield_sums(tw, n_ord)  # semi's lift, checked below
     checks: dict = {}
     try:
         dists["semi"] = semi_analytic_distribution(params, lifted)
@@ -167,7 +166,8 @@ def _verification_checks(
     if first:
         checks["first_diff"] = first
 
-    tables = (class_counts(params), f_charsum(params, system), f_closed(params, case))  # {(d1, d2): f} each
+    own = lifted_sums(system, 1)  # the tower's Gauss and Jacobi sums
+    tables = (class_counts(params), f_charsum(params, own[1]), f_closed(params, case))  # {(d1, d2): f} each
     checks["f_triple_equal"] = tables[0] == tables[1] == tables[2]
     checks["f_partition"] = n_ord * sum(tables[0].values()) == r * r - 1 - 3 * (r - 1)
     if first_class := _f_first_diff(tables, n_ord):
@@ -187,11 +187,12 @@ def _verification_checks(
     checks["jacobi_boundary"] = system.jacobi_sum(n_ord, n_ord) == r - 2 and all(
         system.jacobi_sum(i, n_ord - i) == -1 for i in range(1, n_ord)
     )
-    big, own = math.lcm(tw.p, n_ord), lifted_sums(system, 1)
+    big = math.lcm(tw.p, n_ord)
     checks["gauss_jacobi_relation"] = all(
         system.gauss_sum(i + j) * jacobi.embed(big) == system.gauss_sum(i) * system.gauss_sum(j)
         for (i, j), jacobi in own[1].items()
     )
+    # exact where p generates (Z/N)*, as on every applicable set; elsewhere false, never a false pass
     checks["lifted_sums"] = lifted == own
     return checks, dists
 

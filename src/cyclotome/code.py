@@ -34,8 +34,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .charsums import CharSystem, InvariantError, NonIntegerResultError, _f_table, _jacobi_charsum, lifted_sums
-from .charsums import norm_degree, periods_from_gauss
+from .charsums import CharSystem, InvariantError, NonIntegerResultError, f_charsum, periods_from_gauss, subfield_sums
 from .fields import ZERO, FieldTower
 
 
@@ -220,19 +219,21 @@ def semi_analytic_distribution(
     (a + beta**i b) g**i, the exact division ``codeword_weight_from_lambda``
     also ends in.
     ``lifted`` holds the GF(r) Gauss and Jacobi sums of an order-N
-    character, as ``lifted_sums`` returns them; by default those of
-    GF(p**f), f = ord_N(p), lifted by Davenport-Hasse, which builds no
-    table of GF(r).  As N | q-1, f divides s: that field is at most GF(q).
-    Its generator is Norm(alpha') for some primitive alpha' = alpha**w of
-    GF(r) (Norm maps generators onto generators, and w may be moved by
-    multiples of p**f - 1 to be prime to r-1), so the lifted sums are
-    labelled by alpha'.  alpha -> alpha**w permutes the coordinates
-    (i -> w*i mod n), which keeps the histogram, and g_log does not depend
-    on the generator.  The periods come from the Gauss sums by Fourier
-    inversion.  The N**3 coset-vector classes are sized by the table
-    {(d1, d2): f} of the Jacobi-sum identity at the lifted Jacobi sums: f(c)
-    reads c only through d = (c1 - c3, c2 - c3), so each entry sizes the N
-    classes (d1 + c3, d2 + c3, c3).  Pairs with
+    character, as ``lifted_sums`` returns them; by default ``subfield_sums``:
+    those of GF(p**f), f = ord_N(p), on its default polynomial, lifted by
+    Davenport-Hasse, which builds no table of GF(r).  As N | q-1, f
+    divides s: that field is at most GF(q).  Its generator is Norm(alpha')
+    for some primitive alpha' = alpha**w of GF(r) (Norm maps generators
+    onto generators, and w may be moved by multiples of p**f - 1 to be
+    prime to r-1), so the lifted sums are labelled by alpha'.
+    alpha -> alpha**w permutes the coordinates (i -> w*i mod n), which
+    keeps the histogram, and g_log does not depend on the generator;
+    ``verify`` compares this lift with the tower's own sums.  The periods
+    come from the Gauss sums by Fourier inversion.  The N**3 coset-vector
+    classes are sized by the table {(d1, d2): f} of the Jacobi-sum identity
+    at the lifted Jacobi sums: f(c) reads c only through
+    d = (c1 - c3, c2 - c3), so each entry sizes the N classes
+    (d1 + c3, d2 + c3, c3).  Pairs with
     a = -beta**t b, b != 0, form 3N coset families of (r-1)/N, whose
     vanishing term reads the coset size.  Their other terms read
     beta**i - beta**t in coset 0: it lies in GF(q)*, inside C_0 as
@@ -243,13 +244,10 @@ def semi_analytic_distribution(
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
     tw = params.tower
     n1, n_ord = tw.r - 1, params.N
-    if lifted is None:
-        f = norm_degree(tw.p, n_ord)
-        lifted = lifted_sums(CharSystem(FieldTower(tw.p, 1, f), n_ord), tw.degree // f)
-    gauss, jacobi = lifted
-    eta = periods_from_gauss(gauss, n_ord)
+    gauss, jacobi = subfield_sums(tw, n_ord) if lifted is None else lifted
+    eta = periods_from_gauss(gauss)
     sums: Counter = Counter()  # period sum -> number of pairs whose weight it gives
-    for (d1, d2), freq in _f_table(params, _jacobi_charsum(n_ord, jacobi)).items():  # the classes (d1 + c3, d2 + c3, c3)
+    for (d1, d2), freq in f_charsum(params, jacobi).items():  # the classes (d1 + c3, d2 + c3, c3)
         for c3 in range(n_ord):
             sums[eta[-(d1 + c3) % n_ord] + eta[-(d2 + c3) % n_ord] + eta[-c3 % n_ord]] += freq
     # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t

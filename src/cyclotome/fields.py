@@ -165,12 +165,12 @@ def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int,
 
 
 class FieldTower:
-    """GF(p) < GF(q) < GF(r) with exp/log/Zech and trace tables over a fixed generator.
+    """GF(p) < GF(q) < GF(r) with exp, Zech and trace tables over a fixed generator.
 
     Construction stores integers only (and a caller-supplied defining
     polynomial).  The default polynomial search, the exp array of trace
-    windows, its inverse log array, the Zech table, the absolute trace and
-    the relative-trace coordinates are cached properties, built on first use.
+    windows, the Zech table, the absolute trace and the relative-trace
+    coordinates are cached properties, built on first use.
     Logically immutable: every operation is a pure read.
     """
 
@@ -227,17 +227,12 @@ class FieldTower:
         return pow_packed
 
     @cached_property
-    def _log_packed(self) -> array:
-        """Packed trace window -> dlog (inverse of ``_pow_packed``)."""
-        log_packed = array("i", bytes(4 * self.r))
+    def zech(self) -> array:
+        """k -> dlog(1 + alpha**k), ZERO where alpha**k = -1, read off a log table that inverts
+        ``_pow_packed``, built here and not kept: nothing else reads it."""
+        p, log_packed = self.p, array("i", bytes(4 * self.r))
         for k, packed in enumerate(self._pow_packed):
             log_packed[packed] = k
-        return log_packed
-
-    @cached_property
-    def zech(self) -> array:
-        """k -> dlog(1 + alpha**k), ZERO where alpha**k = -1."""
-        p, log_packed = self.p, self._log_packed
         bump = [1] * (p - 1) + [1 - p]  # 1 is the unit window: add 1 to digit 0 mod p
         zech = array("i", (log_packed[v + bump[v % p]] for v in self._pow_packed))
         zech[self.neg_shift] = ZERO
@@ -252,14 +247,6 @@ class FieldTower:
             return i
         z = self.zech[(j - i) % self._n1]
         return ZERO if z == ZERO else (i + z) % self._n1
-
-    def neg(self, i: int) -> int:
-        return ZERO if i == ZERO else (i + self.neg_shift) % self._n1
-
-    def mul(self, i: int, j: int) -> int:
-        if i == ZERO or j == ZERO:
-            return ZERO
-        return (i + j) % self._n1
 
     def elements(self):
         """Iterate over the indices of all r elements: ZERO first, then 0 .. r-2."""

@@ -22,6 +22,16 @@ def root_of_unity(order: int, k: int = 1) -> CycInt:
     return CycInt(order, [0] * (k % order) + [1])
 
 
+def neg(tower: FieldTower, x: int) -> int:
+    """Index of -x: -1 is alpha**neg_shift."""
+    return ZERO if x == ZERO else (x + tower.neg_shift) % (tower.r - 1)
+
+
+def mul(tower: FieldTower, x: int, y: int) -> int:
+    """Index of x*y: indices add mod r-1."""
+    return ZERO if ZERO in (x, y) else (x + y) % (tower.r - 1)
+
+
 def trace_to_q(tower: FieldTower, x: int) -> int:
     """Index of the relative trace of the element of index x: the sum of x**(q**i) for i < m; lands in GF(q)."""
     if x == ZERO:

@@ -13,6 +13,7 @@ from conftest import (
     PERIOD_COUNTS2,
     PERIODS1,
     PERIODS2,
+    neg,
     root_of_unity,
     sweep_candidates,
     trace_p,
@@ -21,11 +22,8 @@ from naive_oracle import naive_f_table, naive_gauss_counts, naive_jacobi_counts,
 
 from cyclotome.charsums import (
     CharSystem,
-    InvariantError,
     NonIntegerResultError,
     _class_cosets,
-    _f_table,
-    _jacobi_charsum,
     _pair_sum,
     _shifted_sum,
     class_counts,
@@ -33,8 +31,8 @@ from cyclotome.charsums import (
     f_closed,
     lifted_sums,
     norm_degree,
-    norm_system,
     periods_from_gauss,
+    subfield_sums,
 )
 from cyclotome.code import build_code
 from cyclotome.cycint import CycInt
@@ -59,7 +57,7 @@ def test_chi_trivial_on_beta_subfield_and_minus_one(set1, set2):
         assert root_of_unity(n, desk.params.beta_log) == 1
         for k in range(0, t.r - 1, t.subfield_step):
             assert root_of_unity(n, k) == 1
-        assert root_of_unity(n, t.neg(0)) == 1
+        assert root_of_unity(n, neg(t, 0)) == 1
 
 
 def test_psi_is_additive_on_sample(set1):
@@ -230,8 +228,8 @@ def _xi_mu_by_field(params, c):
     tw, n = params.tower, params.N
     k1, k2, k3 = (ci % n for ci in c)
     g, b = params.g_log, params.beta_log
-    omb = tw.add(0, tw.neg(b))  # 1 - beta, nonzero
-    omb2 = tw.add(0, tw.neg(2 * b % (tw.r - 1)))  # 1 - beta**2
+    omb = tw.add(0, neg(tw, b))  # 1 - beta, nonzero
+    omb2 = tw.add(0, neg(tw, 2 * b % (tw.r - 1)))  # 1 - beta**2
     xi1 = g + omb + k1 - k3
     xi2 = 2 * g + omb2 + k2 - k3
     mu = b - omb2
@@ -268,11 +266,11 @@ def test_beta_power_differences_share_coset_with_one_minus_beta(set1, set2):
     for desk in (set1, set2):
         t, n, beta = desk.tower, desk.params.N, desk.beta
         n1 = t.r - 1
-        ref = t.add(0, t.neg(beta)) % n
+        ref = t.add(0, neg(t, beta)) % n
         for i in range(1, 4):
             for j in range(1, 4):
                 if i != j:
-                    assert t.add(beta * i % n1, t.neg(beta * j % n1)) % n == ref
+                    assert t.add(beta * i % n1, neg(t, beta * j % n1)) % n == ref
 
 
 def test_class_counts_frozen_tables(set1, set2):
@@ -344,18 +342,19 @@ def test_f_unchanged_by_diagonal_shift(set1, set2, set3):
     for desk in (set1, set2, set3):
         t, params, n = desk.tower, desk.params, desk.params.N
         table = _by_difference_pair(naive_f_table(t.p, t.s, t.m, params.h, n, t.defining_polynomial), n)
-        assert table == class_counts(params) == f_charsum(params, desk.system) == f_closed(params, desk.case)
+        jacobi = lifted_sums(desk.system, 1)[1]
+        assert table == class_counts(params) == f_charsum(params, jacobi) == f_closed(params, desk.case)
 
 
 def test_f_charsum_equals_enumeration(set1, set2):
     for desk in (set1, set2):
-        assert f_charsum(desk.params, desk.system) == class_counts(desk.params)
+        assert f_charsum(desk.params, lifted_sums(desk.system, 1)[1]) == class_counts(desk.params)
 
 
 def test_f_charsum_n2_reduces_to_delta_formula(set1):
     # N = 2 leaves no (i, j) pairs in the correction sum
     params, r = set1.params, set1.tower.r
-    table = f_charsum(params, set1.system)
+    table = f_charsum(params, lifted_sums(set1.system, 1)[1])
     for d in product(range(2), repeat=2):
         deltas = sum(x == 0 for x in _class_cosets(params.g_log, 2, d))
         assert table.get(d, 0) == (r - 1) * (r + 1 - 2 * deltas) // 8
@@ -448,7 +447,7 @@ def test_f_closed_equals_cyclotomic_form_on_the_sweep():
         if not isinstance(case, TheoremCase):
             continue
         n, value = params.N, CycInt.from_int(params.N, -case.sign * case.sqrt_r)
-        cyclotomic = _f_table(params, _jacobi_charsum(n, dict.fromkeys(_jacobi_pairs(n), value)))
+        cyclotomic = f_charsum(params, dict.fromkeys(_jacobi_pairs(n), value))
         assert f_closed(params, case) == cyclotomic
         applicable += 1
     assert applicable == 122
@@ -460,7 +459,7 @@ def test_f_charsum_equals_closed_form_at_n5():
     params = build_code(tower, 3, 3)
     case, system = classify(params), CharSystem(tower, params.N)
     assert params.N == 5
-    table = f_charsum(params, system)
+    table = f_charsum(params, lifted_sums(system, 1)[1])
     assert table == f_closed(params, case)
     assert 5 * sum(table.values()) == tower.r**2 - 1 - 3 * (tower.r - 1)
 
@@ -476,9 +475,8 @@ def test_f_charsum_calls_no_field_operation(monkeypatch):
     def refuse(*args):
         raise AssertionError("field operation during f(c)")
 
-    for name in ("add", "neg", "mul"):
-        monkeypatch.setattr(FieldTower, name, refuse)
-    assert f_charsum(params, system) == counts
+    monkeypatch.setattr(FieldTower, "add", refuse)
+    assert f_charsum(params, lifted_sums(system, 1)[1]) == counts
 
 
 def test_closed_forms_beyond_desk_scale():
@@ -494,7 +492,7 @@ def test_closed_forms_beyond_desk_scale():
         case = classify(params)
         assert case.gamma % 2 == 0
         system = CharSystem(tower, params.N)
-        table = f_charsum(params, system)
+        table = f_charsum(params, lifted_sums(system, 1)[1])
         assert table == f_closed(params, case)
         assert params.N * sum(table.values()) == tower.r**2 - 1 - 3 * (tower.r - 1)
         assert system.periods == case.periods
@@ -516,43 +514,73 @@ def test_orthogonality_relations(set1, set2):
             assert total.as_integer() == (n if k % n == 0 else 0)
 
 
-# (p, s, m, N): f = ord_N(p) of 2, 1, 5 and 4 below d; the last has f = d, so k = 1
-@pytest.mark.parametrize(
-    "p, s, m, n", [(2, 2, 9, 3), (19, 1, 4, 6), (3, 2, 5, 11), (2, 1, 12, 5), (7, 1, 2, 16)]
-)
+def _units(n: int) -> list[int]:
+    return [w for w in range(1, n) if math.gcd(w, n) == 1]
+
+
+def _coset_of_powers(ws: list[int], p: int, n: int) -> set[int]:
+    """The coset ws[0] * <p> of (Z/N)*: Frobenius moves a relabelling i -> i*w by powers of p."""
+    return {ws[0] * p**j % n for j in range(norm_degree(p, n))}
+
+
+# (p, s, m, N) -> the w that relabel the tower's sums to the lift: f = ord_N(p) of 2, 1, 5 and 4
+# below d; the last has f = d, so k = 1.  None is applicable, and at N = 6 and 11 p does not
+# generate (Z/N)*, so there the lift is the tower's only up to i -> i*w, w != 1
+SUMS_RELABELLED_BY = {
+    (2, 2, 9, 3): [1, 2], (19, 1, 4, 6): [5], (3, 2, 5, 11): [2, 6, 7, 8, 10], (2, 1, 12, 5): [1, 2, 3, 4],
+    (7, 1, 2, 16): [1, 7],
+}
+
+# (p, s, m, N) -> the w with the lift's period at u the tower's at u*w
+PERIODS_RELABELLED_BY = {
+    (2, 1, 6, 7): [3, 5, 6], (2, 1, 12, 7): [1, 2, 4], (2, 1, 10, 31): [11, 13, 21, 22, 26], (3, 1, 6, 13): [4, 10, 12],
+}
+
+
+@pytest.mark.parametrize("p, s, m, n", list(SUMS_RELABELLED_BY))
 def test_lifted_sums_match_tower(p, s, m, n):
-    # Davenport-Hasse from GF(p**f), generated by alpha**M, against the tower's own sums
+    # Davenport-Hasse from GF(p**f) on its default polynomial, as semi lifts it, against the tower's own sums
     tower = build_tower(p, s, m)
-    system, small = CharSystem(tower, n), norm_system(tower, n)
-    f = norm_degree(p, n)
-    k = tower.degree // f
-    assert small.tower.degree == f and (p**f - 1) % n == 0
-    if k == 1:
-        assert small.tower.defining_polynomial == tower.defining_polynomial
-    gauss, jacobi = lifted_sums(small, k)
-    assert gauss == [system.gauss_sum(i) for i in range(n)]
-    assert jacobi == {(i, j): system.jacobi_sum(i, j) for i, j in product(range(1, n), repeat=2) if (i + j) % n}
+    system = CharSystem(tower, n)
+    gauss, jacobi = subfield_sums(tower, n)
+    ws = SUMS_RELABELLED_BY[p, s, m, n]
+    pairs = [(i, j) for i, j in product(range(1, n), repeat=2) if (i + j) % n]
+    relabelled = {
+        w: ([system.gauss_sum(i * w) for i in range(n)], {(i, j): system.jacobi_sum(i * w, j * w) for i, j in pairs})
+        for w in _units(n)
+    }
+    assert [w for w, sums in relabelled.items() if sums == (gauss, jacobi)] == ws
+    assert set(ws) == _coset_of_powers(ws, p, n)
+    assert ((gauss, jacobi) == lifted_sums(system, 1)) == (1 in ws)
 
 
-@pytest.mark.parametrize("p, s, m, n", [(2, 1, 6, 7), (2, 1, 12, 7), (2, 1, 10, 31), (3, 1, 6, 13)])
+@pytest.mark.parametrize("p, s, m, n", list(PERIODS_RELABELLED_BY))
 def test_lifted_periods_match_tower(p, s, m, n):
-    # N | (r-1)/(p-1) makes every period an integer; no p**j = -1 mod N, so eta_u != eta_-u
+    # N | (r-1)/(p-1) makes every period an integer; no p**j = -1 mod N, so eta_u != eta_-u, and the
+    # lift's periods are the tower's only up to u -> u*w, w in a coset of <p> that holds 1 only at r = 2**12
     tower = build_tower(p, s, m)
-    small = norm_system(tower, n)
     periods = CharSystem(tower, n).periods
     assert periods != periods[:1] + periods[:0:-1]
-    gauss, _ = lifted_sums(small, tower.degree // small.tower.degree)
-    assert periods_from_gauss(gauss, n) == periods
+    lifted, ws = periods_from_gauss(subfield_sums(tower, n)[0]), PERIODS_RELABELLED_BY[p, s, m, n]
+    assert [w for w in _units(n) if lifted == [periods[u * w % n] for u in range(n)]] == ws
+    assert set(ws) == _coset_of_powers(ws, p, n)
+
+
+def test_p_generates_the_units_on_every_applicable_set():
+    # the lifted_sums check compares the subfield's sums with the tower's index for index: exact only
+    # when the unit v relating their generators lies in <p>, which holds when <p> = (Z/N)*
+    applicable = 0
+    for p, s, m, h in sweep_candidates(1 << 20, 3):
+        params = build_code(FieldTower(p, s, m), h, 3)
+        if isinstance(classify(params), TheoremCase):
+            n = params.N
+            assert norm_degree(p, n) == len(_units(n)), (p, s, m, h)
+            applicable += 1
+    assert applicable == 528
 
 
 def test_periods_from_gauss_rejects_a_fractional_period():
     # G(chi**0) = 1 and the rest 0 give N eta_u = 1: rational, but not divisible by N = 3
     sums = [CycInt.from_int(6, 1), CycInt.zero(6), CycInt.zero(6)]
     with pytest.raises(NonIntegerResultError, match=r"period at coset 0 is 1/3$"):
-        periods_from_gauss(sums, 3)
-
-
-def test_norm_system_rejects_a_root_set_not_closed_under_frobenius():
-    # ord_7(2) = 3 does not divide 4: x - alpha**(2 * 2**j), j < 3, miss the conjugate alpha
-    with pytest.raises(InvariantError, match="is not over GF"):
-        norm_system(build_tower(2, 1, 4), 7)
+        periods_from_gauss(sums)

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from conftest import root_of_unity, sweep_candidates
 
 import cyclotome
+import cyclotome.charsums as charsums
 import cyclotome.cli as cli
 import cyclotome.code as code
 import cyclotome.fields as fields
@@ -63,7 +64,7 @@ def test_compute_semi_builds_no_log_or_zech_table(runner, monkeypatch, method):
         runner, "compute", "--p", "19", "--s", "1", "--m", "4", "--h", "3", "--method", method
     )
     assert result.exit_code == 0 and report["distribution"]
-    assert not {"_log_packed", "zech", "trace_q_coords"} & vars(towers[0]).keys()
+    assert not {"zech", "trace_q_coords"} & vars(towers[0]).keys()
 
 
 @pytest.mark.parametrize("pssm", [("19", "1", "4"), ("2", "2", "9")])
@@ -356,7 +357,7 @@ def test_f_first_diff_names_the_class_the_product_scan_names():
 
 def test_broken_invariant_exits_1(runner, monkeypatch):
     # a semi route whose class counts vanish: its histogram fails validate
-    monkeypatch.setattr(code, "_f_table", lambda *args: {})
+    monkeypatch.setattr(code, "f_charsum", lambda *args: {})
     result = runner.invoke(
         main, ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--method", "semi"]
     )
@@ -366,8 +367,11 @@ def test_broken_invariant_exits_1(runner, monkeypatch):
 
 def test_inexact_sum_exits_1(runner, monkeypatch):
     # lifted Gauss sums that give semi an irrational period: NonIntegerResultError, reported, not a traceback
+    # verify reads semi's lift and the tower's own sums at two call sites; both get the same Gauss sums
     zeta = root_of_unity(14, 1)  # lcm(p, N) = 14 at (7,1,2,3)
-    monkeypatch.setattr(cli, "lifted_sums", lambda system, k: ([zeta] * system.order, {}))  # verify lifts once
+    subfield, own = cli.subfield_sums, cli.lifted_sums
+    monkeypatch.setattr(cli, "subfield_sums", lambda tower, n: ([zeta] * n, subfield(tower, n)[1]))
+    monkeypatch.setattr(cli, "lifted_sums", lambda system, k: ([zeta] * system.order, own(system, k)[1]))
     result, out = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
     assert result.exit_code == 1 and out["verdict"] == "FAIL"
     assert out["checks"]["semi"] == "failed: period at coset 0 is irrational"
@@ -403,7 +407,7 @@ def test_verify_flags_corrupted_jacobi_sums(runner, monkeypatch):
 def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
     # G(chi**i) zeta_N**i are the Gauss sums of x -> psi(x / alpha): the periods rotate by
     # one coset, which leaves semi's histogram as it is, so only lifted_sums sees the bad lift
-    real = code.lifted_sums
+    real = charsums.lifted_sums
 
     def rotated(system, k):
         gauss, jacobi = real(system, k)
@@ -411,8 +415,7 @@ def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
             return gauss, jacobi
         return [g * root_of_unity(g.order, i * g.order // len(gauss)) for i, g in enumerate(gauss)], jacobi
 
-    monkeypatch.setattr(code, "lifted_sums", rotated)
-    monkeypatch.setattr(cli, "lifted_sums", rotated)
+    monkeypatch.setattr(charsums, "lifted_sums", rotated)  # subfield_sums lifts through it, for semi and verify
     result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
     assert result.exit_code == 1 and out["verdict"] == "FAIL"
     assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums"]
@@ -749,7 +752,7 @@ def test_sweep_makes_no_second_primality_test(runner, monkeypatch):
 
 def test_sweep_internal_failure_is_a_fail_row(runner, monkeypatch):
     # a semi route whose class counts vanish fails validate inside the two verified items
-    monkeypatch.setattr(code, "_f_table", lambda *args: {})
+    monkeypatch.setattr(code, "f_charsum", lambda *args: {})
     result = runner.invoke(main, ["sweep", "--max-r", "100"], catch_exceptions=False)
     assert result.exit_code == 0
     rows = [json.loads(line) for line in result.output.strip().splitlines()]
