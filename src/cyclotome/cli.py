@@ -30,13 +30,14 @@ from .code import (
     BadParametersError,
     BudgetExceededError,
     CodeParams,
+    _length_and_N,
     brute_distribution,
     build_code,
     semi_analytic_distribution,
     validate_e,
 )
 from .fields import DEFAULT_FIELD_CAP, BadPolynomialError, FieldTooLargeError, FieldTower, build_tower
-from .theorem import TheoremCase, classify, table_distribution
+from .theorem import TheoremCase, _e_N_reason, classify, table_distribution
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -311,7 +312,7 @@ def verify(p, s, m, h, e, poly, budget, fmt) -> None:
 def _sweep_towers(max_r: int, e: int):
     """Each tower (p, s, m) with 3 <= q = p**s, r = q**m <= max_r, once, in tuple order.
 
-    Yields (p, s, m, hs), hs the sorted h with e | h | q-1, that is e*d for
+    Yields (p, s, m, q, r, hs), hs the sorted h with e | h | q-1, that is e*d for
     the divisors d of (q-1)/e.  Only q with e | q-1 have such an h; any
     other q yields no tower and is not scanned for divisors.
     """
@@ -328,7 +329,7 @@ def _sweep_towers(max_r: int, e: int):
                 hs = sorted({e * c for d in low for c in (d, k // d)})
                 r, m = q, 1
                 while r <= max_r:
-                    yield (p, s, m, hs)
+                    yield (p, s, m, q, r, hs)
                     r, m = r * q, m + 1
             q, s = q * p, s + 1
 
@@ -336,35 +337,39 @@ def _sweep_towers(max_r: int, e: int):
 _SWEEP_COLUMNS = ("p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status", "reason", "seconds")
 
 
-def _sweep_rows(tower: FieldTower, hs: list[int], e: int, budget: int):
+def _sweep_rows(p: int, s: int, m: int, q: int, r: int, hs: list[int], e: int, budget: int):
     """The tower's rows, one per h in ``hs``: the _SWEEP_COLUMNS values, then the sorted failed checks.
 
-    ``seconds``, whole microseconds of ``time.monotonic_ns``, covers build_code, classification and
-    verification, so a tower's lazy tables are built, and timed, inside its first verified row.
+    n and N come from ``_length_and_N`` and the verdict from e and N first (``_e_N_reason``): only a row
+    with e = 3 and N >= 2 builds a CodeParams and is classified, and the tower's FieldTower is built on its
+    first such row.  ``seconds``, whole microseconds of ``time.monotonic_ns``, covers all of a row's work,
+    so a tower's lazy tables are built, and timed, inside its first verified row.
     """
-    p, s, m, q, r = tower.p, tower.s, tower.m, tower.q, tower.r
-    clock, build, classify_ = time.monotonic_ns, build_code, classify  # looked up once per tower
+    step, tower = (r - 1) // (q - 1), None
+    clock, length_and_N, e_N_reason = time.monotonic_ns, _length_and_N, _e_N_reason  # looked up once per tower
     for h in hs:
         t0 = clock()
-        params = build(tower, h, e)
-        case = classify_(params)
-        failed = ()
-        if isinstance(case, str):
-            label, status, reason = "", "not_applicable", case
-        else:
-            label, status, reason = case.label, "PASS", ""
-            try:
-                checks, _ = _verification_checks(params, case, budget)
-            except BudgetExceededError:
-                status = "skipped_budget"
-            except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
-                status, reason = "FAIL", f"{type(exc).__name__}: {exc}"
-            else:
-                failed = tuple(sorted(k for k, v in checks.items() if v is False))
-                if failed:
-                    status, reason = "FAIL", f"semi {checks['semi']}" if "semi" in checks else ""
+        n, N = length_and_N(h, e, m, step, (q - 1) // h)
+        label, status, reason, failed = "", "not_applicable", e_N_reason(e, N), ()
+        if reason is None:
+            if tower is None:  # FieldTower, not build_tower: the sieve proved p prime, and sweep checked the cap
+                tower = FieldTower(p, s, m)
+            params = build_code(tower, h, e)
+            reason = case = classify(params)
+            if isinstance(case, TheoremCase):
+                label, status, reason = case.label, "PASS", ""
+                try:
+                    checks, _ = _verification_checks(params, case, budget)
+                except BudgetExceededError:
+                    status = "skipped_budget"
+                except ArithmeticError as exc:  # an internal failure fails this row, not the sweep
+                    status, reason = "FAIL", f"{type(exc).__name__}: {exc}"
+                else:
+                    failed = tuple(sorted(k for k, v in checks.items() if v is False))
+                    if failed:
+                        status, reason = "FAIL", f"semi {checks['semi']}" if "semi" in checks else ""
         seconds = (clock() - t0 + 500) // 1000 / 1e6  # k / 1e6 is round(k / 1e6, 6)
-        yield p, s, m, h, e, q, r, params.n, params.N, label, status, reason, seconds, failed
+        yield p, s, m, h, e, q, r, n, N, label, status, reason, seconds, failed
 
 
 def _json_rows(p: int, s: int, m: int, e: int, q: int, r: int, seconds_text: dict):
@@ -405,7 +410,9 @@ def sweep(max_r, e, budget, fmt) -> None:
     Only towers whose q has e | q-1 are enumerated, since no other q has an
     h.  Items run one after another in parameter-tuple order; an applicable
     item whose brute cost exceeds --budget is classified only (skipped_budget).
-    Each tower is built once, right before its rows, which are written as they are computed.
+    An item's verdict comes from e and N first: e != 3 or N = 1 is not applicable
+    and builds no field.  A tower is built once, on its first item with e = 3 and
+    N >= 2, and timed in that item's seconds.  Rows are written as computed.
     """
     with _exit_on_error():
         if max_r < 2:
@@ -417,12 +424,10 @@ def sweep(max_r, e, budget, fmt) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([*_SWEEP_COLUMNS, "failed_checks"])
     seconds_text: dict[float, str] = {}
-    for p, s, m, hs in _sweep_towers(max_r, e):
-        # FieldTower, not build_tower: the sieve proved p prime, and r <= max_r <= the cap was checked above
-        tower = FieldTower(p, s, m)
-        rows = _sweep_rows(tower, hs, e, budget)
+    for p, s, m, q, r, hs in _sweep_towers(max_r, e):
+        rows = _sweep_rows(p, s, m, q, r, hs, e, budget)
         if fmt == "json":
-            sys.stdout.writelines(map(_json_rows(p, s, m, e, tower.q, tower.r, seconds_text), rows))
+            sys.stdout.writelines(map(_json_rows(p, s, m, e, q, r, seconds_text), rows))
         elif fmt == "csv":
             writer.writerows((*row[:-1], ";".join(row[-1])) for row in rows)
         else:

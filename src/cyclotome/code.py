@@ -71,16 +71,21 @@ def validate_e(e: int) -> None:
         raise BadParametersError(f"e = {e} must exceed 1")
 
 
+def _length_and_N(h: int, e: int, m: int, step: int, g_log: int) -> tuple[int, int]:
+    """n = h*P and N = gcd(m, e*g_log) for g_log = (q-1)/h and P = (r-1)/(q-1) the subfield step: no field needed."""
+    return h * step, math.gcd(m, e * g_log)
+
+
 def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
     """Validate (h, e) against the tower and derive (g, beta, n, N): one divmod of q-1 by h gives g_log and
-    the h | q-1 check (h >= e has ruled out h = 0), and n = h(r-1)/(q-1) is h times the tower's subfield step."""
+    the h | q-1 check (h >= e has ruled out h = 0), and ``_length_and_N`` gives n and N."""
     validate_e(e)
     if h < e or h % e:
         raise BadParametersError(f"h = {h} is not a positive multiple of e = {e}")
     g_log, rem = divmod(tower.q - 1, h)
     if rem:
         raise BadParametersError(f"h = {h} does not divide q-1 = {tower.q - 1}")
-    params = CodeParams(tower, h, e, h * tower.subfield_step, math.gcd(tower.m, e * g_log), g_log, (tower.r - 1) // e)
+    params = CodeParams(tower, h, e, *_length_and_N(h, e, tower.m, tower.subfield_step, g_log), g_log, (tower.r - 1) // e)
     # GF(q)* must lie in C_0: the class cosets drop beta and -1, the semi families beta**i - beta**t
     if e == 3 and tower.subfield_step % params.N:
         raise InvariantError(f"beta or -1 is not an N-th power for N = {params.N}")

@@ -83,14 +83,19 @@ class TheoremCase:
         return periods
 
 
+def _e_N_reason(e: int, n_ord: int) -> "str | None":
+    """The first failed hypothesis that reads only e and N, as ``classify`` words it; None if e = 3 and N >= 2."""
+    if e != 3:
+        return f"e = {e}, semi and the closed forms need e = 3"
+    return "N = 1 < 2" if n_ord < 2 else None
+
+
 def classify(params: CodeParams) -> TheoremCase | str:
     """Check the closed-form hypotheses: the (major, minor) sub-case, or the first failed one as a sentence."""
     tw = params.tower
     p, n_ord = tw.p, params.N
-    if params.e != 3:
-        return f"e = {params.e}, semi and the closed forms need e = 3"
-    if n_ord < 2:
-        return "N = 1 < 2"
+    if reason := _e_N_reason(params.e, n_ord):
+        return reason
     j = next((c for c in range(1, n_ord + 1) if pow(p, c, n_ord) == n_ord - 1), None)
     if j is None:
         return f"no j with p**j = -1 mod N (p = {p}, N = {n_ord})"

@@ -60,7 +60,7 @@ def hamming_weight(word: list[int]) -> int:
 
 def sweep_candidates(max_r: int, e: int):
     """All (p, s, m, h) with 3 <= q = p**s, r = q**m <= max_r, e | h | q-1, in tuple order: the sweep's items."""
-    for p, s, m, hs in _sweep_towers(max_r, e):
+    for p, s, m, _, _, hs in _sweep_towers(max_r, e):
         for h in hs:
             yield (p, s, m, h)
 

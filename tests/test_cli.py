@@ -598,8 +598,8 @@ def test_sweep_row_template_is_json_dumps(runner, monkeypatch):
     # each tower's formatter must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
     rows = [
         row
-        for p, s, m, hs in cli._sweep_towers(300, 3)
-        for row in cli._sweep_rows(fields.build_tower(p, s, m), hs, 3, cli.DEFAULT_SWEEP_BUDGET)
+        for tower in cli._sweep_towers(300, 3)
+        for row in cli._sweep_rows(*tower, 3, cli.DEFAULT_SWEEP_BUDGET)
     ]
     assert {row[10] for row in rows} == {"PASS", "not_applicable"}
 
@@ -627,8 +627,7 @@ def test_sweep_row_template_is_json_dumps(runner, monkeypatch):
     # shape with other h, n and seconds, a FAIL row with failed checks, then a PASS row of the same tower,
     # rows that differ from that PASS row in one field of the shape each, and at e = 2 and e = 4 each
     # reason e != 3 gives, every line must still be json.dumps's
-    tower = fields.build_tower(7, 1, 2)
-    passed, unverified = cli._sweep_rows(tower, [3, 6], 3, cli.DEFAULT_SWEEP_BUDGET)
+    passed, unverified = cli._sweep_rows(7, 1, 2, 7, 49, [3, 6], 3, cli.DEFAULT_SWEEP_BUDGET)
     assert (passed[9], passed[10], unverified[10], unverified[11]) == ("2.1", "PASS", "not_applicable", "N = 1 < 2")
     secs = (0.0, 1e-06, 1.3e-05, 0.001322, 12.5, 1e-06)
     shape_changes = [
@@ -638,8 +637,8 @@ def test_sweep_row_template_is_json_dumps(runner, monkeypatch):
         {"reason": "semi failed: x"},
         {"failed_checks": ("f_partition",)},
     ]
-    at_e2 = list(cli._sweep_rows(tower, [2, 6], 2, 0))
-    at_e4 = list(cli._sweep_rows(fields.build_tower(5, 1, 2), [4], 4, 0))
+    at_e2 = list(cli._sweep_rows(7, 1, 2, 7, 49, [2, 6], 2, 0))
+    at_e4 = list(cli._sweep_rows(5, 1, 2, 5, 25, [4], 4, 0))
     assert at_e2[0][11] == "e = 2, semi and the closed forms need e = 3"
     assert at_e4[0][11] == "e = 4, semi and the closed forms need e = 3"
     fed = [
@@ -684,9 +683,26 @@ def test_sweep_seconds_are_whole_microseconds(runner):
         assert seconds >= 0 and seconds == round(seconds, 6)
 
 
-def test_sweep_builds_and_classifies_once_per_row(runner, monkeypatch):
-    # n, N and the reason each come from one build_code and one classify per row, never a second path
-    calls = {"build_code": 0, "classify": 0}
+@pytest.mark.parametrize("e", [2, 3, 4, 6])
+def test_sweep_rows_match_build_code_and_classify(runner, e):
+    # the sweep settles most rows from e and N alone; each row must still read what the full path gives
+    out = runner.invoke(main, ["sweep", "--max-r", "5000", "--e", str(e), "--budget", "0"], catch_exceptions=False).output
+    got = [json.loads(line) for line in out.splitlines()]
+    want = []
+    for p, s, m, h in sweep_candidates(5000, e):
+        params = code.build_code(fields.build_tower(p, s, m), h, e)
+        case = theorem.classify(params)
+        verdict = ("", "not_applicable", case) if isinstance(case, str) else (case.label, "skipped_budget", "")
+        want.append((p, s, m, h, params.n, params.N, *verdict))
+    keys = ("p", "s", "m", "h", "n", "N", "case", "status", "reason")
+    assert [tuple(row[k] for k in keys) for row in got] == want and want
+
+
+def test_sweep_builds_a_field_only_for_rows_with_e_3_and_N_at_least_2(runner, monkeypatch):
+    # every row takes n and N from one helper call; only the rows with e = 3 and N >= 2 get a
+    # build_code and a classify, and only their towers a FieldTower, one each
+    calls = {"_length_and_N": 0, "build_code": 0, "classify": 0}
+    towers = []
 
     def counting(name):
         real = getattr(cli, name)
@@ -699,10 +715,20 @@ def test_sweep_builds_and_classifies_once_per_row(runner, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(cli, name, counting(name))
-    result = runner.invoke(main, ["sweep", "--max-r", "1000", "--budget", "0"], catch_exceptions=False)
-    rows = result.output.splitlines()
-    assert result.exit_code == 0 and len(rows) == len(list(sweep_candidates(1000, 3))) > 0
-    assert calls == {"build_code": len(rows), "classify": len(rows)}
+    real_init = fields.FieldTower.__init__
+    monkeypatch.setattr(
+        fields.FieldTower, "__init__", lambda self, p, s, m, *a: towers.append((p, s, m)) or real_init(self, p, s, m, *a)
+    )
+    for e in (3, 2, 4):
+        calls.update(dict.fromkeys(calls, 0))
+        towers.clear()
+        result = runner.invoke(main, ["sweep", "--max-r", "1000", "--budget", "0", "--e", str(e)], catch_exceptions=False)
+        rows = [json.loads(line) for line in result.output.splitlines()]
+        assert result.exit_code == 0 and len(rows) == len(list(sweep_candidates(1000, e))) > 0
+        full_path = [row for row in rows if row["e"] == 3 and row["N"] >= 2]
+        assert len(full_path) == (13 if e == 3 else 0)
+        assert calls == {"_length_and_N": len(rows), "build_code": len(full_path), "classify": len(full_path)}
+        assert towers == list(dict.fromkeys((row["p"], row["s"], row["m"]) for row in full_path))
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 7, 12])
@@ -726,7 +752,8 @@ def test_sweep_candidates_match_prime_test_enumeration(max_r, e):
     assert got == want
     assert got == sorted(got)
     towers = list(cli._sweep_towers(max_r, e))
-    assert len({(p, s, m) for p, s, m, _ in towers}) == len(towers)
+    assert len({(p, s, m) for p, s, m, *_ in towers}) == len(towers)
+    assert all((q, r) == (p**s, p ** (s * m)) for p, s, m, q, r, _ in towers)
     assert all(hs and hs == sorted(hs) for *_, hs in towers)
     if (max_r, e) == (5000, 3):
         assert len(got) == 3913
