@@ -1,4 +1,4 @@
-"""Gaussian periods, Gauss sums, Jacobi sums, and the coset-pair counts f.
+"""Gaussian periods, Gauss sums, Jacobi sums, and the class histogram H.
 
 Everything is evaluated exactly: sums over GF(r) are bucketed into integer
 count tables in one pass over the field.  The Gaussian periods are read
@@ -11,15 +11,18 @@ Every character, including the principal one, takes the value 0 at 0
 inside Gauss and Jacobi sums; the boundary evaluations r - 2 and -1
 below pin that convention.
 
-The pair count f(c) for a coset vector c = (c1, c2, c3) is the number of
-(a, b) in GF(r)**2 with (a + beta**i b) * g**i * alpha**(c_i) an N-th
-power for i = 1, 2, 3.  It reads c only through the difference pair
-d = (c1 - c3, c2 - c3) mod N, so every route returns one table
-{(d1, d2): f} with zero counts dropped.  The table is computed by direct
-enumeration (one pass over GF(r), spread over GF(r)**2 by scaling) and by
-one Jacobi-sum identity, fed the tower's Jacobi sums, a subfield's lifted
-to GF(r) (``subfield_sums``, semi's), or the semiprimitive value
--sg*sqrt(r), which makes it the closed form.
+The class counts are one histogram H over y in GF(r) and the point at
+infinity, keyed by d = (L1 - L3, L2 - L3) with L_i = log(y + beta**i) mod N
+(every L_i = 0 at infinity); the three points y = -beta**t are left out,
+so H sums to r - 2.  A pair (a, b) with b != 0 is b*(y, 1) and a pair
+(a, 0) is a*(infinity): the scale adds one residue to every L_i, so H
+sizes every class of pairs.  Every route returns H with zero counts
+dropped: direct enumeration (one pass over GF(r)) and one Jacobi-sum
+identity, N**2 H(d) = r + 1 - N*#{x_k = 0} + S(x1, x2) at
+x = (-d1, -d2, d2 - d1) mod N, with S the sum of zeta_N**(i*x1 + j*x2) J(i, j).
+As N | 3 log g, it reads neither g nor (r-1)/N.  It is fed the tower's
+Jacobi sums, a subfield's lifted to GF(r) (``subfield_sums``, semi's), or
+the semiprimitive value -sg*sqrt(r), which makes it the closed form.
 """
 
 from __future__ import annotations
@@ -171,68 +174,49 @@ def periods_from_gauss(gauss: list[CycInt]) -> list[int]:
     return periods
 
 
-def _class_cosets(g_log: int, n: int, d: tuple[int, int]) -> tuple[int, int, int]:
-    """Cosets of xi1*mu, xi2*mu and xi1/xi2 for the classes c with (c1 - c3, c2 - c3) = d, beta-free.
-
-    xi_i = g**i (1 - beta**i) c_i / c_3 and mu = beta / (1 - beta**2).  As beta,
-    -1 (both checked in ``build_code``) and 1 + beta = -beta**2 are N-th powers,
-    these are the cosets of g*c1/c3, g**2*c2/c3 and (g*c2/c1)**-1.
-    """
-    d1, d2 = d
-    return (g_log + d1) % n, (2 * g_log + d2) % n, -(g_log + d2 - d1) % n
-
-
 def class_counts(params: "CodeParams") -> dict[tuple[int, int], int]:
-    """{(d1, d2): f} by one pass over GF(r): f(c) for the classes c with (c1 - c3, c2 - c3) = d.
+    """H by one pass over GF(r): {d: the number of y with (L1 - L3, L2 - L3) = d}, zero counts dropped.
 
-    A pair (a, b) whose t_i = a + beta**i b are all nonzero lies in exactly
-    one class c = (c1, c2, c3), c_i = -(log t_i + i log g) mod N; a pair with
-    some t_i = 0 lies in none.  Every pair other than (0, 0) is
-    alpha**k (1, 0) or alpha**k (y, 1) for exactly one k < r-1 and y in
-    GF(r), and the factor alpha**k adds k to every log t_i.  So one pass over
-    the r + 1 representatives gives the histogram H at k = 0, and
-    f(c) = (r-1)/N * sum of H(c + (j, j, j)) over j < N, a sum that reads c
-    only through d = (c1 - c3, c2 - c3) mod N.  Pairs d that no pair reaches
-    are absent.  The Zech residues mod N (N <= m < 256) are one ``bytes``,
-    read at three rotations as slices of it doubled.
+    For y = alpha**x, log(y + beta**i) = b_i + zech[x - b_i] with b_i = log beta**i, so
+    L_i reads the Zech residues mod N (N <= m < 256), one ``bytes`` read at three
+    rotations as slices of it doubled.  y = 0 counts at L_i = b_i, y = infinity at L = 0,
+    and the points y = -beta**t, where some zech[x - b_i] is ZERO, are taken out.
     """
     tw, n = params.tower, params.N
-    n1, g = tw.r - 1, params.g_log
+    n1 = tw.r - 1
     b = [i * params.beta_log % n1 for i in (1, 2, 3)]  # logs of beta**i
-    u = [-(b_i + i * g) for i, b_i in zip((1, 2, 3), b)]
     doubled = memoryview(bytes(map(n.__rmod__, tw.zech)) * 2)  # ZERO lands on N - 1, its readers taken out below
-    # (alpha**x, 1): log t_i = b_i + zech[x - b_i], so t_i reads the residues rotated by b_i, a slice of doubled
-    reads = [doubled[n1 - b_i : 2 * n1 - b_i] for b_i in b]
-    hist = Counter(zip(*reads))  # zech residues (z1, z2, z3) -> pairs; their class is c_i = u_i - z_i
-    for x in {(b_i + tw.neg_shift) % n1 for b_i in b}:  # zech[x - b_i] is ZERO: some t_i = 0
+    reads = [doubled[n1 - b_i : 2 * n1 - b_i] for b_i in b]  # zech[x - b_i] at y = alpha**x
+    hist = Counter(zip(*reads))  # zech residues (z1, z2, z3) -> number of y; L_i = b_i + z_i
+    for x in {(b_i + tw.neg_shift) % n1 for b_i in b}:  # y = -beta**t: zech[x - b_t] is ZERO
         hist[reads[0][x], reads[1][x], reads[2][x]] -= 1
-    hist[0, 0, 0] += 1  # (0, 1)
-    hist[-b[0] % n, -b[1] % n, -b[2] % n] += 1  # (1, 0): log t_i = 0
-    diag = Counter()  # (c1 - c3, c2 - c3) mod N -> the sum of H over its N classes
+    hist[0, 0, 0] += 1  # y = 0
+    hist[-b[0] % n, -b[1] % n, -b[2] % n] += 1  # y = infinity
+    table = Counter()
     for (z1, z2, z3), k in hist.items():
-        diag[(u[0] - z1 - u[2] + z3) % n, (u[1] - z2 - u[2] + z3) % n] += k
-    return {d: k * (n1 // n) for d, k in diag.items() if k}
+        table[(b[0] + z1 - b[2] - z3) % n, (b[1] + z2 - b[2] - z3) % n] += k
+    return {d: k for d, k in table.items() if k}
 
 
 def _f_table(params: "CodeParams", charsum) -> dict[tuple[int, int], int]:
-    """{(d1, d2): f} by the Jacobi-sum identity at c = (d1, d2, 0), zero counts dropped.
+    """H by the Jacobi-sum identity, zero counts dropped.
 
-    N**3 f(c) / (r-1) = r + 1 - N*#{x_k = 0} + charsum(x1, x2), x the class
-    cosets: the sum of zeta_N**(i*x1 + j*x2) J(i, j) over 0 < i, j < N,
-    i + j != N, an int, or None where it is irrational.
+    N**2 H(d) = r + 1 - N*#{x_k = 0} + charsum(x1, x2) with x = (-d1, -d2, d2 - d1) mod N:
+    the sum of zeta_N**(i*x1 + j*x2) J(i, j) over 0 < i, j < N, i + j != N, an int,
+    or None where it is irrational.
     """
     n, r = params.N, params.tower.r
     table = {}
     for d in product(range(n), repeat=2):
-        x1, x2, x3 = _class_cosets(params.g_log, n, d)
-        val = charsum(x1, x2)
+        d1, d2 = d
+        val = charsum(-d1 % n, -d2 % n)
         if val is None:
-            raise NonIntegerResultError(f"character sum for {(*d, 0)} is irrational")
-        num = (r - 1) * (val + r + 1 - n * ((x1 == 0) + (x2 == 0) + (x3 == 0)))
-        if num % n**3 or num < 0:
-            raise NonIntegerResultError(f"count for {(*d, 0)} is not a nonnegative integer: {num}/{n**3}")
+            raise NonIntegerResultError(f"character sum at d = {d} is irrational")
+        num = val + r + 1 - n * ((d1 == 0) + (d2 == 0) + (d1 == d2))
+        if num % n**2 or num < 0:
+            raise NonIntegerResultError(f"count at d = {d} is not a nonnegative integer: {num}/{n**2}")
         if num:
-            table[d] = num // n**3
+            table[d] = num // n**2
     return table
 
 
@@ -243,14 +227,14 @@ def _pair_sum(n: int, x1: int, x2: int) -> int:
 
 
 def f_charsum(params: "CodeParams", jacobi: dict[tuple[int, int], CycInt]) -> dict[tuple[int, int], int]:
-    """{(d1, d2): f} by the Jacobi-sum identity at J(i, j) = ``jacobi[i, j]``, as ``lifted_sums`` returns
+    """H by the Jacobi-sum identity at J(i, j) = ``jacobi[i, j]``, as ``lifted_sums`` returns
     them: each class character sum is reduced once in Z[zeta_N]."""
     n, terms = params.N, jacobi.items()
     return _f_table(params, lambda x1, x2: _shifted_sum(n, ((i * x1 + j * x2, v) for (i, j), v in terms)).as_integer())
 
 
 def f_closed(params: "CodeParams", case: "TheoremCase") -> dict[tuple[int, int], int]:
-    """{(d1, d2): f} in closed form: the identity at the semiprimitive Jacobi value -sg*sqrt(r),
+    """H in closed form: the identity at the semiprimitive Jacobi value -sg*sqrt(r),
     whose charsum is -sg*sqrt(r) times ``_pair_sum``; no field and no cyclotomic integer."""
     n, value = params.N, -case.sign * case.sqrt_r
     return _f_table(params, lambda x1, x2: value * _pair_sum(n, x1, x2))

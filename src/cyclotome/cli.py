@@ -94,13 +94,6 @@ def _first_diff_check(dists: "dict[str, dict[int, int]]", pairs) -> "dict | None
     return None
 
 
-def _f_first_diff(tables, n_ord: int) -> "dict | None":
-    """The first class c, in product order, where the {(d1, d2): f} tables differ: d's least class is (0, d2 - d1, -d1)."""
-    by_class = [{(0, (d2 - d1) % n_ord, -d1 % n_ord): f for (d1, d2), f in t.items()} for t in tables]
-    c = _first_diff(by_class)
-    return None if c is None else {"c": list(c), "counts": [t.get(c, 0) for t in by_class]}
-
-
 @contextmanager
 def _exit_on_error():
     """Report a failure as one ``error:`` line and exit with its documented code."""
@@ -168,11 +161,11 @@ def _verification_checks(
         checks["first_diff"] = first
 
     own = lifted_sums(system, 1)  # the tower's Gauss and Jacobi sums
-    tables = (class_counts(params), f_charsum(params, own[1]), f_closed(params, case))  # {(d1, d2): f} each
+    tables = (class_counts(params), f_charsum(params, own[1]), f_closed(params, case))  # H each
     checks["f_triple_equal"] = tables[0] == tables[1] == tables[2]
-    checks["f_partition"] = n_ord * sum(tables[0].values()) == r * r - 1 - 3 * (r - 1)
-    if first_class := _f_first_diff(tables, n_ord):
-        checks["f_first_diff"] = first_class
+    checks["f_partition"] = sum(tables[0].values()) == r - 2
+    if (d := _first_diff(tables)) is not None:
+        checks["f_first_diff"] = {"d": list(d), "counts": [t.get(d, 0) for t in tables]}
 
     dist = dists["brute"]
     checks["frequency_total"] = sum(dist.values()) == r * r
@@ -251,7 +244,7 @@ _shared_options = [
     click.option("--h", "h", type=int, required=True, help="Divisor of q-1; code length is h(r-1)/(q-1)."),
     _e_option,
     click.option("--poly", type=str, default=None, help="Defining polynomial override, comma-separated GF(p) coefficients, constant first, monic, degree s*m."),
-    click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True, help="Brute-force work cap, in r^2*n units."),
+    click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_BUDGET, show_default=True, help="Brute-force work cap, in r^2*n units."),
     _format_option,
 ]
 
@@ -402,7 +395,7 @@ def _json_rows(p: int, s: int, m: int, e: int, q: int, r: int, seconds_text: dic
 @main.command()
 @click.option("--max-r", type=int, required=True, help="Upper bound on the big field size r.")
 @_e_option
-@click.option("--budget", type=int, default=DEFAULT_SWEEP_BUDGET, show_default=True, help="Per-item brute-force cap in r^2*n units; larger items are classified only.")
+@click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_SWEEP_BUDGET, show_default=True, help="Per-item brute-force cap in r^2*n units; larger items are classified only.")
 @_format_option
 def sweep(max_r, e, budget, fmt) -> None:
     """Enumerate, classify, and verify every parameter set with r <= MAX_R.

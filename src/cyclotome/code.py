@@ -14,7 +14,7 @@ Two independent routes to the weight distribution, a plain dict {weight: frequen
   Tr(x**p) = Tr(x)**p, no character theory.  Each b, 0 included, takes one
   row walk over a, each a one XOR of packed integers against b;
 * ``semi_analytic_distribution`` assembles the histogram from the Gaussian
-  periods and class counts f(c) of the Gauss and Jacobi sums of GF(p**f),
+  periods and the class histogram H of the Gauss and Jacobi sums of GF(p**f),
   lifted by Davenport-Hasse, with the coset size for the vanishing term of a
   degenerate pair; no codeword, no table of GF(r) and no closed form, so it
   runs on every e = 3 set, semiprimitive or not.
@@ -86,7 +86,7 @@ def build_code(tower: FieldTower, h: int, e: int = 3) -> CodeParams:
     if rem:
         raise BadParametersError(f"h = {h} does not divide q-1 = {tower.q - 1}")
     params = CodeParams(tower, h, e, *_length_and_N(h, e, tower.m, tower.subfield_step, g_log), g_log, (tower.r - 1) // e)
-    # GF(q)* must lie in C_0: the class cosets drop beta and -1, the semi families beta**i - beta**t
+    # GF(q)* must lie in C_0: the class identity drops beta and -1, the semi families beta**i - beta**t
     if e == 3 and tower.subfield_step % params.N:
         raise InvariantError(f"beta or -1 is not an N-th power for N = {params.N}")
     return params
@@ -215,14 +215,37 @@ def codeword_weight_from_lambda(params: CodeParams, system: CharSystem, a: int, 
     return _weight(params, total)
 
 
+def _assemble(params: CodeParams, eta: list[int], hist: dict[tuple[int, ...], int]) -> dict[int, int]:
+    """The histogram {weight: frequency} from the periods ``eta`` and the class histogram H, validated.
+
+    The one place a period sum becomes a histogram row.  A y counted in H at d stands
+    for the pairs b*(y, 1), and infinity for the pairs (b, 0); with k = log b, those at
+    s = k + L_e mod N read the cosets u_i = d_i + s + i*g for i < e and u_e = s + e*g,
+    (r-1)/N pairs at each s.  The e families a = -beta**t b, b = alpha**k, read the
+    coset size (r-1)/N at term t; their other terms read beta**i - beta**t in coset 0:
+    it lies in GF(q)*, inside C_0 as N | (r-1)/(q-1).  The zero pair adds weight 0.
+    """
+    e, n_ord, g = params.e, params.N, params.g_log
+    size = (params.tower.r - 1) // n_ord
+    sums: Counter = Counter()  # period sum -> number of pairs whose weight it gives
+    for d, freq in hist.items():
+        offsets = [d_i + i * g for i, d_i in enumerate(d, 1)] + [e * g]  # u_i - s
+        for s in range(n_ord):
+            sums[sum(eta[(o + s) % n_ord] for o in offsets)] += freq * size
+    for t, k in product(range(1, e + 1), range(n_ord)):
+        sums[sum(size if i == t else eta[(k + i * g) % n_ord] for i in range(1, e + 1))] += size
+    dist = Counter({0: 1})
+    for total, freq in sums.items():
+        dist[_weight(params, total)] += freq
+    _validate(dist, params)
+    return dict(dist)
+
+
 def semi_analytic_distribution(
     params: CodeParams, lifted: "tuple[list, dict] | None" = None
 ) -> dict[int, int]:
-    """Assemble the histogram {weight: frequency} of any e = 3 set from class data instead of codewords.
+    """The histogram {weight: frequency} of any e = 3 set from character sums instead of codewords.
 
-    Every weight is ``_weight`` of the sum of the periods at
-    (a + beta**i b) g**i, the exact division ``codeword_weight_from_lambda``
-    also ends in.
     ``lifted`` holds the GF(r) Gauss and Jacobi sums of an order-N
     character, as ``lifted_sums`` returns them; by default ``subfield_sums``:
     those of GF(p**f), f = ord_N(p), on its default polynomial, lifted by
@@ -234,33 +257,11 @@ def semi_analytic_distribution(
     alpha -> alpha**w permutes the coordinates (i -> w*i mod n), which
     keeps the histogram, and g_log does not depend on the generator;
     ``verify`` compares this lift with the tower's own sums.  The periods
-    come from the Gauss sums by Fourier inversion.  The N**3 coset-vector
-    classes are sized by the table {(d1, d2): f} of the Jacobi-sum identity
-    at the lifted Jacobi sums: f(c) reads c only through
-    d = (c1 - c3, c2 - c3), so each entry sizes the N classes
-    (d1 + c3, d2 + c3, c3).  Pairs with
-    a = -beta**t b, b != 0, form 3N coset families of (r-1)/N, whose
-    vanishing term reads the coset size.  Their other terms read
-    beta**i - beta**t in coset 0: it lies in GF(q)*, inside C_0 as
-    N | (r-1)/(q-1).  The zero pair adds weight 0.  Each distinct period sum
-    is turned into a weight once, and the histogram is checked by ``_validate``.
+    come from the Gauss sums by Fourier inversion, H from the g-free
+    Jacobi-sum identity at the lifted Jacobi sums (``f_charsum``), and
+    ``_assemble`` turns the two into the histogram.
     """
     if params.e != 3:
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
-    tw = params.tower
-    n1, n_ord = tw.r - 1, params.N
-    gauss, jacobi = subfield_sums(tw, n_ord) if lifted is None else lifted
-    eta = periods_from_gauss(gauss)
-    sums: Counter = Counter()  # period sum -> number of pairs whose weight it gives
-    for (d1, d2), freq in f_charsum(params, jacobi).items():  # the classes (d1 + c3, d2 + c3, c3)
-        for c3 in range(n_ord):
-            sums[eta[-(d1 + c3) % n_ord] + eta[-(d2 + c3) % n_ord] + eta[-c3 % n_ord]] += freq
-    # b = alpha**k, a = -beta**t b: a + beta**i b = (beta**i - beta**t) b vanishes at i = t
-    for t, k in product(range(1, 4), range(n_ord)):
-        periods = (n1 // n_ord if i == t else eta[(k + i * params.g_log) % n_ord] for i in range(1, 4))
-        sums[sum(periods)] += n1 // n_ord
-    hist = Counter({0: 1})
-    for total, freq in sums.items():
-        hist[_weight(params, total)] += freq
-    _validate(hist, params)
-    return dict(hist)
+    gauss, jacobi = subfield_sums(params.tower, params.N) if lifted is None else lifted
+    return _assemble(params, periods_from_gauss(gauss), f_charsum(params, jacobi))

@@ -133,7 +133,8 @@ PERIODS1 = [3, -4]
 PERIOD_COUNTS2 = [[13, 8], [9, 12], [9, 12]]
 PERIODS2 = [5, -3, -3]
 
-# class counts {(c1 - c3, c2 - c3): f}, the naive N**3 counts read at c3 = 0
-F_TABLE1 = {(0, 0): 264, (0, 1): 288, (1, 0): 288, (1, 1): 288}
-F_TABLE2 = {(a, b): 126 for a in range(3) for b in range(3)}
-F_TABLE2.update({(0, 0): 189, (1, 2): 189, (2, 1): 168})
+# class histograms H {(L1 - L3, L2 - L3): count}; the naive N**3 class counts at c3 = 0 are
+# f(2g - d1, g - d2) = (r-1)/N * H(d1, d2), so set1's f at the class (0, 0, 0) is 24 * 11 = 264
+H_TABLE1 = {(0, 0): 11, (0, 1): 12, (1, 0): 12, (1, 1): 12}
+H_TABLE2 = {(a, b): 6 for a in range(3) for b in range(3)}
+H_TABLE2.update({(0, 0): 8, (1, 2): 9, (2, 1): 9})

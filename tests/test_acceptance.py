@@ -84,7 +84,7 @@ def test_criterion_3_f_triple_agreement():
     elapsed = time.monotonic() - start
     assert total_pairs == 4 + 9
     assert elapsed < 30.0
-    print(f"[acceptance] 3 PASS: f enumerate = charsum = closed on all {total_pairs} difference pairs ({elapsed:.2f}s < 30s)")
+    print(f"[acceptance] 3 PASS: H enumerate = charsum = closed on all {total_pairs} difference pairs ({elapsed:.2f}s < 30s)")
 
 
 def test_criterion_4_jacobi_gauss_identities():
@@ -126,12 +126,12 @@ def test_criterion_6_partition_and_moment_identities():
     for pset in (SET1, SET2):
         tower, params, case = _build(*pset)
         r, q, n = tower.r, tower.q, params.n
-        total_f = params.N * sum(class_counts(params).values())  # each difference pair stands for N classes
-        assert total_f == r * r - 1 - 3 * (r - 1)
+        # every y in GF(r) and infinity, less the three points y = -beta**t
+        assert sum(class_counts(params).values()) == r - 2
         dist = brute_distribution(params)
         assert sum(dist.values()) == r * r
         assert sum(w * f for w, f in dist.items()) * q == n * r * r * (q - 1)
-    print("[acceptance] 6 PASS: sum f = r^2-1-3(r-1); sum A_w = r^2; sum w A_w = n r^2 (q-1)/q")
+    print("[acceptance] 6 PASS: sum H = r-2; sum A_w = r^2; sum w A_w = n r^2 (q-1)/q")
 
 
 def test_criterion_7_defining_polynomial_invariance():

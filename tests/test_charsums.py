@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from conftest import (
-    F_TABLE1,
-    F_TABLE2,
+    H_TABLE1,
+    H_TABLE2,
     PERIOD_COUNTS1,
     PERIOD_COUNTS2,
     PERIODS1,
@@ -23,7 +23,6 @@ from naive_oracle import naive_f_table, naive_gauss_counts, naive_jacobi_counts,
 from cyclotome.charsums import (
     CharSystem,
     NonIntegerResultError,
-    _class_cosets,
     _pair_sum,
     _shifted_sum,
     class_counts,
@@ -221,7 +220,7 @@ def test_jacobi_matches_oracle(set1, set2):
 
 
 def _xi_mu_by_field(params, c):
-    """Reference for _class_cosets: cosets of xi1*mu, xi2*mu and xi1/xi2 by field arithmetic.
+    """Reference for the identity's cosets x: cosets of xi1*mu, xi2*mu and xi1/xi2 by field arithmetic.
 
     xi_i = g**i (1 - beta**i) c_i / c_3 for i = 1, 2 and mu = beta / (1 - beta**2).
     """
@@ -237,21 +236,29 @@ def _xi_mu_by_field(params, c):
     return (xi1 + mu) % n, (xi2 + mu) % n, (xi1 - xi2) % n
 
 
+def _h_key(params, c):
+    """The key d of H whose pairs make up the class c: f(2g - d1, g - d2) = (r-1)/N * H(d1, d2)."""
+    n, g = params.N, params.g_log
+    return (2 * g - c[0] + c[2]) % n, (g - c[1] + c[2]) % n
+
+
 def test_xi_mu_consistency_all_vectors(set1, set2):
-    # the field evaluation at every class c equals the beta-free reduction that f reads at its difference pair
+    # the field evaluation at every class c equals the g-free cosets x = (-d1, -d2, d2 - d1) the identity
+    # reads at c's key d of H: N | 3 log g takes g out
     for desk in (set1, set2):
         params, n = desk.params, desk.params.N
         for c in product(range(n), repeat=3):
-            x1, x2, ratio = _class_cosets(params.g_log, n, ((c[0] - c[2]) % n, (c[1] - c[2]) % n))
+            d1, d2 = _h_key(params, c)
+            x1, x2, ratio = -d1 % n, -d2 % n, (d2 - d1) % n
             assert _xi_mu_by_field(params, c) == (x1, x2, ratio)
             assert (x1 - x2 - ratio) % n == 0
 
 
 def test_xi_mu_zero_vector_with_square_g(set1):
-    # g is an N-th power here, so the zero vector lands every coset at 0
+    # g is an N-th power here, so the zero vector is H's key (0, 0) and lands every coset at 0
     params = set1.params
     assert params.g_log % params.N == 0
-    assert _class_cosets(params.g_log, params.N, (0, 0)) == (0, 0, 0)
+    assert _h_key(params, (0, 0, 0)) == (0, 0)
     assert _xi_mu_by_field(params, (0, 0, 0)) == (0, 0, 0)
 
 
@@ -274,19 +281,21 @@ def test_beta_power_differences_share_coset_with_one_minus_beta(set1, set2):
 
 
 def test_class_counts_frozen_tables(set1, set2):
-    for desk, table in ((set1, F_TABLE1), (set2, F_TABLE2)):
+    for desk, table in ((set1, H_TABLE1), (set2, H_TABLE2)):
         assert class_counts(desk.params) == table
 
 
-def _by_difference_pair(counts, n):
-    """N**3 class counts {c: f} as {(c1 - c3, c2 - c3): f}, zeros dropped, once each class c + (j, j, j)
-    is checked to have the count of c."""
-    table = {}
+def _by_difference_pair(counts, params):
+    """N**3 class counts {c: f} as H, zeros dropped, by the relation f(c) = (r-1)/N * H(d) at c's key d,
+    once each class c + (j, j, j) is checked to have the count of c."""
+    n, table = params.N, {}
     for c in product(range(n), repeat=3):
         f = counts.get(c, 0)
         assert {counts.get(tuple((ci + j) % n for ci in c), 0) for j in range(n)} == {f}
         if f:
-            table[(c[0] - c[2]) % n, (c[1] - c[2]) % n] = f
+            count, rem = divmod(f * n, params.tower.r - 1)
+            assert not rem
+            table[_h_key(params, c)] = count
     return table
 
 
@@ -294,7 +303,7 @@ def test_f_tables_match_naive_oracle(set1, set2):
     for desk in (set1, set2):
         t, n = desk.tower, desk.params.N
         oracle = naive_f_table(t.p, t.s, t.m, desk.params.h, n, t.defining_polynomial)
-        assert class_counts(desk.params) == _by_difference_pair(oracle, n)
+        assert class_counts(desk.params) == _by_difference_pair(oracle, desk.params)
 
 
 def _class_counts_by_pairs(params):
@@ -326,22 +335,21 @@ def _class_counts_by_pairs(params):
 )
 def test_class_counts_by_scaling_equal_pair_pass(p, s, m, h, e):
     params = build_code(build_tower(p, s, m), h, e)
-    assert class_counts(params) == _by_difference_pair(_class_counts_by_pairs(params), params.N)
+    assert class_counts(params) == _by_difference_pair(_class_counts_by_pairs(params), params)
 
 
 def test_f_partition_identity(set1, set2):
-    # each difference pair stands for N classes
+    # every y in GF(r) and infinity, less the three points y = -beta**t
     for desk in (set1, set2):
-        n, r = desk.params.N, desk.tower.r
-        assert n * sum(class_counts(desk.params).values()) == r * r - 1 - 3 * (r - 1)
+        assert sum(class_counts(desk.params).values()) == desk.tower.r - 2
 
 
 def test_f_unchanged_by_diagonal_shift(set1, set2, set3):
     # the naive oracle sees c3: its N**3 counts are constant on every diagonal c + (j, j, j) (checked in
-    # _by_difference_pair), so one count per difference pair loses nothing, and that table is each route's
+    # _by_difference_pair), so one count of H per diagonal loses nothing, and that table is each route's
     for desk in (set1, set2, set3):
         t, params, n = desk.tower, desk.params, desk.params.N
-        table = _by_difference_pair(naive_f_table(t.p, t.s, t.m, params.h, n, t.defining_polynomial), n)
+        table = _by_difference_pair(naive_f_table(t.p, t.s, t.m, params.h, n, t.defining_polynomial), params)
         jacobi = lifted_sums(desk.system, 1)[1]
         assert table == class_counts(params) == f_charsum(params, jacobi) == f_closed(params, desk.case)
 
@@ -355,9 +363,9 @@ def test_f_charsum_n2_reduces_to_delta_formula(set1):
     # N = 2 leaves no (i, j) pairs in the correction sum
     params, r = set1.params, set1.tower.r
     table = f_charsum(params, lifted_sums(set1.system, 1)[1])
-    for d in product(range(2), repeat=2):
-        deltas = sum(x == 0 for x in _class_cosets(params.g_log, 2, d))
-        assert table.get(d, 0) == (r - 1) * (r + 1 - 2 * deltas) // 8
+    for d1, d2 in product(range(2), repeat=2):
+        deltas = (d1 == 0) + (d2 == 0) + (d1 == d2)
+        assert table.get((d1, d2), 0) == (r + 1 - 2 * deltas) // 4
 
 
 def test_f_closed_matches_other_routes(set1, set2):
@@ -366,26 +374,26 @@ def test_f_closed_matches_other_routes(set1, set2):
 
 
 def test_f_closed_zero_vector_formula(set1):
-    # all-coset-zero class when g is an N-th power
+    # all-coset-zero class when g is an N-th power: H's key (0, 0), and f(0, 0, 0) = (r-1)/N * H(0, 0) = 264
     params, case, r, n = set1.params, set1.case, set1.tower.r, set1.params.N
     sign = -1 if case.gamma % 2 else 1
-    expected = (r - 1) * (r + 1 - 3 * n - sign * case.sqrt_r * (n * n - 3 * n + 2)) // n**3
-    assert f_closed(params, case)[0, 0] == expected == 264
+    expected = (r + 1 - 3 * n - sign * case.sqrt_r * (n * n - 3 * n + 2)) // n**2
+    assert f_closed(params, case)[0, 0] == expected == 11
+    assert (r - 1) // n * expected == 264
 
 
 def _f_closed_by_formula(params, case, d):
-    """Reference for f_closed at the difference pair d: the semiprimitive identity expanded by hand.
+    """Reference for f_closed at the key d of H: the semiprimitive identity expanded by hand.
 
     Returns None where the count is not a nonnegative integer.
     """
     n, r = params.N, params.tower.r
     s = -case.sign * case.sqrt_r
-    x1, x2, x3 = _class_cosets(params.g_log, n, d)
+    x1, x2, x3 = -d[0] % n, -d[1] % n, (d[1] - d[0]) % n
     d1, d2 = x1 == 0, x2 == 0
     dsum = d1 + d2 + (x3 == 0)
-    braced = r + 1 - n * dsum + s * (n * n * d1 * d2 - n * dsum + 2)
-    num = (r - 1) * braced
-    return None if num % n**3 or num < 0 else num // n**3
+    num = r + 1 - n * dsum + s * (n * n * d1 * d2 - n * dsum + 2)
+    return None if num % n**2 or num < 0 else num // n**2
 
 
 _TOWER_TABLES = {name for name, attr in vars(FieldTower).items() if isinstance(attr, cached_property)}
@@ -394,7 +402,8 @@ _TOWER_TABLES = {name for name, attr in vars(FieldTower).items() if isinstance(a
 @pytest.mark.parametrize(
     "p, s, m, h, swap_major",
     # case 1.1; N = 3 at r = 4096 and r = 11**6; N = 4; N = 5; r = 2**60; and two hand-built
-    # major swaps: one flips the sign to other integral counts, one to non-integral ones
+    # major swaps, N = 4 and N = 3: each flips the sign to non-integral counts, as N**2 H is
+    # divisible by N**2 at one sign only once N >= 3
     [
         (13, 1, 2, 3, False),
         (2, 2, 6, 3, False),
@@ -417,7 +426,7 @@ def test_f_closed_equals_expanded_formula(p, s, m, h, swap_major):
     expected = {d: _f_closed_by_formula(params, case, d) for d in product(range(params.N), repeat=2)}
     bad = [d for d, f in expected.items() if f is None]
     if bad:  # the first pair in product order is the one named
-        with pytest.raises(NonIntegerResultError, match=re.escape(f"count for {(*bad[0], 0)} is not a nonnegative")):
+        with pytest.raises(NonIntegerResultError, match=re.escape(f"count at d = {bad[0]} is not a nonnegative")):
             f_closed(params, case)
     else:
         assert f_closed(params, case) == {d: f for d, f in expected.items() if f}
@@ -461,7 +470,7 @@ def test_f_charsum_equals_closed_form_at_n5():
     assert params.N == 5
     table = f_charsum(params, lifted_sums(system, 1)[1])
     assert table == f_closed(params, case)
-    assert 5 * sum(table.values()) == tower.r**2 - 1 - 3 * (tower.r - 1)
+    assert sum(table.values()) == tower.r - 2
 
 
 def test_f_charsum_calls_no_field_operation(monkeypatch):
@@ -494,7 +503,7 @@ def test_closed_forms_beyond_desk_scale():
         system = CharSystem(tower, params.N)
         table = f_charsum(params, lifted_sums(system, 1)[1])
         assert table == f_closed(params, case)
-        assert params.N * sum(table.values()) == tower.r**2 - 1 - 3 * (tower.r - 1)
+        assert sum(table.values()) == tower.r - 2
         assert system.periods == case.periods
 
 

@@ -3,10 +3,8 @@ import csv
 import gc
 import io
 import json
-import random
 import time
 import weakref
-from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -120,6 +118,14 @@ def test_compute_budget_exit_3(runner):
         ["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3", "--method", "brute", "--budget", "10"],
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("command", [["compute", "--p", "7", "--s", "1", "--m", "2", "--h", "3"], ["sweep", "--max-r", "50"]])
+def test_negative_budget_exits_2(runner, command):
+    # a negative budget is an invalid parameter, not a budget every brute run exceeds
+    result = runner.invoke(main, [*command, "--budget", "-1"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--budget'" in result.output
 
 
 def test_compute_not_applicable_is_clean(runner):
@@ -311,7 +317,7 @@ def test_verify_detects_injected_table_corruption(runner, monkeypatch):
 
 
 def test_verify_detects_wrong_class_count(runner, monkeypatch):
-    # a closed form off by one at one difference pair: the one-pass enumeration must catch it
+    # a closed form off by one at one key of H: the one-pass enumeration must catch it
     closed = cli.f_closed
 
     def off_by_one(params, case):
@@ -322,37 +328,7 @@ def test_verify_detects_wrong_class_count(runner, monkeypatch):
     result, report = _invoke_json(runner, "verify", "--p", "7", "--s", "1", "--m", "2", "--h", "3")
     assert result.exit_code == 1
     assert report["checks"]["f_triple_equal"] is False
-    assert report["checks"]["f_first_diff"]["c"] == [0, 0, 0]
-
-
-def _f_first_diff_by_scan(tables, n_ord):
-    """The reference rule: scan the classes c in product order and name the first whose counts differ."""
-    for c in product(range(n_ord), repeat=3):
-        counts = [t.get(((c[0] - c[2]) % n_ord, (c[1] - c[2]) % n_ord), 0) for t in tables]
-        if len(set(counts)) > 1:
-            return {"c": list(c), "counts": counts}
-    return None
-
-
-def test_f_first_diff_names_the_class_the_product_scan_names():
-    # random {(d1, d2): f} triples with zero counts dropped, some equal and some off at several pairs,
-    # so the least differing pair is often not the one whose least class comes first
-    rng = random.Random(0)
-    differing = 0
-    for _ in range(3000):
-        n_ord = rng.randint(1, 9)
-        pairs = list(product(range(n_ord), repeat=2))
-        base = {d: rng.randint(0, 3) for d in pairs}
-        tables = []
-        for _ in range(3):
-            table = dict(base)
-            for d in rng.sample(pairs, rng.randint(0, min(4, len(pairs)))):
-                table[d] = rng.randint(0, 3)
-            tables.append({d: f for d, f in table.items() if f})
-        want = _f_first_diff_by_scan(tables, n_ord)
-        assert cli._f_first_diff(tables, n_ord) == want, (n_ord, tables)
-        differing += want is not None
-    assert 1500 < differing < 3000
+    assert report["checks"]["f_first_diff"] == {"d": [0, 0], "counts": [11, 11, 12]}
 
 
 def test_broken_invariant_exits_1(runner, monkeypatch):
@@ -395,13 +371,14 @@ def _corrupt_jacobi(monkeypatch, delta, keys):
 
 def test_verify_flags_corrupted_jacobi_sums(runner, monkeypatch):
     # f_charsum and f_closed share one identity but not its Jacobi source, so a wrong
-    # tower Jacobi sum still splits the f routes and breaks the Gauss-Jacobi relation
-    _corrupt_jacobi(monkeypatch, 3, {(1, 1), (2, 2)})
+    # tower Jacobi sum still splits the H routes and breaks the Gauss-Jacobi relation;
+    # the error is a multiple of N**2 = 9, so the identity's counts stay integers
+    _corrupt_jacobi(monkeypatch, 9, {(1, 1), (2, 2)})
     result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
     assert result.exit_code == 1
     checks = out["checks"]
     assert checks["f_triple_equal"] is False and checks["gauss_jacobi_relation"] is False
-    assert checks["f_first_diff"] == {"c": [0, 0, 0], "counts": [189, 203, 189]}
+    assert checks["f_first_diff"] == {"d": [0, 0], "counts": [8, 10, 8]}
 
 
 def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
@@ -439,19 +416,19 @@ def test_verify_flags_wrong_periods(runner, monkeypatch, periods, failed):
 
 def test_verify_flags_a_wrong_subfield_jacobi_sum(runner, monkeypatch):
     # only GF(4)'s Jacobi sums are off: semi sizes its classes from their lift, so its
-    # f(0, 0, 0) comes out fractional; the report still runs every check, and lifted_sums
+    # H(0, 0) comes out fractional; the report still runs every check, and lifted_sums
     # names the bad lift while the tower's own checks hold
     real = CharSystem.jacobi_sum
     monkeypatch.setattr(CharSystem, "jacobi_sum", lambda self, i, j: real(self, i, j) + (1 if self.tower.r == 4 else 0))
     result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
     assert result.exit_code == 1 and out["verdict"] == "FAIL"
-    assert out["checks"]["semi"] == "failed: count for (0, 0, 0) is not a nonnegative integer: 7497/27"
+    assert out["checks"]["semi"] == "failed: count at d = (0, 0) is not a nonnegative integer: 110/9"
     assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums", "three_way_equal"]
     assert "first_diff" not in out["checks"]  # brute and the table, the pair that ran, agree
 
 
 def test_sweep_names_failed_checks_in_every_format(runner, monkeypatch):
-    _corrupt_jacobi(monkeypatch, 3, {(1, 1), (2, 2)})
+    _corrupt_jacobi(monkeypatch, 9, {(1, 1), (2, 2)})  # a multiple of N**2: integral counts, as above
     want = {
         ("2", "2", "3", "3"): "f_triple_equal;gauss_jacobi_relation;lifted_sums",
         ("7", "1", "2", "3"): "jacobi_boundary",
@@ -473,7 +450,7 @@ def test_verify_non_integral_jacobi_count_exits_1(runner, monkeypatch):
     _corrupt_jacobi(monkeypatch, 1, {(1, 1)})
     result = runner.invoke(main, ["verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3"])
     assert result.exit_code == 1
-    assert result.output == "error: count for (0, 0, 0) is not a nonnegative integer: 5166/27\n"
+    assert result.output == "error: count at d = (0, 0) is not a nonnegative integer: 73/9\n"
 
 
 @pytest.fixture()

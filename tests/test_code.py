@@ -311,6 +311,22 @@ def test_semi_analytic_matches_brute(set1, set2):
         assert semi == brute_distribution(desk.params)
 
 
+def test_assemble_from_tower_counts_equals_brute():
+    # the assembly from counts-side data alone, the tower's periods and its one-pass H, no subfield
+    # lift: every e = 3 sweep set with N >= 2 and r**2 * n <= 10**9, the closed forms applicable or not
+    sets = not_applicable = 0
+    for p, s, m, h in sweep_candidates(5000, 3):
+        tower = FieldTower(p, s, m)
+        params = build_code(tower, h, 3)
+        if params.N < 2 or tower.r**2 * params.n > 10**9:
+            continue
+        dist = code._assemble(params, CharSystem(tower, params.N).periods, charsums.class_counts(params))
+        assert dist == brute_distribution(params), (p, s, m, h)
+        sets += 1
+        not_applicable += isinstance(classify(params), str)
+    assert (sets, not_applicable) == (18, 2)  # (7,1,3,3) and (7,1,3,6): N = 3 with p = 1 mod 3
+
+
 def test_semi_analytic_frozen(set1, set2):
     assert semi_analytic_distribution(set1.params) == DIST1
     assert semi_analytic_distribution(set2.params) == DIST2
