@@ -142,8 +142,9 @@ def _verification_checks(
 
     Returns (checks, route name -> distribution).  Brute runs first, so a
     set over ``budget`` raises BudgetExceededError before any table is built.
-    A semi route that raises ArithmeticError is left out of the distributions
-    and reported as ``checks["semi"]``; three_way_equal is then false.
+    A semi route or an H table (f_charsum, f_closed) that raises ArithmeticError
+    is left out and reported under its name as ``failed: <message>``; three_way_equal
+    or f_triple_equal is then false, and every other check still runs.
     """
     tw = params.tower
     r, n_ord = tw.r, params.N
@@ -161,10 +162,15 @@ def _verification_checks(
         checks["first_diff"] = first
 
     own = lifted_sums(system, 1)  # the tower's Gauss and Jacobi sums
-    tables = (class_counts(params), f_charsum(params, own[1]), f_closed(params, case))  # H each
-    checks["f_triple_equal"] = tables[0] == tables[1] == tables[2]
+    tables = [class_counts(params)]  # H each
+    for name, route, arg in (("f_charsum", f_charsum, own[1]), ("f_closed", f_closed, case)):
+        try:
+            tables.append(route(params, arg))
+        except ArithmeticError as exc:  # an inexact count, as from a wrong tower Jacobi sum
+            checks[name] = f"failed: {exc}"
+    checks["f_triple_equal"] = len(tables) == 3 and tables[0] == tables[1] == tables[2]
     checks["f_partition"] = sum(tables[0].values()) == r - 2
-    if (d := _first_diff(tables)) is not None:
+    if len(tables) == 3 and (d := _first_diff(tables)) is not None:
         checks["f_first_diff"] = {"d": list(d), "counts": [t.get(d, 0) for t in tables]}
 
     dist = dists["brute"]
@@ -305,8 +311,9 @@ def verify(p, s, m, h, e, poly, budget, fmt) -> None:
 def _sweep_towers(max_r: int, e: int):
     """Each tower (p, s, m) with 3 <= q = p**s, r = q**m <= max_r, once, in tuple order.
 
-    Yields (p, s, m, q, r, hs), hs the sorted h with e | h | q-1, that is e*d for
-    the divisors d of (q-1)/e.  Only q with e | q-1 have such an h; any
+    Yields (p, s, m, q, r, hs), hs the increasing h with e | h | q-1, that is e*d for
+    the divisors d of k = (q-1)/e: e times those up to sqrt(k), then (q-1)/d = e*(k/d) for
+    the same d in reverse, a square root once.  Only q with e | q-1 have such an h; any
     other q yields no tower and is not scanned for divisors.
     """
     sieve = bytearray([0, 0]) + bytearray([1]) * (max_r - 1)  # of Eratosthenes: sieve[p] == 1 iff p is prime
@@ -319,7 +326,7 @@ def _sweep_towers(max_r: int, e: int):
             k, rem = divmod(q - 1, e)
             if not rem:
                 low = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
-                hs = sorted({e * c for d in low for c in (d, k // d)})
+                hs = [e * d for d in low] + [(q - 1) // d for d in reversed(low) if d * d != k]
                 r, m = q, 1
                 while r <= max_r:
                     yield (p, s, m, q, r, hs)
@@ -331,23 +338,29 @@ _SWEEP_COLUMNS = ("p", "s", "m", "h", "e", "q", "r", "n", "N", "case", "status",
 
 
 def _sweep_rows(p: int, s: int, m: int, q: int, r: int, hs: list[int], e: int, budget: int):
-    """The tower's rows, one per h in ``hs``: the _SWEEP_COLUMNS values, then the sorted failed checks.
+    """The tower's rows, one per h in ``hs``: (h, n, shape, micros), shape = (N, case, status, reason, failed).
 
-    n and N come from ``_length_and_N`` and the verdict from e and N first (``_e_N_reason``): only a row
-    with e = 3 and N >= 2 builds a CodeParams and is classified, and the tower's FieldTower is built on its
-    first such row.  ``seconds``, whole microseconds of ``time.monotonic_ns``, covers all of a row's work,
-    so a tower's lazy tables are built, and timed, inside its first verified row.
+    n and N come from ``_length_and_N`` and the verdict from e and N first (``_e_N_reason``, once per N of
+    the tower): the rows it settles share one shape per N.  Only a row with e = 3 and N >= 2 builds a
+    CodeParams and is classified, and the tower's FieldTower is built on its first such row.  ``micros``,
+    whole microseconds between the row's own two ``time.monotonic_ns`` reads, covers all of its work, so a
+    tower's lazy tables are built, and timed, inside its first verified row.
     """
-    step, tower = (r - 1) // (q - 1), None
-    clock, length_and_N, e_N_reason = time.monotonic_ns, _length_and_N, _e_N_reason  # looked up once per tower
+    step, tower, settled = (r - 1) // (q - 1), None, {}
+    clock, length_and_N = time.monotonic_ns, _length_and_N  # looked up once per tower
     for h in hs:
         t0 = clock()
         n, N = length_and_N(h, e, m, step, (q - 1) // h)
-        label, status, reason, failed = "", "not_applicable", e_N_reason(e, N), ()
-        if reason is None:
+        try:
+            shape = settled[N]
+        except KeyError:
+            reason = _e_N_reason(e, N)
+            shape = settled[N] = reason and (N, "", "not_applicable", reason, ())  # None if e = 3 and N >= 2
+        if shape is None:
             if tower is None:  # FieldTower, not build_tower: the sieve proved p prime, and sweep checked the cap
                 tower = FieldTower(p, s, m)
             params = build_code(tower, h, e)
+            label, status, failed = "", "not_applicable", ()
             reason = case = classify(params)
             if isinstance(case, TheoremCase):
                 label, status, reason = case.label, "PASS", ""
@@ -359,37 +372,36 @@ def _sweep_rows(p: int, s: int, m: int, q: int, r: int, hs: list[int], e: int, b
                     status, reason = "FAIL", f"{type(exc).__name__}: {exc}"
                 else:
                     failed = tuple(sorted(k for k, v in checks.items() if v is False))
-                    if failed:
-                        status, reason = "FAIL", f"semi {checks['semi']}" if "semi" in checks else ""
-        seconds = (clock() - t0 + 500) // 1000 / 1e6  # k / 1e6 is round(k / 1e6, 6)
-        yield p, s, m, h, e, q, r, n, N, label, status, reason, seconds, failed
+                    if failed:  # each route that failed, with its message: checks holds no other text
+                        status, reason = "FAIL", "; ".join(f"{k} {v}" for k, v in checks.items() if isinstance(v, str))
+            shape = N, label, status, reason, failed
+        yield h, n, shape, (clock() - t0 + 500) // 1000
 
 
-def _json_rows(p: int, s: int, m: int, e: int, q: int, r: int, seconds_text: dict):
-    """One tower's row -> the bytes of json.dumps(row, sort_keys=True) and a newline, keys in sorted order.
-    A row formats only h, n and seconds: the four text pieces of each row shape, (N, case, status, reason, failed),
-    are built on its first row, text through json's escaper; ``seconds_text`` (one per sweep) maps seconds to repr."""
-    esc, pieces = encode_basestring_ascii, {}
+def _json_text(p: int, s: int, m: int, e: int, q: int, r: int, rows, seconds_text: dict) -> str:
+    """One tower's rows as one string: per row the bytes of json.dumps(row, sort_keys=True) and a newline.
 
-    def row_json(row: tuple) -> str:
-        _, _, _, h, _, _, _, n, N, case, status, reason, seconds, failed = row
+    A row formats only h, n and its seconds: each shape's four text pieces are built on its first row, text
+    through json's escaper, and ``seconds_text`` (one per sweep) maps micros to repr(micros / 1e6)."""
+    esc, pieces, lines = encode_basestring_ascii, {}, []
+    for h, n, shape, micros in rows:
         try:
-            head, mid, tail, end = pieces[N, case, status, reason, failed]
+            head, mid, tail, end = pieces[shape]
         except KeyError:
+            N, case, status, reason, failed = shape
             failed_json = f'"failed_checks": [{", ".join(map(esc, failed))}], ' if failed else ""
-            head, mid, tail, end = pieces[N, case, status, reason, failed] = (
+            head, mid, tail, end = pieces[shape] = (
                 f'{{"N": {N}, "case": {esc(case)}, "e": {e}, {failed_json}"h": ',
                 f', "m": {m}, "n": ',
                 f', "p": {p}, "q": {q}, "r": {r}, "reason": {esc(reason)}, "s": {s}, "seconds": ',
                 f', "status": {esc(status)}}}\n',
             )
         try:
-            seconds_json = seconds_text[seconds]
+            seconds = seconds_text[micros]
         except KeyError:
-            seconds_json = seconds_text[seconds] = repr(seconds)
-        return f"{head}{h}{mid}{n}{tail}{seconds_json}{end}"
-
-    return row_json
+            seconds = seconds_text[micros] = repr(micros / 1e6)
+        lines.append(f"{head}{h}{mid}{n}{tail}{seconds}{end}")
+    return "".join(lines)
 
 
 @main.command()
@@ -405,7 +417,8 @@ def sweep(max_r, e, budget, fmt) -> None:
     item whose brute cost exceeds --budget is classified only (skipped_budget).
     An item's verdict comes from e and N first: e != 3 or N = 1 is not applicable
     and builds no field.  A tower is built once, on its first item with e = 3 and
-    N >= 2, and timed in that item's seconds.  Rows are written as computed.
+    N >= 2, and timed in that item's seconds.  JSON writes each tower's rows at
+    once, after its last item; CSV and pretty write each row as it is computed.
     """
     with _exit_on_error():
         if max_r < 2:
@@ -416,15 +429,16 @@ def sweep(max_r, e, budget, fmt) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([*_SWEEP_COLUMNS, "failed_checks"])
-    seconds_text: dict[float, str] = {}
+    seconds_text: dict[int, str] = {}
     for p, s, m, q, r, hs in _sweep_towers(max_r, e):
         rows = _sweep_rows(p, s, m, q, r, hs, e, budget)
         if fmt == "json":
-            sys.stdout.writelines(map(_json_rows(p, s, m, e, q, r, seconds_text), rows))
+            sys.stdout.write(_json_text(p, s, m, e, q, r, rows, seconds_text))
         elif fmt == "csv":
-            writer.writerows((*row[:-1], ";".join(row[-1])) for row in rows)
+            cells = ((p, s, m, h, e, q, r, n, *shape[:4], micros / 1e6, ";".join(shape[4])) for h, n, shape, micros in rows)
+            writer.writerows(cells)
         else:
-            for _, _, _, h, _, _, r, n, N, case, status, reason, _, failed in rows:
+            for h, n, (N, case, status, reason, failed), _ in rows:
                 reason = "failed checks: " + ", ".join(failed) if failed else reason
                 print(f"p={p} s={s} m={m} h={h}: r={r} n={n} N={N} case={case} -> {status} {reason}".rstrip())
 

@@ -447,10 +447,25 @@ def test_sweep_names_failed_checks_in_every_format(runner, monkeypatch):
 
 
 def test_verify_non_integral_jacobi_count_exits_1(runner, monkeypatch):
+    # J(1, 1) off by 1, not a multiple of N**2 = 9: f_charsum's identity gives a fractional count.
+    # The report names that table and still runs every other check, as for a failed semi route
     _corrupt_jacobi(monkeypatch, 1, {(1, 1)})
-    result = runner.invoke(main, ["verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3"])
-    assert result.exit_code == 1
-    assert result.output == "error: count at d = (0, 0) is not a nonnegative integer: 73/9\n"
+    result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
+    assert result.exit_code == 1 and out["verdict"] == "FAIL"
+    assert sorted(out) == ["checks", "classification", "distribution", "method", "params", "timing", "verdict"]
+    checks = out["checks"]
+    assert checks["f_charsum"] == "failed: count at d = (0, 0) is not a nonnegative integer: 73/9"
+    assert sorted(checks) == [
+        "f_charsum", "f_partition", "f_triple_equal", "frequency_total", "gauss_jacobi_relation",
+        "jacobi_boundary", "lifted_sums", "mean_weight", "period_sum", "periods_match_closed",
+        "periods_rational", "three_way_equal",
+    ]
+    assert [name for name, ok in checks.items() if ok is False] == ["f_triple_equal", "gauss_jacobi_relation", "lifted_sums"]
+    # in a sweep the same set is a FAIL row that names its failed checks and the table's message
+    out = runner.invoke(main, ["sweep", "--max-r", "64"], catch_exceptions=False).output
+    row = next(row for row in map(json.loads, out.splitlines()) if (row["p"], row["s"], row["m"], row["h"]) == (2, 2, 3, 3))
+    assert row["status"] == "FAIL" and row["failed_checks"] == ["f_triple_equal", "gauss_jacobi_relation", "lifted_sums"]
+    assert row["reason"] == "f_charsum " + checks["f_charsum"]
 
 
 @pytest.fixture()
@@ -571,70 +586,93 @@ def test_sweep_small(runner):
     assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in result.output.splitlines())
 
 
-def test_sweep_row_template_is_json_dumps(runner, monkeypatch):
-    # each tower's formatter must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
-    rows = [
-        row
-        for tower in cli._sweep_towers(300, 3)
-        for row in cli._sweep_rows(*tower, 3, cli.DEFAULT_SWEEP_BUDGET)
+def _row_dicts(p, s, m, q, r, hs, e, budget):
+    """A tower's compact sweep rows as the dicts json.dumps would get: every column, failed_checks when set."""
+    rows = []
+    for h, n, (N, case, status, reason, failed), micros in cli._sweep_rows(p, s, m, q, r, hs, e, budget):
+        rows.append(dict(zip(cli._SWEEP_COLUMNS, (p, s, m, h, e, q, r, n, N, case, status, reason, micros / 1e6))))
+        if failed:
+            rows[-1]["failed_checks"] = list(failed)
+    return rows
+
+
+def _json_text(tower_rows, seconds_text):
+    """One tower's row dicts through the sweep's JSON writer, each turned back into a compact row."""
+    first = tower_rows[0]
+    compact = [
+        (row["h"], row["n"], (row["N"], row["case"], row["status"], row["reason"], tuple(row.get("failed_checks", ()))),
+         round(row["seconds"] * 1e6))
+        for row in tower_rows
     ]
-    assert {row[10] for row in rows} == {"PASS", "not_applicable"}
+    return cli._json_text(*(first[k] for k in ("p", "s", "m", "e", "q", "r")), compact, seconds_text)
+
+
+def test_sweep_row_template_is_json_dumps(runner, monkeypatch):
+    # each tower's writer must give the bytes of json.dumps(row, sort_keys=True) on every row it can meet
+    rows = [row for tower in cli._sweep_towers(300, 3) for row in _row_dicts(*tower, 3, cli.DEFAULT_SWEEP_BUDGET)]
+    assert {row["status"] for row in rows} == {"PASS", "not_applicable"}
 
     def variant(row, **changes):
-        cells = {**dict(zip(cli._SWEEP_COLUMNS, row)), "seconds": 0.25, "failed_checks": (), **changes}
-        return tuple(cells.values())
+        return {**row, "seconds": 0.25, **changes}
 
     def as_dumps(row):
-        obj = dict(zip(cli._SWEEP_COLUMNS, row))
-        if row[-1]:
-            obj["failed_checks"] = list(row[-1])
-        return json.dumps(obj, sort_keys=True) + "\n"
+        return json.dumps(row, sort_keys=True) + "\n"
 
     rows += [
-        variant(rows[0], status="FAIL", failed_checks=("f_partition", "three_way_equal"), seconds=1e-06),
+        variant(rows[0], status="FAIL", failed_checks=["f_partition", "three_way_equal"], seconds=1e-06),
         variant(rows[0], status="FAIL", reason='InvariantError: "a\\b"\nq = 4 \u2260 5', seconds=12.5),
         variant(rows[0], status="skipped_budget", case="2.1", seconds=0.0),
         variant(rows[0], p=2, s=12, m=2, h=4095, n=1 << 30, N=24, seconds=123456.789012),
     ]
     seconds_text = {}
     for row in rows:
-        assert cli._json_rows(*row[:3], *row[4:7], seconds_text)(row) == as_dumps(row)
+        assert _json_text([row], seconds_text) == as_dumps(row)
 
-    # one tower's formatter keeps each row shape's text and each seconds' repr. Fed in this order: one
+    # one tower's writer keeps each row shape's text and each seconds' repr. Fed in this order: one
     # shape with other h, n and seconds, a FAIL row with failed checks, then a PASS row of the same tower,
     # rows that differ from that PASS row in one field of the shape each, and at e = 2 and e = 4 each
     # reason e != 3 gives, every line must still be json.dumps's
-    passed, unverified = cli._sweep_rows(7, 1, 2, 7, 49, [3, 6], 3, cli.DEFAULT_SWEEP_BUDGET)
-    assert (passed[9], passed[10], unverified[10], unverified[11]) == ("2.1", "PASS", "not_applicable", "N = 1 < 2")
+    passed, unverified = _row_dicts(7, 1, 2, 7, 49, [3, 6], 3, cli.DEFAULT_SWEEP_BUDGET)
+    assert (passed["case"], passed["status"], unverified["status"], unverified["reason"]) == (
+        "2.1", "PASS", "not_applicable", "N = 1 < 2"
+    )
     secs = (0.0, 1e-06, 1.3e-05, 0.001322, 12.5, 1e-06)
     shape_changes = [
         {"N": 4},
         {"case": "1.2"},
         {"status": "skipped_budget"},
         {"reason": "semi failed: x"},
-        {"failed_checks": ("f_partition",)},
+        {"failed_checks": ["f_partition"]},
     ]
-    at_e2 = list(cli._sweep_rows(7, 1, 2, 7, 49, [2, 6], 2, 0))
-    at_e4 = list(cli._sweep_rows(5, 1, 2, 5, 25, [4], 4, 0))
-    assert at_e2[0][11] == "e = 2, semi and the closed forms need e = 3"
-    assert at_e4[0][11] == "e = 4, semi and the closed forms need e = 3"
+    at_e2 = _row_dicts(7, 1, 2, 7, 49, [2, 6], 2, 0)
+    at_e4 = _row_dicts(5, 1, 2, 5, 25, [4], 4, 0)
+    assert at_e2[0]["reason"] == "e = 2, semi and the closed forms need e = 3"
+    assert at_e4[0]["reason"] == "e = 4, semi and the closed forms need e = 3"
     fed = [
         [variant(unverified, h=6 * k, n=48 * k, seconds=t) for k, t in enumerate(secs, 1)]
-        + [variant(passed, status="FAIL", failed_checks=("f_partition", "three_way_equal"), seconds=1e-06), passed]
+        + [variant(passed, status="FAIL", failed_checks=["f_partition", "three_way_equal"], seconds=1e-06), passed]
         + [row for changes in shape_changes for row in (variant(passed, **changes), passed)],
         at_e2 + [variant(at_e2[0], h=4, n=32, seconds=1.3e-05)],
         at_e4 + [variant(at_e4[0], seconds=12.5)],
     ]
     seconds_text = {}
     for tower_rows in fed:
-        row_json = cli._json_rows(*tower_rows[0][:3], *tower_rows[0][4:7], seconds_text)
-        assert [row_json(row) for row in tower_rows] == [as_dumps(row) for row in tower_rows]
-    assert seconds_text == {row[12]: repr(row[12]) for tower_rows in fed for row in tower_rows}
+        assert _json_text(tower_rows, seconds_text) == "".join(map(as_dumps, tower_rows))
+    micros = {round(row["seconds"] * 1e6) for tower_rows in fed for row in tower_rows}
+    assert seconds_text == {k: repr(k / 1e6) for k in micros}
 
     result = runner.invoke(main, ["sweep", "--max-r", "300"], catch_exceptions=False)
     lines = result.output.splitlines(keepends=True)
     assert len(lines) == len(rows) - 4
     assert all(line == json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
+
+    # the rows e and N settle share one shape per N of a tower, worded once: here N = 1 on every row
+    reasons = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_e_N_reason", lambda e, N: reasons.append(N) or theorem._e_N_reason(e, N))
+        settled = list(cli._sweep_rows(2, 6, 1, 64, 64, [3, 9, 21, 63], 3, 0))
+    assert reasons == [1] and all(row[2] is settled[0][2] for row in settled)
+    assert settled[0][2] == (1, "", "not_applicable", "N = 1 < 2", ())
 
     # the escaper runs 3 times per row shape of a tower (case, reason and status), not per row
     calls = []
@@ -647,6 +685,35 @@ def test_sweep_row_template_is_json_dumps(runner, monkeypatch):
         for row in map(json.loads, lines)
     }
     assert len(shapes) < len(lines) and len(calls) == 3 * len(shapes)
+
+
+def test_sweep_seconds_are_each_rows_own_clock_reads(runner, monkeypatch):
+    # a fake clock that advances 1 us a read: a row's seconds is the delta of its own two reads, so every
+    # settled row reads 1 us, and only the verified row whose checks advance the clock 5 ms carries them
+    clock = {"ns": 0, "reads": 0}
+
+    def monotonic_ns():
+        clock["ns"] += 1_000
+        clock["reads"] += 1
+        return clock["ns"]
+
+    real = cli._verification_checks
+
+    def checks(params, case, budget):
+        clock["ns"] += 5_000_000 if params.tower.p == 7 else 0
+        return real(params, case, budget)
+
+    monkeypatch.setattr(time, "monotonic_ns", monotonic_ns)
+    monkeypatch.setattr(cli, "_verification_checks", checks)
+    for fmt in ("json", "csv"):
+        clock.update(ns=0, reads=0)
+        out = runner.invoke(main, ["sweep", "--max-r", "100", "--format", fmt], catch_exceptions=False).output
+        rows = list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else [json.loads(line) for line in out.splitlines()]
+        by_params = {tuple(int(row[k]) for k in "psmh"): row for row in rows}
+        assert [key for key, row in by_params.items() if row["status"] == "PASS"] == [(2, 2, 3, 3), (7, 1, 2, 3)]
+        seconds = {key: float(row["seconds"]) for key, row in by_params.items()}
+        assert seconds == {**dict.fromkeys(seconds, 1e-06), (7, 1, 2, 3): 0.005001}
+        assert clock["reads"] == 2 * len(rows)
 
 
 def test_sweep_seconds_are_whole_microseconds(runner):
