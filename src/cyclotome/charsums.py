@@ -23,6 +23,8 @@ x = (-d1, -d2, d2 - d1) mod N, with S the sum of zeta_N**(i*x1 + j*x2) J(i, j).
 As N | 3 log g, it reads neither g nor (r-1)/N.  It is fed the tower's
 Jacobi sums, a subfield's lifted to GF(r) (``subfield_sums``, semi's), or
 the semiprimitive value -sg*sqrt(r), which makes it the closed form.
+The lifted Gauss sums rest on the subfield's Jacobi sums too (``lifted_sums``); ``verify``
+still compares both lifted lists with the tower's own sums and checks the identity used, on the tower.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ def _shifted_sum(m: int, terms) -> CycInt:
 
 def norm_degree(p: int, n: int) -> int:
     """ord_N(p), the least f with N | p**f - 1: the smallest GF(p**f) with characters of order N."""
+    if math.gcd(p, n) > 1:  # no p**f - 1 is a multiple of N
+        raise BadModulusError(f"N = {n} is not prime to p = {p}: no GF(p**f) has characters of order N")
     return next(f for f in count(1) if (p**f - 1) % n == 0)
 
 
@@ -136,7 +140,8 @@ def subfield_sums(tower: FieldTower, n: int) -> tuple[list[CycInt], dict[tuple[i
     With Norm(alpha) = gamma**v, gamma that field's generator, the lift at i is the tower's sum
     at i*v mod N.  As G(chi**(i*p)) = G(chi**i), and J alike, it is the tower's index for index
     wherever p generates (Z/N)*, as on every applicable set within the cap; elsewhere a
-    comparison with the tower's sums may fail, but never passes a wrong lift.
+    comparison with the tower's sums may fail, but never passes a wrong lift.  Its Gauss sums rest on its
+    Jacobi sums too; ``verify`` still compares both lifted lists with the tower's own sums.
     """
     f = norm_degree(tower.p, n)
     return lifted_sums(CharSystem(FieldTower(tower.p, 1, f), n), tower.degree // f)
@@ -144,18 +149,29 @@ def subfield_sums(tower: FieldTower, n: int) -> tuple[list[CycInt], dict[tuple[i
 
 def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[int, int], CycInt]]:
     """Gauss sums G(chi**i o Norm), i < N, and Jacobi sums {(i, j): J(i, j)}, 0 < i, j < N,
-    i + j != N, over the degree-k extension of the system's field; k = 1 gives its own sums.
+    i + j != N, over the degree-k extension of the system's field; k = 1 returns its own sums.
 
-    Davenport-Hasse (Lidl & Niederreiter, *Finite Fields*, Thm 5.14):
-    -G(chi o Norm) = (-G(chi))**k, psi lifted through the trace; for the
-    principal character both sides are 1.  J(i, j) = G(chi**i) G(chi**j) /
-    G(chi**(i+j)) lifts the same way where chi**i, chi**j, chi**(i+j) are nontrivial.
+    Davenport-Hasse (Lidl & Niederreiter, *Finite Fields*, Thm 5.14): -G(chi o Norm) = (-G(chi))**k, psi
+    lifted through the trace, so J(i, j) = G(chi**i) G(chi**j) / G(chi**(i+j)) lifts to -(-J)**k; G(chi**0) stays -1.
+    G(chi**i)**k is c G(chi**a), c in Z[zeta_N], by G(a) G(b) = J(a, b) G(a + b) and G(a) G(-a) = chi**a(-1) Q
+    (Thms 5.21 and 5.12 there): the lifted Gauss sums rest on the field's Jacobi sums too.
     """
-    n = system.order
-    pairs = [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
-    sums = [system.gauss_sum(i) for i in range(n)] + [system.jacobi_sum(i, j) for i, j in pairs]
-    lifted = [-((-x) ** k) for x in sums]
-    return lifted[:n], dict(zip(pairs, lifted[n:]))
+    n, big_q, m = system.order, system.tower.r, math.lcm(system.p, system.order)
+    jacobi = {(i, j): system.jacobi_sum(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n}
+    if k == 1:
+        return [system.gauss_sum(i) for i in range(n)], jacobi
+    sign = -1 if system.p != 2 and (big_q - 1) // n % 2 else 1  # chi(-1)
+    factor = {**jacobi, **{(a, n - a): big_q * sign**a for a in range(1, n)}}  # G(a) G(b) / G(a + b); else 1
+    gauss = [system.gauss_sum(0)]
+    for i in range(1, n):
+        c, a = 1, i
+        for bit in bin(k)[3:]:  # left to right below the top bit, as CycInt.__pow__
+            c, a = c * c * factor.get((a, a), 1), 2 * a % n
+            if bit == "1":
+                c, a = c * factor.get((a, i), 1), (a + i) % n
+        c = c if k % 2 else -c  # -(-1)**k c G(chi**a)
+        gauss.append((system.gauss_sum(a) if a else CycInt.from_int(m, 1)) * (c if isinstance(c, int) else c.embed(m)))
+    return gauss, {key: -((-x) ** k) for key, x in jacobi.items()}
 
 
 def periods_from_gauss(gauss: list[CycInt]) -> list[int]:

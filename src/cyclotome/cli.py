@@ -144,7 +144,8 @@ def _verification_checks(
     set over ``budget`` raises BudgetExceededError before any table is built.
     A semi route or an H table (f_charsum, f_closed) that raises ArithmeticError
     is left out and reported under its name as ``failed: <message>``; three_way_equal
-    or f_triple_equal is then false, and every other check still runs.
+    or f_triple_equal is then false, and every other check still runs.  Where the tower's
+    Jacobi sums equal the lifted ones, as lifted_sums checks, semi's H is the f_charsum table.
     """
     tw = params.tower
     r, n_ord = tw.r, params.N
@@ -152,9 +153,9 @@ def _verification_checks(
     system, lifted = CharSystem(tw, n_ord), subfield_sums(tw, n_ord)  # semi's lift, checked below
     checks: dict = {}
     try:
-        dists["semi"] = semi_analytic_distribution(params, lifted)
+        dists["semi"], semi_h = semi_analytic_distribution(params, lifted, with_h=True)
     except ArithmeticError as exc:  # a wrong lift: the checks below still run, lifted_sums among them
-        checks["semi"] = f"failed: {exc}"
+        checks["semi"], semi_h = f"failed: {exc}", None
     dists["table"] = table_distribution(params)
     first = _first_diff_check(dists, [("brute", name) for name in ("semi", "table") if name in dists])
     checks["three_way_equal"] = "semi" in dists and first is None
@@ -165,7 +166,7 @@ def _verification_checks(
     tables = [class_counts(params)]  # H each
     for name, route, arg in (("f_charsum", f_charsum, own[1]), ("f_closed", f_closed, case)):
         try:
-            tables.append(route(params, arg))
+            tables.append(semi_h if name == "f_charsum" and semi_h is not None and arg == lifted[1] else route(params, arg))
         except ArithmeticError as exc:  # an inexact count, as from a wrong tower Jacobi sum
             checks[name] = f"failed: {exc}"
     checks["f_triple_equal"] = len(tables) == 3 and tables[0] == tables[1] == tables[2]

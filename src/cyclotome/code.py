@@ -141,7 +141,8 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> dict[
     of its class x0, whose coordinates one array holds twice over in 1, 2 or
     4 bytes as q <= 2**7, 2**15 or more, so each slot has a spare top bit.
     Against b, packed once per row, ((a ^ b | high) - low) & high sets that
-    guard bit in exactly the nonzero slots, and no borrow leaves its slot.
+    guard bit in exactly the nonzero slots, and no borrow leaves its slot; that and
+    the popcount are all a row does per a, and it scales its weights once.
     Tr_{r/p}(lambda x) = Tr_{q/p}(lambda Tr_{r/q}(x)) for lambda in GF(q),
     and the trace form of GF(q)/GF(p) is nondegenerate, so ``trace_q_coords``
     compares two relative traces by s absolute traces; no character theory,
@@ -164,27 +165,28 @@ def brute_distribution(params: CodeParams, budget: "int | None" = None) -> dict[
     high = low << 8 * width - 1  # every slot's top bit
     dbg = (dbeta + dg) % n1
     step = math.gcd(big_p, dbg)
+    span, hist, from_bytes, order = n * width, {}, int.from_bytes, sys.byteorder  # bound once, read per a
 
-    def row(b_coords: list, t: int, mult: int, shift: int) -> Counter:
-        """Weights against b: a = 0, then one a = alpha**x per cycle of x -> mult*x + shift on Z/t."""
-        weights = Counter({n - b_coords.count(0): 1})
-        b = int.from_bytes(array(packed.typecode, b_coords), sys.byteorder)
+    def row(b_coords: list, t: int, mult: int, shift: int, scale: int) -> None:
+        """Add at the weight against b ``scale`` for a = 0, and scale*(r-1)/t per cycle length of x -> mult*x + shift."""
+        b, lengths, w = from_bytes(array(packed.typecode, b_coords), order), {}, n - b_coords.count(0)
+        hist[w] = hist.get(w, 0) + scale
         for x, length in _cycles(t, mult, shift):
             start = (x % dg * 2 * n + x // dg) * width
-            diff = int.from_bytes(slots[start : start + n * width], sys.byteorder) ^ b
-            weights[((diff | high) - low & high).bit_count()] += length * (n1 // t)
-        return weights
+            w = ((from_bytes(slots[start : start + span], order) ^ b | high) - low & high).bit_count()
+            lengths[w] = lengths.get(w, 0) + length
+        for w, total in lengths.items():
+            hist[w] = hist.get(w, 0) + total * scale * (n1 // t)
 
-    hist = row([0] * n, math.gcd(n1, big_p, dg), p, 0)  # b = 0
+    row([0] * n, math.gcd(n1, big_p, dg), p, 0, 1)  # b = 0
     t = math.gcd(n1, big_p // step * dbeta)
     d_inv = pow(dbg // step, -1, big_p // step)
     for k, o in _cycles(step, p):  # b = alpha**k stands for its G-orbit
         mult = pow(p, o, n1)
         c = (1 - mult) * k % n1
         shift = c - c // step * d_inv % (big_p // step) * dbeta  # c - j log beta, j d = c mod P
-        b_coords = [coords[(k + i * dbg) % n1] for i in range(n)]  # b (beta g)**i
-        hist.update({w: f * o * (n1 // step) for w, f in row(b_coords, t, mult, shift).items()})
-    return dict(hist)
+        row([coords[(k + i * dbg) % n1] for i in range(n)], t, mult, shift, o * (n1 // step))  # b (beta g)**i
+    return hist
 
 
 def _weight(params: CodeParams, total: int) -> int:
@@ -242,8 +244,8 @@ def _assemble(params: CodeParams, eta: list[int], hist: dict[tuple[int, ...], in
 
 
 def semi_analytic_distribution(
-    params: CodeParams, lifted: "tuple[list, dict] | None" = None
-) -> dict[int, int]:
+    params: CodeParams, lifted: "tuple[list, dict] | None" = None, with_h: bool = False
+) -> "dict[int, int] | tuple[dict[int, int], dict]":
     """The histogram {weight: frequency} of any e = 3 set from character sums instead of codewords.
 
     ``lifted`` holds the GF(r) Gauss and Jacobi sums of an order-N
@@ -259,9 +261,11 @@ def semi_analytic_distribution(
     ``verify`` compares this lift with the tower's own sums.  The periods
     come from the Gauss sums by Fourier inversion, H from the g-free
     Jacobi-sum identity at the lifted Jacobi sums (``f_charsum``), and
-    ``_assemble`` turns the two into the histogram.
+    ``_assemble`` turns the two into the histogram; ``with_h`` returns H beside it.
     """
     if params.e != 3:
         raise BadParametersError("semi-analytic assembly is defined for e = 3")
     gauss, jacobi = subfield_sums(params.tower, params.N) if lifted is None else lifted
-    return _assemble(params, periods_from_gauss(gauss), f_charsum(params, jacobi))
+    eta, hist = periods_from_gauss(gauss), f_charsum(params, jacobi)
+    dist = _assemble(params, eta, hist)
+    return (dist, hist) if with_h else dist

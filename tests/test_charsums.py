@@ -35,7 +35,7 @@ from cyclotome.charsums import (
 )
 from cyclotome.code import build_code
 from cyclotome.cycint import CycInt
-from cyclotome.fields import ZERO, FieldTower, build_tower
+from cyclotome.fields import ZERO, BadModulusError, FieldTower, build_tower
 from cyclotome.theorem import TheoremCase, classify
 
 
@@ -573,6 +573,70 @@ def test_lifted_periods_match_tower(p, s, m, n):
     lifted, ws = periods_from_gauss(subfield_sums(tower, n)[0]), PERIODS_RELABELLED_BY[p, s, m, n]
     assert [w for w in _units(n) if lifted == [periods[u * w % n] for u in range(n)]] == ws
     assert set(ws) == _coset_of_powers(ws, p, n)
+
+
+def _lift_by_powers(system: CharSystem, k: int):
+    """The Davenport-Hasse lift as -(-x)**k of every Gauss and Jacobi sum, square-and-multiply in its own ring."""
+    n = system.order
+    pairs = [(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n]
+    return (
+        [-((-system.gauss_sum(i)) ** k) for i in range(n)],
+        {(i, j): -((-system.jacobi_sum(i, j)) ** k) for i, j in pairs},
+    )
+
+
+# (p, f, N) over GF(p**f): p = 2, and odd p where chi**a(-1) = (-1)**(a(Q-1)/N) is -1 for odd a,
+# as (Q-1)/N is odd at (7, 1, 2), (7, 1, 6), (13, 1, 4), (5, 1, 4) and (19, 1, 6); +1 at the others
+LIFT_FIELDS = [
+    (2, 2, 3), (2, 4, 3), (7, 1, 2), (7, 1, 3), (7, 1, 6), (13, 1, 2), (13, 1, 4), (13, 1, 6), (5, 1, 4), (19, 1, 6), (3, 2, 4),
+]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("p, f, n", LIFT_FIELDS)
+def test_lifted_sums_equal_powers(p, f, n, k):
+    # Gauss sums through the field's Jacobi sums against plain powers in Z[zeta_lcm(p, N)]
+    system = CharSystem(FieldTower(p, 1, f), n)
+    assert lifted_sums(system, k) == _lift_by_powers(system, k)
+
+
+def test_lifted_sums_at_one_are_the_fields_own():
+    system = CharSystem(FieldTower(13, 1, 1), 6)
+    gauss, jacobi = lifted_sums(system, 1)
+    assert all(g is system.gauss_sum(i) for i, g in enumerate(gauss)) and len(gauss) == 6
+    assert all(v is system.jacobi_sum(i, j) for (i, j), v in jacobi.items()) and len(jacobi) == 20
+
+
+@pytest.mark.parametrize("p, f, n", [(2, 2, 3), (7, 1, 2), (13, 1, 4), (13, 1, 6), (19, 1, 6)])
+def test_lifted_gauss_sums_take_one_large_product_each(monkeypatch, p, f, n):
+    system = CharSystem(FieldTower(p, 1, f), n)
+    real, orders = CycInt.__mul__, []
+
+    def counted(self, other):
+        orders.append(self.order)
+        return real(self, other)
+
+    monkeypatch.setattr(CycInt, "__mul__", counted)
+    monkeypatch.setattr(CycInt, "__rmul__", counted)
+    lifted_sums(system, 1)
+    assert orders == []
+    m = math.lcm(p, n)
+    for k in (2, 3, 4, 6):
+        orders.clear()
+        lifted_sums(system, k)
+        assert orders.count(m) <= n - 1, (k, orders)
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (2, 4), (5, 5), (7, 14)])
+def test_norm_degree_rejects_n_not_prime_to_p(p, n):
+    # no p**f - 1 is a multiple of N: the search for f would never end
+    with pytest.raises(BadModulusError, match=f"N = {n} is not prime to p = {p}"):
+        norm_degree(p, n)
+
+
+def test_subfield_sums_rejects_n_not_prime_to_p():
+    with pytest.raises(BadModulusError):
+        subfield_sums(FieldTower(3, 1, 2), 6)
 
 
 def test_p_generates_the_units_on_every_applicable_set():

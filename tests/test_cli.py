@@ -381,6 +381,36 @@ def test_verify_flags_corrupted_jacobi_sums(runner, monkeypatch):
     assert checks["f_first_diff"] == {"d": [0, 0], "counts": [8, 10, 8]}
 
 
+def _count_f_charsum(monkeypatch) -> list:
+    """Record every f_charsum call, semi's (through code) and verify's (through cli)."""
+    calls, real = [], charsums.f_charsum
+
+    def counted(params, jacobi):
+        calls.append(params.N)
+        return real(params, jacobi)
+
+    monkeypatch.setattr(code, "f_charsum", counted)
+    monkeypatch.setattr(cli, "f_charsum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, s, m, h", [(7, 1, 2, 3), (2, 2, 3, 3), (13, 1, 2, 6), (19, 1, 2, 3)])
+def test_verify_evaluates_h_once(runner, monkeypatch, p, s, m, h):
+    # semi's H at the lifted Jacobi sums is the tower's f_charsum table where the two dicts are equal
+    calls = _count_f_charsum(monkeypatch)
+    result, out = _invoke_json(runner, "verify", "--p", str(p), "--s", str(s), "--m", str(m), "--h", str(h))
+    assert result.exit_code == 0 and out["checks"]["f_triple_equal"] is True
+    assert len(calls) == 1
+
+
+def test_verify_evaluates_h_twice_when_the_jacobi_sums_differ(runner, monkeypatch):
+    _corrupt_jacobi(monkeypatch, 9, {(1, 1), (2, 2)})
+    calls = _count_f_charsum(monkeypatch)
+    result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
+    assert result.exit_code == 1 and out["checks"]["lifted_sums"] is False
+    assert len(calls) == 2
+
+
 def test_verify_flags_corrupted_lifted_sums(runner, monkeypatch):
     # G(chi**i) zeta_N**i are the Gauss sums of x -> psi(x / alpha): the periods rotate by
     # one coset, which leaves semi's histogram as it is, so only lifted_sums sees the bad lift
@@ -415,14 +445,14 @@ def test_verify_flags_wrong_periods(runner, monkeypatch, periods, failed):
 
 
 def test_verify_flags_a_wrong_subfield_jacobi_sum(runner, monkeypatch):
-    # only GF(4)'s Jacobi sums are off: semi sizes its classes from their lift, so its
-    # H(0, 0) comes out fractional; the report still runs every check, and lifted_sums
+    # only GF(4)'s Jacobi sums are off: semi's lifted Gauss sums are built from them, so its
+    # first period comes out fractional; the report still runs every check, and lifted_sums
     # names the bad lift while the tower's own checks hold
     real = CharSystem.jacobi_sum
     monkeypatch.setattr(CharSystem, "jacobi_sum", lambda self, i, j: real(self, i, j) + (1 if self.tower.r == 4 else 0))
     result, out = _invoke_json(runner, "verify", "--p", "2", "--s", "2", "--m", "3", "--h", "3")
     assert result.exit_code == 1 and out["verdict"] == "FAIL"
-    assert out["checks"]["semi"] == "failed: count at d = (0, 0) is not a nonnegative integer: 110/9"
+    assert out["checks"]["semi"] == "failed: period at coset 0 is 23/3"
     assert [name for name, ok in out["checks"].items() if ok is False] == ["lifted_sums", "three_way_equal"]
     assert "first_diff" not in out["checks"]  # brute and the table, the pair that ran, agree
 
