@@ -36,7 +36,7 @@ from itertools import count, product
 from typing import TYPE_CHECKING
 
 from .cycint import CycInt
-from .fields import ZERO, BadModulusError, FieldTower
+from .fields import ZERO, BadModulusError, FieldTower, power
 
 if TYPE_CHECKING:
     from .code import CodeParams
@@ -59,7 +59,7 @@ class CharSystem:
     trace t, and ``pair_counts[u][v]`` counts solutions of a + b = 1 with
     a in coset u and b in coset v; Gauss and Jacobi sums are one bucket sum
     over them.  The Gauss sums are built with the system, the periods and
-    pair counts on first use; Jacobi sums are memoized.
+    pair counts on first use.
     """
 
     def __init__(self, tower: FieldTower, order: int):
@@ -75,7 +75,6 @@ class CharSystem:
         self._gauss = [
             _bucket_sum(self.period_counts, m, m // order * i, m // self.p) for i in range(order)
         ]
-        self._jacobi: dict[tuple[int, int], CycInt] = {}
 
     @cached_property
     def periods(self) -> list[int | None]:
@@ -101,11 +100,7 @@ class CharSystem:
 
     def jacobi_sum(self, i: int, j: int) -> CycInt:
         """Sum of chi**i(a) chi**j(b) over a + b = 1, in Z[zeta_N]."""
-        n = self.order
-        key = (i % n, j % n)
-        if key not in self._jacobi:
-            self._jacobi[key] = _bucket_sum(self.pair_counts, n, *key)
-        return self._jacobi[key]
+        return _bucket_sum(self.pair_counts, self.order, i, j)
 
 
 def _bucket_sum(table: list[list[int]], m: int, a: int, b: int) -> CycInt:
@@ -153,8 +148,9 @@ def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[in
 
     Davenport-Hasse (Lidl & Niederreiter, *Finite Fields*, Thm 5.14): -G(chi o Norm) = (-G(chi))**k, psi
     lifted through the trace, so J(i, j) = G(chi**i) G(chi**j) / G(chi**(i+j)) lifts to -(-J)**k; G(chi**0) stays -1.
-    G(chi**i)**k is c G(chi**a), c in Z[zeta_N], by G(a) G(b) = J(a, b) G(a + b) and G(a) G(-a) = chi**a(-1) Q
-    (Thms 5.21 and 5.12 there): the lifted Gauss sums rest on the field's Jacobi sums too.
+    G(chi**i)**k is c G(chi**a), c in Z[zeta_N]: the pair (1, i) to the k-th ``power`` under
+    (c, a)(d, b) = (c d J(a, b), a + b), as G(a) G(b) = J(a, b) G(a + b) and G(a) G(-a) = chi**a(-1) Q
+    (Thms 5.21 and 5.12 there), chi**a(-1) Q standing for J(a, -a): the lifted Gauss sums rest on the field's Jacobi sums too.
     """
     n, big_q, m = system.order, system.tower.r, math.lcm(system.p, system.order)
     jacobi = {(i, j): system.jacobi_sum(i, j) for i, j in product(range(1, n), repeat=2) if i + j != n}
@@ -163,12 +159,13 @@ def lifted_sums(system: CharSystem, k: int) -> tuple[list[CycInt], dict[tuple[in
     sign = -1 if system.p != 2 and (big_q - 1) // n % 2 else 1  # chi(-1)
     factor = {**jacobi, **{(a, n - a): big_q * sign**a for a in range(1, n)}}  # G(a) G(b) / G(a + b); else 1
     gauss = [system.gauss_sum(0)]
+
+    def mul(x, y):  # c G(chi**a) times d G(chi**b)
+        (c, a), (d, b) = x, y
+        return c * d * factor.get((a, b), 1), (a + b) % n
+
     for i in range(1, n):
-        c, a = 1, i
-        for bit in bin(k)[3:]:  # left to right below the top bit, as CycInt.__pow__
-            c, a = c * c * factor.get((a, a), 1), 2 * a % n
-            if bit == "1":
-                c, a = c * factor.get((a, i), 1), (a + i) % n
+        c, a = power((1, i), k, mul)
         c = c if k % 2 else -c  # -(-1)**k c G(chi**a)
         gauss.append((system.gauss_sum(a) if a else CycInt.from_int(m, 1)) * (c if isinstance(c, int) else c.embed(m)))
     return gauss, {key: -((-x) ** k) for key, x in jacobi.items()}

@@ -9,13 +9,16 @@ anywhere.
 
 Multiplication runs in Z[x]/(x**n - 1) (cyclic convolution of the
 canonical vectors padded to length n) followed by one reduction modulo
-Phi_n; since Phi_n divides x**n - 1 the two quotients commute.
+Phi_n; since Phi_n divides x**n - 1 the two quotients commute.  Phi_n is one
+Moebius product over the divisors of n, their primes from ``fields.prime_factors``;
+powers use ``fields.power``, the one square-and-multiply, as ``lifted_sums`` does.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
+
+from .fields import power, prime_factors
 
 
 class OrderMismatchError(ValueError):
@@ -26,48 +29,32 @@ class NotDivisibleError(ValueError):
     """Target order is not a multiple of the current order."""
 
 
-def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    # den monic; division must be exact (used only for x**n - 1 over the Phi_d)
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - deg_d] = c
-            for j, dj in enumerate(den):
-                num[i - deg_d + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact cyclotomic polynomial division")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, constant first: 1 + x + ... + x**(n-1) for prime n,
-    Phi_m(-x) for n = 2m with m > 1 odd, else x**n - 1 divided exactly by the
-    Phi_d over all proper divisors d of n."""
+    """Coefficients of Phi_n, constant first: for n > 1 the product of (1 - x**d)**mu(n/d) over the
+    d | n (Lidl & Niederreiter, *Finite Fields*, Thm 3.27; the signs cancel as the mu(n/d) sum to 0),
+    each factor applied in place to one list cut at degree phi(n): times 1 - x**d is c[i] -= c[i-d]
+    with i going down, over it c[i] += c[i-d] with i going up."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n % 4 == 2 and n > 2:
-        return tuple(-c if k % 2 else c for k, c in enumerate(cyclotomic_polynomial(n // 2)))
-    if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)):
-        return (1,) * n
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divmod_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    if n == 1:
+        return (-1, 1)
+    divisors = [(1, 1)]  # (e, mu(e)) over the squarefree e | n
+    for ell in prime_factors(n):
+        divisors += [(e * ell, -mu) for e, mu in divisors]
+    deg = sum(mu * (n // e) for e, mu in divisors)  # phi(n)
+    c = [1] + [0] * deg
+    for e, mu in divisors:
+        d = n // e
+        for i in range(deg, d - 1, -1) if mu > 0 else range(d, deg + 1):
+            c[i] -= mu * c[i - d]
+    return tuple(c)
 
 
 def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
     """Reduce a coefficient list (any length) to canonical form mod Phi_n."""
-    deg = _phi_degree(n)
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
     # fold exponents with x**n = 1 first; cheap and keeps degrees < n
     if len(coeffs) > n:
         folded = [0] * n
@@ -81,7 +68,6 @@ def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
         for i in range(half, len(coeffs)):
             coeffs[i - half] -= coeffs[i]
         del coeffs[half:]
-    phi = cyclotomic_polynomial(n)
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
         if c:
@@ -106,7 +92,7 @@ class CycInt:
 
     @classmethod
     def zero(cls, order: int) -> "CycInt":
-        return cls(order, (0,) * _phi_degree(order), reduced=True)
+        return cls(order, (0,) * (len(cyclotomic_polynomial(order)) - 1), reduced=True)
 
     @classmethod
     def from_int(cls, order: int, value: int) -> "CycInt":
@@ -176,12 +162,7 @@ class CycInt:
     def __pow__(self, e: int) -> "CycInt":
         if e < 0:
             raise ValueError("negative powers not defined in Z[zeta]")
-        result = self if e else CycInt.from_int(self.order, 1)
-        for bit in bin(e)[3:]:  # left to right below the top bit: no product with 1
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return power(self, e, CycInt.__mul__) if e else CycInt.from_int(self.order, 1)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)

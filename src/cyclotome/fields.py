@@ -85,6 +85,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def power(base, k: int, mul):
+    """base**k, k >= 1, under the associative product ``mul``: square-and-multiply left to right
+    on the bits of k below the top one, so no product is taken with 1."""
+    result = base
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 def _is_primitive(f: list[int], p: int, factors: list[int]) -> bool:
     """True iff x has order p**deg(f) - 1 (distinct prime factors ``factors``) modulo f.
 
@@ -116,20 +127,12 @@ def _is_primitive(f: list[int], p: int, factors: list[int]) -> bool:
             high >>= w
         return acc - p * (acc * mu >> k & quot)
 
-    def power(base: int, e: int) -> int:
-        result = base
-        for bit in bin(e)[3:]:  # left to right below the top bit, as CycInt.__pow__
-            result = mulmod(result, result)
-            if bit == "1":
-                result = mulmod(result, base)
-        return result
-
     rows = [sum(-c % p << w * i for i, c in enumerate(f[:d]))]  # x**d mod f, then x**(d+1), ...
     while len(rows) < d - 1:
         rows.append(mulmod(rows[-1], 1 << w))
     # x**order as (x**(order/ell))**ell, ell = factors[0]: one power serves both of ell's tests
-    y = power(1 << w, order // factors[0])
-    return y != 1 and power(y, factors[0]) == 1 and all(power(1 << w, order // ell) != 1 for ell in factors[1:])
+    y = power(1 << w, order // factors[0], mulmod)
+    return y != 1 and power(y, factors[0], mulmod) == 1 and all(power(1 << w, order // ell, mulmod) != 1 for ell in factors[1:])
 
 
 def find_primitive_polynomial(p: int, degree: int, index: int = 0) -> tuple[int, ...]:

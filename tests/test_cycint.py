@@ -1,10 +1,10 @@
+import math
 import random
 
 import pytest
 
 from conftest import root_of_unity
 
-import cyclotome.cycint as cycint
 from cyclotome.cycint import (
     CycInt,
     NotDivisibleError,
@@ -20,6 +20,8 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(1021) == (1,) * 1021  # prime n
+    assert cyclotomic_polynomial(2042) == tuple((-1) ** k for k in range(1021))  # Phi_2m(x) = Phi_m(-x), m odd
 
 
 def _poly_mul(a, b):
@@ -39,17 +41,20 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
         assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
-def test_cyclotomic_polynomial_prime_and_twice_odd_need_no_division(monkeypatch):
-    def no_division(num, den):
-        raise AssertionError("exact division used")
+def _evaluate(poly, x):
+    value = 0
+    for c in reversed(poly):
+        value = value * x + c
+    return value
 
-    monkeypatch.setattr(cycint, "_poly_divmod_exact", no_division)
-    cyclotomic_polynomial.cache_clear()
-    try:
-        assert cyclotomic_polynomial(1021) == (1,) * 1021
-        assert cyclotomic_polynomial(2042) == tuple((-1) ** k for k in range(1021))
-    finally:
-        cyclotomic_polynomial.cache_clear()
+
+@pytest.mark.parametrize("n", [1021, 2042, 8186, 12279, 24558])
+def test_cyclotomic_polynomial_meets_its_defining_identity_at_a_large_prime_factor(n):
+    # n = lcm(p, N), the order of semi's Gauss sums, at p = 1021 or 4093 and N | 6: the product
+    # of Phi_d over d | n is x**n - 1, checked exactly at x = 2 and 3 in Python ints
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for x in (2, 3):
+        assert math.prod(_evaluate(cyclotomic_polynomial(d), x) for d in divisors) == x**n - 1
 
 
 def test_root_of_unity_vanishes_on_its_polynomial():

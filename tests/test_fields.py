@@ -23,6 +23,7 @@ from cyclotome.fields import (
     build_tower,
     find_primitive_polynomial,
     is_prime,
+    power,
     prime_factors,
 )
 from cyclotome.theorem import classify, instantiate_table, table_distribution
@@ -92,6 +93,15 @@ def test_primes_helpers():
     assert [n for n in near_cap if is_prime(n)] == [16_777_153, 16_777_183, 16_777_199, 16_777_213]
     assert prime_factors(48) == [2, 3]
     assert prime_factors(2**6 - 1) == [3, 7]
+
+
+def test_power_matches_builtin_pow():
+    # the one square-and-multiply, against the built-in, plain and modulo m for every k up to 64
+    m = 1_000_003
+    for base in (-3, 2, 7, 12_345, 2**61 - 1):
+        for k in range(1, 65):
+            assert power(base, k, int.__mul__) == pow(base, k)
+            assert power(base % m, k, lambda a, b: a * b % m) == pow(base, k, m)
 
 
 def test_exp_log_roundtrip(set1):
